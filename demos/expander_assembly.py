@@ -34,6 +34,8 @@ def main() -> None:
     trace = assemble_hamilton(blowup, red, f, walk)
     print(f"initial factor: {len(trace.initial_factor.cycles)} cycles; "
           f"{len(trace.merges)} merges")
+    for (cluster, matching), method in zip(trace.merges, trace.merge_methods):
+        print(f"  merge cluster {cluster}: {len(matching)} arcs, closed by {method}")
     assert trace.cycle.is_valid(blowup.host)
     print("hamilton cycle:", " ".join(str(v) for v in trace.cycle.order))
 

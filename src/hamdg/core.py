@@ -206,6 +206,25 @@ class CycleFactor:
             (c[i], c[(i + 1) % len(c)]) for c in self.cycles for i in range(len(c))
         ]
 
+    @classmethod
+    def from_succ(cls, succ) -> "CycleFactor":
+        """The cycles of the permutation ``v -> succ[v]`` on 0..len(succ)-1,
+        each listed from its smallest vertex, in order of that vertex."""
+        n = len(succ)
+        seen = [False] * n
+        cycles = []
+        for v in range(n):
+            if seen[v]:
+                continue
+            cyc = []
+            x = v
+            while not seen[x]:
+                seen[x] = True
+                cyc.append(x)
+                x = succ[x]
+            cycles.append(tuple(cyc))
+        return cls(tuple(cycles))
+
 
 # --- degrees and classes -------------------------------------------------
 

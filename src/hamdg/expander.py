@@ -9,7 +9,6 @@ matching-and-merge assembly of a Hamilton cycle in a cluster blow-up.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -17,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .conditions import Verdict
+from .conditions import Verdict, _frac
 from .core import CycleFactor, Digraph, HamiltonCycle, bits, popcount
 from .errors import (
     BadParams,
@@ -28,10 +27,6 @@ from .errors import (
     MergeFailure,
 )
 from .solvers import _bipartite_matching, find_hamilton_cycle, rotation_extension
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(str(x))
 
 
 @dataclass(frozen=True)
@@ -502,22 +497,27 @@ def make_cluster_blowup(
         raise BadParams("one (T,U) demand pair per exceptional vertex")
     if min_pair_degree is None:
         min_pair_degree = max(1, (m + 1) // 2)
-    arcs: list[tuple[int, int]] = []
+    full = (1 << m) - 1
+    out = [0] * (n_core + exceptional)
     for ci, cj in r.arcs():
-        for a in clusters[ci]:
-            row = [rng.random() < pair_density for _ in range(m)]
-            if sum(row) < min_pair_degree:
-                row = [True] * m
-            for j, keep in enumerate(row):
-                if keep:
-                    arcs.append((a, clusters[cj][j]))
+        # one double per host pair, in the order of drawing them one at a
+        # time (Philox yields the same stream either way); rows below the
+        # degree floor become complete
+        keep = rng.random((m, m)) < pair_density
+        packed = np.packbits(keep, axis=1, bitorder="little").tobytes()
+        width = len(packed) // m
+        thin = (keep.sum(axis=1) < min_pair_degree).tolist()
+        shift = cj * m
+        for i, a in enumerate(clusters[ci]):
+            row = full if thin[i] else int.from_bytes(
+                packed[i * width : (i + 1) * width], "little")
+            out[a] |= row << shift
     for i, (t_c, u_c) in enumerate(demands):
         a = exc[i]
-        for x in clusters[t_c]:
-            arcs.append((a, x))
+        out[a] |= full << (t_c * m)
         for y in clusters[u_c]:
-            arcs.append((y, a))
-    host = Digraph(n_core + exceptional, arcs)
+            out[y] |= 1 << a
+    host = Digraph.from_out_masks(out)
     return ClusterBlowup(host, clusters, exc), demands
 
 
@@ -526,6 +526,32 @@ class AssemblyTrace:
     cycle: HamiltonCycle
     initial_factor: CycleFactor
     merges: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]  # (cluster, new matching)
+    # per merge: "rotation" if rotation_extension closed the auxiliary
+    # digraph, "exact" if the find_hamilton_cycle fallback did
+    merge_methods: tuple[str, ...] = ()
+
+
+def _runs(vertices: Sequence[int]) -> list[tuple[int, int, int]]:
+    """Maximal runs of consecutive vertices in a list, as (first vertex,
+    run-length mask, list position of the first vertex)."""
+    runs = []
+    i = 0
+    while i < len(vertices):
+        j = i + 1
+        while j < len(vertices) and vertices[j] == vertices[j - 1] + 1:
+            j += 1
+        runs.append((vertices[i], (1 << (j - i)) - 1, i))
+        i = j
+    return runs
+
+
+def _restrict(row: int, runs: list[tuple[int, int, int]]) -> int:
+    """Re-index a bit row onto a vertex list given by its runs: bit j of
+    the result is the bit of ``row`` at the list's j-th vertex."""
+    out = 0
+    for first, mask, pos in runs:
+        out |= (row >> first & mask) << pos
+    return out
 
 
 def assemble_hamilton(
@@ -615,10 +641,8 @@ def assemble_hamilton(
                 f"cluster {ca}: unbalanced matching classes "
                 f"({len(left)} vs {len(right)})"
             )
-        rows = [
-            sum(1 << j for j, b in enumerate(right) if host.has_arc(a, b))
-            for a in left
-        ]
+        runs = _runs(right)
+        rows = [_restrict(host.out[a], runs) for a in left]
         match = _bipartite_matching(len(left), rows)
         if match is None:
             raise MatchingFailure(f"cluster {ca}: no perfect matching to {cb}")
@@ -628,13 +652,13 @@ def assemble_hamilton(
     succ: dict[int, int] = dict(fixed_succ)
     for ca, mp in matchings.items():
         succ.update(mp)
-    n = host.n
-    if len(succ) != n:
+    if len(succ) != host.n:
         raise MatchingFailure("1-factor construction left vertices unmatched")
-    initial = _factor_from_succ(succ, n)
+    initial = CycleFactor.from_succ(succ)
 
     # 4. merge cluster by cluster through the auxiliary digraph J
     merges = []
+    methods = []
     for ca in range(k):
         cb = f.succ[ca]
         left_set = set(matchings[ca].keys())
@@ -647,19 +671,17 @@ def assemble_hamilton(
             while x not in left_set:
                 x = succ[x]
             fmap[a] = x
-        index = {a: i for i, a in enumerate(right)}
+        runs = _runs(right)
         rows = [
-            sum(
-                1 << index[b]
-                for b in right
-                if b != a and host.has_arc(fmap[a], b)
-            )
-            for a in right
+            _restrict(host.out[fmap[a]], runs) & ~(1 << i)
+            for i, a in enumerate(right)
         ]
         j_digraph = Digraph.from_out_masks(rows)
         h = rotation_extension(j_digraph)
+        method = "rotation"
         if h is None:
             h = find_hamilton_cycle(j_digraph)
+            method = "exact"
         if h is None:
             raise MergeFailure(f"auxiliary digraph of cluster {ca} not Hamiltonian")
         new_matching = []
@@ -671,8 +693,9 @@ def assemble_hamilton(
             succ[x] = b
         matchings[ca] = dict(new_matching)
         merges.append((ca, tuple(sorted(new_matching))))
+        methods.append(method)
 
-    final = _factor_from_succ(succ, n)
+    final = CycleFactor.from_succ(succ)
     if len(final.cycles) != 1:
         raise MergeFailure(
             f"assembly left {len(final.cycles)} cycles instead of one"
@@ -680,20 +703,4 @@ def assemble_hamilton(
     cycle = HamiltonCycle(final.cycles[0]).canonical()
     if not cycle.is_valid(host):
         raise MergeFailure("assembled order is not a Hamilton cycle of the host")
-    return AssemblyTrace(cycle, initial, tuple(merges))
-
-
-def _factor_from_succ(succ: dict[int, int], n: int) -> CycleFactor:
-    seen = [False] * n
-    cycles = []
-    for v in range(n):
-        if seen[v]:
-            continue
-        cyc = []
-        x = v
-        while not seen[x]:
-            seen[x] = True
-            cyc.append(x)
-            x = succ[x]
-        cycles.append(tuple(cyc))
-    return CycleFactor(tuple(cycles))
+    return AssemblyTrace(cycle, initial, tuple(merges), tuple(methods))

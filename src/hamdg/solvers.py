@@ -50,24 +50,35 @@ def _bipartite_matching(n_left: int, adj: Sequence[int]) -> Optional[list[int]]:
     """Perfect matching in a bipartite graph given as left->right bit rows.
 
     Returns ``match[l] = r`` or ``None`` if no perfect matching exists.
+    Kuhn's augmenting paths, searched depth first with an explicit stack;
+    right vertices are tried in ascending order, each at most once per
+    augmentation (``seen`` is a bitmask).
     """
     match_l = [-1] * n_left
     match_r: dict[int, int] = {}
-
-    def augment(l: int, seen: set[int]) -> bool:
-        for r in bits(adj[l]):
-            if r in seen:
+    for root in range(n_left):
+        seen = 0
+        lefts = [root]  # the alternating path: lefts[i] -> rights[i]
+        rights: list[int] = []
+        while True:
+            cand = adj[lefts[-1]] & ~seen
+            if not cand:
+                lefts.pop()
+                if not lefts:
+                    return None
+                rights.pop()
                 continue
-            seen.add(r)
-            if r not in match_r or augment(match_r[r], seen):
-                match_l[l] = r
-                match_r[r] = l
-                return True
-        return False
-
-    for l in range(n_left):
-        if not augment(l, set()):
-            return None
+            low = cand & -cand
+            seen |= low
+            r = low.bit_length() - 1
+            rights.append(r)
+            owner = match_r.get(r)
+            if owner is None:
+                for l, r in zip(lefts, rights):
+                    match_l[l] = r
+                    match_r[r] = l
+                break
+            lefts.append(owner)
     return match_l
 
 
@@ -79,19 +90,7 @@ def one_factor(g: Digraph) -> Optional[CycleFactor]:
     succ = _bipartite_matching(g.n, g.out)
     if succ is None:
         return None
-    seen = [False] * g.n
-    cycles = []
-    for v in range(g.n):
-        if seen[v]:
-            continue
-        cyc = []
-        x = v
-        while not seen[x]:
-            seen[x] = True
-            cyc.append(x)
-            x = succ[x]
-        cycles.append(tuple(cyc))
-    return CycleFactor(tuple(cycles))
+    return CycleFactor.from_succ(succ)
 
 
 # --- Hamilton cycle search ----------------------------------------------
@@ -699,6 +698,13 @@ def rotation_extension(
     Starts from a 1-factor, opens one cycle into a path, then alternates
     absorption of other cycles with chord-based re-splitting.  May fail on
     graphs where the exact solver succeeds; failure is returned as ``None``.
+
+    Each move is a deterministic function of the state (path, remaining
+    cycles), so once a state repeats the search is periodic and can only
+    run into the ``max_restarts * n`` step limit.  The state is recorded at
+    every power-of-two step (Brent's cycle detection) and the search gives
+    up, returning ``None``, as soon as the recorded state comes round again:
+    the same answer as running to the limit, with one stored state.
     """
     n = g.n
     if n < 2:
@@ -716,7 +722,14 @@ def rotation_extension(
     path = cycles.pop(0)
     steps = 0
     limit = max_restarts * n
+    # the state at the last power-of-two step; path is never mutated in
+    # place, but the cycle list is, so it is copied
+    mark_path, mark_cycles = None, None
     while steps < limit:
+        if path == mark_path and cycles == mark_cycles:
+            return None
+        if steps & (steps - 1) == 0:
+            mark_path, mark_cycles = path, list(cycles)
         steps += 1
         if not cycles:
             if g.has_arc(path[-1], path[0]):

@@ -1,5 +1,7 @@
 """CLI: exit codes, round trips, deterministic experiment tables."""
 
+import hashlib
+
 import pytest
 
 from hamdg import io as hio
@@ -121,6 +123,25 @@ class TestExpander:
         assert code == 0
         assert "# walk length=" in out and "# merge cluster=" in out
         assert "CYCLE 1 17 " in out
+
+    # sha256 of stdout: the walk links, the merge trace and the final cycle
+    @pytest.mark.parametrize(
+        "base,m,seed,digest",
+        [
+            ("triangle", "40", "3",
+             "53756d18124ea081633e9e5f5b3cf569990d7ad08422c635e3ef7a18bf6abc98"),
+            ("pentagon", "24", "5",
+             "fb96e8ee6e31750e3dcc51ff8b26f1f0594df9f1394bea2189e2bef83ee26238"),
+        ],
+    )
+    def test_pipeline_output_golden(self, capsys, base, m, seed, digest):
+        code, out, _ = run(
+            capsys,
+            "expander", "--pipeline", "--base", base, "--m", m,
+            "--exceptional", "4", "--seed", seed,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestExperiment:

@@ -1,0 +1,173 @@
+"""Fast paths of the expander pipeline against the code they replaced.
+
+The oracles in ``oracles.py`` are the original straightforward versions.
+Outputs must be equal, not merely valid: every certificate downstream
+(matchings, initial factor, merges, final cycle) depends on them.
+"""
+
+import random
+
+import pytest
+
+import oracles
+from hamdg.constructions import circulant_tournament, complete_digraph
+from hamdg.core import CycleFactor, Digraph
+from hamdg.expander import ReducedDigraph, _restrict, _runs, make_cluster_blowup
+from hamdg.solvers import _bipartite_matching, one_factor, rotation_extension
+
+
+def _random_rows(rng, n_left, n_right, p):
+    return [
+        sum(1 << j for j in range(n_right) if rng.random() < p) for _ in range(n_left)
+    ]
+
+
+class TestBipartiteMatching:
+    @pytest.mark.parametrize("p", [0.05, 0.15, 0.3, 0.6, 1.0])
+    def test_equal_match_lists(self, p):
+        rng = random.Random(int(p * 100))
+        outcomes = set()
+        for _ in range(60):
+            n_left = rng.randint(1, 24)
+            n_right = rng.randint(n_left, n_left + 4)
+            adj = _random_rows(rng, n_left, n_right, p)
+            want = oracles.bipartite_matching(n_left, adj)
+            assert _bipartite_matching(n_left, adj) == want
+            outcomes.add(want is None)
+        if p == 0.15:
+            assert outcomes == {True, False}
+
+    def test_one_factor_equal(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            n = rng.randint(2, 14)
+            g = Digraph(
+                n,
+                [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.3],
+            )
+            assert one_factor(g) == oracles.one_factor(g)
+
+
+class TestBlowup:
+    BASES = {
+        "triangle": complete_digraph(3),
+        "pentagon": circulant_tournament(5, (1, 2)),
+    }
+
+    @pytest.mark.parametrize("density", [1.0, 0.8, 0.5])
+    @pytest.mark.parametrize("base", ["triangle", "pentagon"])
+    def test_equal_hosts(self, base, density):
+        for m, exceptional, seed in ((5, 0, 0), (8, 2, 1), (13, 3, 2), (20, 4, 3)):
+            red = ReducedDigraph(self.BASES[base], m)
+            got, got_demands = make_cluster_blowup(
+                red, exceptional=exceptional, pair_density=density, seed=seed
+            )
+            want, want_demands = oracles.make_cluster_blowup(
+                red, exceptional=exceptional, pair_density=density, seed=seed
+            )
+            assert got.host.out == want.host.out
+            assert got.host.inn == want.host.inn
+            assert (got.clusters, got.exceptional, got_demands) == (
+                want.clusters,
+                want.exceptional,
+                want_demands,
+            )
+
+    def test_fallback_rows_are_complete(self):
+        # at density 0.5 with floor ceil(m/2), about half the rows fall back
+        red = ReducedDigraph(complete_digraph(3), 12)
+        blowup, _ = make_cluster_blowup(red, pair_density=0.5, seed=4)
+        full = sum(
+            1
+            for a in blowup.clusters[0]
+            if blowup.host.out[a] >> 12 & 0xFFF == 0xFFF
+        )
+        assert full >= 1
+
+
+def test_restrict_equals_per_pair_lookup():
+    # the assembly's matching and merge rows, once built with has_arc per pair
+    rng = random.Random(3)
+    for _ in range(200):
+        width = rng.randint(1, 90)
+        vertices = sorted(rng.sample(range(width), rng.randint(0, width)))
+        row = rng.getrandbits(width + 5)
+        want = sum(1 << j for j, b in enumerate(vertices) if row >> b & 1)
+        assert _restrict(row, _runs(vertices)) == want
+
+
+class TestRotationExtension:
+    def test_equal_cycle_orders(self):
+        rng = random.Random(11)
+        found = 0
+        for _ in range(150):
+            n = rng.randint(3, 12)
+            p = rng.choice((0.3, 0.5, 0.7))
+            g = Digraph(
+                n,
+                [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p],
+            )
+            want = oracles.rotation_extension(g, max_restarts=4)
+            assert rotation_extension(g, max_restarts=4) == want
+            found += want is not None
+        assert found > 0
+
+    def test_equal_from_given_factor(self):
+        g = complete_digraph(9)
+        start = CycleFactor(((0, 1, 2), (3, 4), (5, 6, 7, 8)))
+        want = oracles.rotation_extension(g, start, max_restarts=3)
+        assert want is not None
+        assert rotation_extension(g, start, max_restarts=3) == want
+
+    def test_equal_from_random_factors(self):
+        # sparse digraphs around a planted factor of short cycles force many
+        # absorptions and rotations
+        rng = random.Random(2)
+        for _ in range(300):
+            n = rng.randint(5, 14)
+            verts = rng.sample(range(n), n)
+            cuts = [0]
+            while cuts[-1] < n:
+                step = rng.randint(2, 4)
+                cuts.append(n if n - cuts[-1] - step < 2 else cuts[-1] + step)
+            cycles = tuple(tuple(verts[a:b]) for a, b in zip(cuts, cuts[1:]))
+            p = rng.choice((0.1, 0.2, 0.3))
+            arcs = set(CycleFactor(cycles).arcs()) | {
+                (u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p
+            }
+            g, start = Digraph(n, sorted(arcs)), CycleFactor(cycles)
+            want = oracles.rotation_extension(g, start, max_restarts=6)
+            assert rotation_extension(g, start, max_restarts=6) == want
+
+    def test_recurring_path_with_reordered_cycles(self):
+        # the path comes round again while the remaining cycles are listed
+        # in another order; that is not a repeated state
+        arcs = [
+            (0, 1), (0, 6), (0, 9), (1, 5), (1, 7), (1, 8), (1, 9), (2, 1),
+            (2, 3), (2, 9), (3, 2), (3, 5), (4, 1), (4, 3), (4, 5), (4, 8),
+            (5, 4), (5, 9), (6, 0), (6, 2), (6, 5), (7, 0), (7, 4), (7, 8),
+            (8, 3), (8, 7), (9, 1), (9, 2), (9, 7), (9, 8),
+        ]
+        g = Digraph(10, arcs)
+        start = CycleFactor(((0, 6), (8, 7), (2, 3), (5, 4), (1, 9)))
+        want = oracles.rotation_extension(g, start, max_restarts=6)
+        assert want is not None and want.is_valid(g)
+        assert rotation_extension(g, start, max_restarts=6) == want
+
+    def test_periodic_state_exits_at_once(self):
+        # one-factor {0,2} {1,3}: the path [3,1,0,2] is closed again by the
+        # chord 2->0 and re-absorbed by 1->0, a period-2 loop that only the
+        # step limit would end
+        class Counting(Digraph):
+            __slots__ = ("calls",)
+
+            def has_arc(self, u, v):
+                self.calls += 1
+                return super().has_arc(u, v)
+
+        arcs = [(0, 2), (1, 0), (1, 3), (2, 0), (3, 1), (3, 2)]
+        assert oracles.rotation_extension(Digraph(4, arcs), max_restarts=50) is None
+        g = Counting(4, arcs)
+        g.calls = 0
+        assert rotation_extension(g, max_restarts=10**9) is None
+        assert g.calls < 100

@@ -292,3 +292,33 @@ class TestAssembly:
             assert 0 <= cluster < 7
             for x, b in matching:
                 assert blowup.host.has_arc(x, b)
+
+    @pytest.mark.parametrize("m,density,seed", [(8, 0.6, 5), (10, 0.8, 5), (8, 1.0, 0)])
+    def test_merge_methods_record_the_closer(self, monkeypatch, m, density, seed):
+        import hamdg.expander as ex
+
+        heuristic = []
+        original = ex.rotation_extension
+
+        def spy(g, *args, **kwargs):
+            h = original(g, *args, **kwargs)
+            heuristic.append(h is not None)
+            return h
+
+        monkeypatch.setattr(ex, "rotation_extension", spy)
+        r = complete_digraph(3)
+        red = ReducedDigraph(r, m)
+        f = OneFactorF(CycleFactor(((0, 1, 2),)), r)
+        blowup, demands = make_cluster_blowup(
+            red, exceptional=2, pair_density=density, seed=seed
+        )
+        w = build_closed_walk(red, f, demands, cap=m)
+        trace = assemble_hamilton(blowup, red, f, w)
+        assert len(trace.merge_methods) == len(trace.merges) == len(heuristic)
+        assert trace.merge_methods == tuple(
+            "rotation" if hit else "exact" for hit in heuristic
+        )
+        if density < 1:
+            assert "exact" in trace.merge_methods
+        else:
+            assert set(trace.merge_methods) == {"rotation"}

@@ -1,5 +1,7 @@
 """Exact solvers, counters, and pattern searches."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from hamdg.core import Digraph, Matching
 from hamdg.errors import BadParams, BudgetExceeded
 from hamdg.solvers import (
     OrientationPattern,
+    _bipartite_matching,
     count_hamilton,
     count_hamilton_naive,
     disjoint_cycle_factor,
@@ -213,6 +216,16 @@ class TestEmbedTree:
     def test_rejects_non_tree(self):
         with pytest.raises(BadParams):
             embed_tree(complete_digraph(5), directed_cycle(3))
+
+
+class TestBipartiteMatching:
+    def test_deeper_than_recursion_limit(self):
+        # on a complete bipartite graph the augmenting path of left vertex l
+        # runs through all l earlier ones
+        n = sys.getrecursionlimit() + 10
+        full = (1 << n) - 1
+        match = _bipartite_matching(n, [full] * n)
+        assert sorted(match) == list(range(n))
 
 
 class TestRotationExtension:
