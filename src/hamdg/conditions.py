@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Any, Optional
 
 from .core import (
@@ -303,23 +304,16 @@ def check_sequence_condition(g: Digraph, rule: str, **params) -> Verdict:
 # --- connectivity / independence conditions ------------------------------
 
 
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
 def check_connectivity_condition(g: Digraph, rule: str, **params) -> Verdict:
     """Chvatal-Erdos-type hypotheses relating kappa and alpha_2."""
+    if rule not in CONNECTIVITY_RULES:
+        raise BadParams(f"unknown connectivity rule {rule!r}")
     kappa = vertex_connectivity(g)
     _, alpha2 = independence_numbers(g, cap=params.get("cap", 30))
     if rule == "jackson_factorial":
-        needed = 2**alpha2 * _factorial(alpha2 + 2)
-    elif rule == "jackson_ordaz":
-        needed = alpha2 + 1
+        needed = 2**alpha2 * factorial(alpha2 + 2)
     else:
-        raise BadParams(f"unknown connectivity rule {rule!r}")
+        needed = alpha2 + 1
     if kappa >= needed:
         return Verdict(rule, True, {"kappa": kappa, "alpha2": alpha2, "needed": needed})
     return _fails(rule, {"kappa": kappa, "alpha2": alpha2, "needed": needed})

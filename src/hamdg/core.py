@@ -14,7 +14,6 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import ArcMissing, BadParams, BudgetExceeded, NotAMatching
 
-EXACT_SOLVER_CAP = 64
 INDEPENDENCE_CAP = 30
 
 
@@ -306,51 +305,98 @@ def strongly_connected_within(g: Digraph, mask: int) -> bool:
     return _reach(adj, start) == mask and _reach(radj, start) == mask
 
 
-def _max_vertex_disjoint_paths(g: Digraph, s: int, t: int) -> int:
-    # Unit-capacity max flow on the vertex-split network; n <= 64 keeps
-    # Edmonds-Karp comfortable.
+def _vertex_disjoint_paths(g: Digraph, s: int, t: int, limit: int) -> int:
+    """min(limit, the number of internally vertex-disjoint s->t paths), for
+    s, t with no arc s->t.
+
+    Unit-capacity augmenting paths on the vertex-split network (v_in -> v_out
+    of capacity 1 for v other than s, t; arcs u_out -> v_in unbounded), with
+    the flow kept as one bit row per vertex: ``fin[v]`` holds the tails of
+    the flow-carrying arcs into v.  An inner vertex carries flow iff
+    ``fin[v]`` is non-zero, and then its one bit is the vertex before it on
+    its path; that is all the state the residual network needs.
+    The flow starts from the disjoint two-arc paths s -> v -> t, one bit-row
+    AND; each later search is a breadth-first sweep over in-nodes (ids v)
+    and out-nodes (ids v + n) and adds one path, so a call costs
+    O(limit * n) bit-row operations."""
     n = g.n
-    # node ids: v_in = v, v_out = v + n
-    cap: dict[tuple[int, int], int] = {}
-    for v in range(n):
-        cap[(v, v + n)] = 1 if v not in (s, t) else n
-    for u in range(n):
-        for v in bits(g.out[u]):
-            cap[(u + n, v)] = n
-    src, sink = s + n, t
+    out = g.out
+    fin = [0] * n
     flow = 0
-    while True:
-        parent: dict[int, int] = {src: src}
-        queue = [src]
-        while queue and sink not in parent:
-            x = queue.pop(0)
-            for (a, b), c in cap.items():
-                if a == x and c > 0 and b not in parent:
-                    parent[b] = a
-                    queue.append(b)
-        if sink not in parent:
+    for v in bits(out[s] & g.inn[t]):  # the paths s -> v -> t are disjoint
+        if flow == limit:
             return flow
-        x = sink
-        while x != src:
+        fin[v] = 1 << s
+        fin[t] |= 1 << v
+        flow += 1
+    while flow < limit:
+        parent = [-1] * (2 * n)
+        seen_in, seen_out = 1 << s, 1 << s
+        front_in, front_out = 0, 1 << s
+        while front_in or front_out:
+            new_in = new_out = 0
+            for u in bits(front_out):
+                # residual arcs u_out -> v_in, then u_out -> u_in if u carries flow
+                cand = out[u] & ~seen_in
+                for v in bits(cand):
+                    parent[v] = u + n
+                seen_in |= cand
+                new_in |= cand
+                if fin[u] and not seen_in >> u & 1:
+                    parent[u] = u + n
+                    seen_in |= 1 << u
+                    new_in |= 1 << u
+            if seen_in >> t & 1:
+                break
+            for v in bits(front_in):
+                # v_in -> v_out if v is free, else back along its flow arc
+                w = fin[v].bit_length() - 1 if fin[v] else v
+                if not seen_out >> w & 1:
+                    parent[w + n] = v
+                    seen_out |= 1 << w
+                    new_out |= 1 << w
+            front_in, front_out = new_in, new_out
+        if not seen_in >> t & 1:
+            return flow
+        x = t
+        while x != s + n:
             p = parent[x]
-            cap[(p, x)] -= 1
-            cap[(x, p)] = cap.get((x, p), 0) + 1
+            if p >= n and x < n and p - n != x:  # forward arc (p - n, x)
+                fin[x] |= 1 << (p - n)
+            elif p < n and x >= n and x - n != p:  # cancel flow arc (x - n, p)
+                fin[p] &= ~(1 << (x - n))
             x = p
         flow += 1
+    return flow
 
 
 def vertex_connectivity(g: Digraph, *, brute_cap: int = 10) -> int:
     """Size of the smallest vertex set whose removal leaves a non-strongly
-    connected digraph or a single vertex."""
+    connected digraph or a single vertex.
+
+    Up to ``brute_cap`` vertices this tries every vertex set.  Above it, kappa
+    is n - 1 for a complete digraph and otherwise the least s,t max flow over
+    ordered pairs with no arc s->t (Menger).  Only pairs with s or t below
+    best are run, best being the least flow so far (Even & Tarjan's
+    source-set reduction), and each flow stops once it reaches best.
+    This is exact: a minimum separator X has kappa vertices, so one vertex v
+    of 0..kappa lies outside X; G - X is not strongly connected, so some u
+    outside X is not reached from v or does not reach v there, and the flow
+    for (v, u) or (u, v) is at most |X|.  Every flow is at least kappa, so
+    best >= kappa throughout: the loop runs vertex kappa unless best has
+    already come down to kappa."""
     if g.n < 2:
         raise BadParams("need n >= 2")
     if g.n <= brute_cap:
         return _vertex_connectivity_brute(g)
     best = g.n - 1
-    for s in range(g.n):
-        for t in range(g.n):
-            if s != t and not g.has_arc(s, t):
-                best = min(best, _max_vertex_disjoint_paths(g, s, t))
+    for i in range(g.n):
+        if i >= best:
+            break
+        for j in range(i + 1, g.n):  # pairs with j < i ran when i was j
+            for s, t in ((i, j), (j, i)):
+                if not g.has_arc(s, t):
+                    best = min(best, _vertex_disjoint_paths(g, s, t, best))
     return best
 
 

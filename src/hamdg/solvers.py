@@ -13,6 +13,8 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from .core import (
     CycleFactor,
     Digraph,
@@ -217,53 +219,64 @@ class CountReport:
     random_mean_cycles: Fraction  # (n-1)!/2^n
 
 
-def count_hamilton(g: Digraph, *, cap: int = 24) -> CountReport:
-    """Exact Hamilton path and cycle counts by subset DP over
-    (visited set, endpoint).  Cycles are anchored at vertex 0, so each
-    cyclic arc set is counted exactly once."""
+# The DP tables hold int64 counts.  A table entry for a set of k vertices
+# counts paths through that set, at most (k-1)!, so every entry up to the
+# full set is exact while (n-1)! < 2**63, that is for n <= 21.
+COUNT_CAP = 21
+
+
+def _end_counts(adj: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Hamilton paths of the digraph ``adj`` (a k x k 0/1 int64 matrix),
+    counted by last vertex; a path starting at v carries weight ``start[v]``.
+
+    Layered subset DP (Bellman; Held & Karp): masks are indexed in
+    popcount order, ``rank[mask]`` being a mask's position within its
+    layer, and only two layers are alive.  Each layer costs one int64
+    matmul ``table @ adj`` (``step[i, w]``: paths over mask i, then one arc
+    to w) and one scatter per vertex w into the entries of ``mask | w`` for
+    the masks without w.  The caller keeps k <= COUNT_CAP so no entry
+    can overflow."""
+    k = len(start)
+    pc = np.bitwise_count(np.arange(1 << k, dtype=np.int64))
+    order = np.argsort(pc, kind="stable")
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(pc, minlength=k + 1))))
+    rank = np.empty(1 << k, dtype=np.int64)
+    rank[order] = np.arange(1 << k) - offsets[pc[order]]
+    table = np.diag(start)  # layer 1 holds the masks 1, 2, 4, ... in order
+    for p in range(1, k):
+        masks = order[offsets[p] : offsets[p + 1]]
+        step = table @ adj
+        table = np.zeros((offsets[p + 2] - offsets[p + 1], k), dtype=np.int64)
+        for w in range(k):
+            free = (masks >> w) & 1 == 0
+            table[rank[masks[free] | (1 << w)], w] = step[free, w]
+    return table[0]
+
+
+def count_hamilton(g: Digraph, *, cap: int = COUNT_CAP) -> CountReport:
+    """Exact Hamilton path and cycle counts by a layered subset DP over
+    (visited set, endpoint) in numpy int64 (see ``_end_counts``).
+
+    Paths run the DP from every vertex; cycles run it over the other n-1
+    vertices only, anchored at vertex 0, so each cyclic arc set is counted
+    exactly once.  Costs O(2^n n^2) integer operations and two layers of at
+    most C(n, n/2) x n int64 entries.  Table entries are exact for
+    n <= COUNT_CAP = 21 ((n-1)! < 2**63); the final sums, which reach n!,
+    are taken in Python ints.  Raises ``BudgetExceeded`` above ``cap`` or
+    above 21 at once."""
     n = g.n
-    if n > cap:
-        raise BudgetExceeded(f"counting capped at n <= {cap}")
+    if n > min(cap, COUNT_CAP):
+        raise BudgetExceeded(
+            f"counting capped at n <= cap={min(cap, COUNT_CAP)}, got n={n}"
+        )
     if n == 0:
         return CountReport(0, 0, Fraction(0), Fraction(0))
-    full = (1 << n) - 1
-    paths = 0
+    adj = (np.array(g.out, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+    paths = sum(int(c) for c in _end_counts(adj, np.ones(n, dtype=np.int64)))
     cycles = 0
-    # iterate masks by popcount so transitions see finished predecessors
-    by_size: list[list[int]] = [[] for _ in range(n + 1)]
-    for mask in range(1, full + 1):
-        by_size[popcount(mask)].append(mask)
-    table: dict[tuple[int, int], int] = {}
-    for v in range(n):
-        table[(1 << v, v)] = 1
-    for size in range(1, n):
-        for mask in by_size[size]:
-            for v in bits(mask):
-                c = table.get((mask, v))
-                if not c:
-                    continue
-                for w in bits(g.out[v] & ~mask):
-                    key = (mask | (1 << w), w)
-                    table[key] = table.get(key, 0) + c
-    for v in range(n):
-        paths += table.get((full, v), 0)
-    # Hamilton cycles: anchored paths starting at 0 that close back to 0.
-    anchored: dict[tuple[int, int], int] = {(1, 0): 1}
-    for size in range(1, n):
-        for mask in by_size[size]:
-            if not mask & 1:
-                continue
-            for v in bits(mask):
-                c = anchored.get((mask, v))
-                if not c:
-                    continue
-                for w in bits(g.out[v] & ~mask):
-                    key = (mask | (1 << w), w)
-                    anchored[key] = anchored.get(key, 0) + c
     if n >= 2:
-        for v in range(1, n):
-            if g.has_arc(v, 0):
-                cycles += anchored.get((full, v), 0)
+        ends = _end_counts(adj[1:, 1:], adj[0, 1:])
+        cycles = sum(int(c) for c, back in zip(ends, adj[1:, 0]) if back)
     return CountReport(
         paths,
         cycles,

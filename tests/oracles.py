@@ -1,19 +1,23 @@
 """Straightforward reference implementations kept as differential oracles.
 
-These are the original, unoptimised versions of the expander pipeline's hot
-layers.  The library's fast paths must return exactly what these return:
-the same matching, the same host digraph, the same cycle order.
+These are the original, unoptimised versions of the library's hot layers:
+the expander pipeline, the Hamilton counting DP, max-flow connectivity and
+the exact robust-expansion scan.  The library's fast paths must return
+exactly what these return: the same matching, the same host digraph, the
+same cycle order, the same counts, the same verdict and witness.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from hamdg.core import CycleFactor, Digraph, HamiltonCycle, bits
+from hamdg.conditions import Verdict, _frac
+from hamdg.core import CycleFactor, Digraph, HamiltonCycle, bits, popcount
 from hamdg.errors import BadParams
-from hamdg.expander import ClusterBlowup, ReducedDigraph
+from hamdg.expander import ClusterBlowup, ReducedDigraph, robust_threshold
 
 
 def bipartite_matching(n_left: int, adj: Sequence[int]) -> Optional[list[int]]:
@@ -169,3 +173,97 @@ def rotation_extension(
         if not moved:
             return None
     return None
+
+
+def count_hamilton(g: Digraph) -> tuple[int, int]:
+    """(Hamilton paths, Hamilton cycles) by a dict subset DP over
+    (visited set, endpoint); cycles anchored at vertex 0."""
+    n = g.n
+    if n == 0:
+        return 0, 0
+    full = (1 << n) - 1
+    by_size: list[list[int]] = [[] for _ in range(n + 1)]
+    for mask in range(1, full + 1):
+        by_size[popcount(mask)].append(mask)
+
+    def run(table: dict[tuple[int, int], int], anchored: bool) -> None:
+        for size in range(1, n):
+            for mask in by_size[size]:
+                if anchored and not mask & 1:
+                    continue
+                for v in bits(mask):
+                    c = table.get((mask, v))
+                    if not c:
+                        continue
+                    for w in bits(g.out[v] & ~mask):
+                        key = (mask | (1 << w), w)
+                        table[key] = table.get(key, 0) + c
+
+    table = {(1 << v, v): 1 for v in range(n)}
+    run(table, False)
+    paths = sum(table.get((full, v), 0) for v in range(n))
+    anchored = {(1, 0): 1}
+    run(anchored, True)
+    cycles = sum(anchored.get((full, v), 0) for v in range(1, n) if g.has_arc(v, 0))
+    return paths, cycles
+
+
+def max_vertex_disjoint_paths(g: Digraph, s: int, t: int) -> int:
+    """Edmonds-Karp on the vertex-split network, capacities in a dict."""
+    n = g.n
+    # node ids: v_in = v, v_out = v + n
+    cap: dict[tuple[int, int], int] = {}
+    for v in range(n):
+        cap[(v, v + n)] = 1 if v not in (s, t) else n
+    for u in range(n):
+        for v in bits(g.out[u]):
+            cap[(u + n, v)] = n
+    src, sink = s + n, t
+    flow = 0
+    while True:
+        parent: dict[int, int] = {src: src}
+        queue = [src]
+        while queue and sink not in parent:
+            x = queue.pop(0)
+            for (a, b), c in cap.items():
+                if a == x and c > 0 and b not in parent:
+                    parent[b] = a
+                    queue.append(b)
+        if sink not in parent:
+            return flow
+        x = sink
+        while x != src:
+            p = parent[x]
+            cap[(p, x)] -= 1
+            cap[(x, p)] = cap.get((x, p), 0) + 1
+            x = p
+        flow += 1
+
+
+def vertex_connectivity(g: Digraph) -> int:
+    """Minimum of the s,t flows over every ordered non-adjacent pair."""
+    best = g.n - 1
+    for s in range(g.n):
+        for t in range(g.n):
+            if s != t and not g.has_arc(s, t):
+                best = min(best, max_vertex_disjoint_paths(g, s, t))
+    return best
+
+
+def is_robust_outexpander_exact(g: Digraph, nu, tau) -> Verdict:
+    """The exact robust-outexpansion check, one Python pass per mask."""
+    nu, tau = _frac(nu), _frac(tau)
+    n = g.n
+    lo, hi = tau * n, (1 - tau) * n
+    allowed = {s for s in range(1, n) if lo < s < hi}
+    need = nu * n
+    t = robust_threshold(n, nu)
+    for mask in range(1, 1 << n):
+        size = popcount(mask)
+        if size not in allowed:
+            continue
+        rn = sum(1 for x in range(n) if popcount(g.inn[x] & mask) >= t)
+        if Fraction(rn - size) < need:
+            witness = {"S": sorted(bits(mask)), "rn_size": rn, "needed": str(size + need)}
+            return Verdict("robust_outexpander", False, witness)
+    return Verdict("robust_outexpander", True)

@@ -85,6 +85,12 @@ class TestSolveCount:
         code, out, _ = run(capsys, "count", "--input", path, "--kind", "paths")
         assert code == 0 and '"count": 15' in out
 
+    def test_count_above_cap_exit_3(self, capsys, tmp_path):
+        path = str(tmp_path / "k22.dg")
+        run(capsys, "gen", "--family", "complete_digraph", "--n", "22", "--output", path)
+        code, out, err = run(capsys, "count", "--input", path)
+        assert code == 3 and out == "" and "cap=21" in err
+
 
 class TestDecomposeCover:
     def test_walecki(self, capsys):

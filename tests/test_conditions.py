@@ -2,6 +2,7 @@
 
 import pytest
 
+from hamdg import conditions
 from hamdg.conditions import (
     check_connectivity_condition,
     check_degree_condition,
@@ -138,6 +139,15 @@ class TestConnectivityRules:
         # needs kappa >= 2^1 * 3! = 12 at alpha2 = 1
         assert not check_connectivity_condition(complete_digraph(5), "jackson_factorial").holds
         assert check_connectivity_condition(complete_digraph(14), "jackson_factorial").holds
+
+    def test_unknown_rule_rejected_before_any_work(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("kappa computed for an unknown rule")
+
+        monkeypatch.setattr(conditions, "vertex_connectivity", never)
+        monkeypatch.setattr(conditions, "independence_numbers", never)
+        with pytest.raises(BadParams):
+            check_connectivity_condition(complete_digraph(5), "jackson")
 
 
 class TestSoundnessSpot:

@@ -1,19 +1,41 @@
-"""Fast paths of the expander pipeline against the code they replaced.
+"""Fast paths against the code they replaced.
 
 The oracles in ``oracles.py`` are the original straightforward versions.
 Outputs must be equal, not merely valid: every certificate downstream
-(matchings, initial factor, merges, final cycle) depends on them.
+(matchings, initial factor, merges, final cycle) depends on them, and
+counts, kappa and robust-expansion verdicts (witness included) are
+reported as they are.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from hamdg.constructions import circulant_tournament, complete_digraph
-from hamdg.core import CycleFactor, Digraph
-from hamdg.expander import ReducedDigraph, _restrict, _runs, make_cluster_blowup
-from hamdg.solvers import _bipartite_matching, one_factor, rotation_extension
+from hamdg.constructions import (
+    circulant_tournament,
+    complete_digraph,
+    random_digraph,
+    random_regular_graph,
+    random_tournament,
+)
+from hamdg.core import CycleFactor, Digraph, _vertex_disjoint_paths, vertex_connectivity
+from hamdg.expander import (
+    ReducedDigraph,
+    _restrict,
+    _runs,
+    is_robust_outexpander,
+    make_cluster_blowup,
+)
+from hamdg.solvers import (
+    _bipartite_matching,
+    count_hamilton,
+    one_factor,
+    rotation_extension,
+)
 
 
 def _random_rows(rng, n_left, n_right, p):
@@ -171,3 +193,120 @@ class TestRotationExtension:
         g.calls = 0
         assert rotation_extension(g, max_restarts=10**9) is None
         assert g.calls < 100
+
+
+@st.composite
+def small_digraphs(draw, max_n=9):
+    n = draw(st.integers(0, max_n))
+    keep = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    return Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and keep[u * n + v]])
+
+
+class TestCountHamilton:
+    @given(small_digraphs())
+    @settings(max_examples=150, deadline=None)
+    def test_equal_counts(self, g):
+        rep = count_hamilton(g)
+        assert (rep.hamilton_paths, rep.hamilton_cycles) == oracles.count_hamilton(g)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_tiny_orders(self, n):
+        for g in (Digraph(n), complete_digraph(n) if n else Digraph(0)):
+            rep = count_hamilton(g)
+            assert (rep.hamilton_paths, rep.hamilton_cycles) == oracles.count_hamilton(g)
+
+    @pytest.mark.parametrize("n", [12, 13, 14])
+    def test_equal_on_tournaments(self, n):
+        g = random_tournament(n, n)
+        rep = count_hamilton(g)
+        assert (rep.hamilton_paths, rep.hamilton_cycles) == oracles.count_hamilton(g)
+
+
+class TestVertexConnectivity:
+    def test_equal_flow_per_pair(self):
+        # every flow, uncapped and capped, not only the least one
+        rng = random.Random(23)
+        for i in range(60):
+            n = rng.randint(3, 12)
+            g = random_digraph(n, rng.choice((0.2, 0.35, 0.5, 0.7)), seed=i)
+            for s in range(n):
+                for t in range(n):
+                    if s == t or g.has_arc(s, t):
+                        continue
+                    want = oracles.max_vertex_disjoint_paths(g, s, t)
+                    assert _vertex_disjoint_paths(g, s, t, n) == want
+                    limit = rng.randint(0, n)
+                    assert _vertex_disjoint_paths(g, s, t, limit) == min(limit, want)
+
+    @pytest.mark.parametrize(
+        "arcs",
+        [
+            # the first search takes 0-1-2-3-4; the second must enter 3, go
+            # back over the flow arcs 2->3 and 1->2 and leave 1 by 7, which
+            # needs the residual arc from 2_out to 2_in
+            [(0, 1), (1, 2), (2, 3), (3, 4), (0, 5), (5, 6), (6, 3), (1, 7), (7, 8), (8, 4)],
+            # {3, 7} separates 0 from 4; a later search cancels a flow arc
+            # into 3, and a tail of it left behind would let a third through
+            [(0, 1), (0, 5), (0, 7), (1, 2), (2, 3), (3, 4), (5, 6), (6, 3), (7, 3),
+             (7, 8), (7, 9), (8, 4), (9, 4)],
+        ],
+    )
+    def test_rerouting(self, arcs):
+        g = Digraph(10, arcs)
+        assert oracles.max_vertex_disjoint_paths(g, 0, 4) == 2
+        assert _vertex_disjoint_paths(g, 0, 4, 10) == 2
+
+    def test_equal_on_random_digraphs(self):
+        rng = random.Random(13)
+        values = set()
+        for i in range(36):
+            n = rng.randint(11, 18)
+            g = random_digraph(n, rng.choice((0.3, 0.5, 0.7, 0.9)), seed=i)
+            want = oracles.vertex_connectivity(g)
+            assert vertex_connectivity(g) == want
+            values.add(want)
+        assert len(values) >= 4
+
+    @pytest.mark.parametrize("n", [11, 14, 17, 20])
+    def test_equal_on_tournaments_and_regular_graphs(self, n):
+        for seed in range(3):
+            for g in (random_tournament(n, seed), random_regular_graph(n, 4, seed)):
+                assert vertex_connectivity(g) == oracles.vertex_connectivity(g)
+
+    def test_flow_equals_brute_force(self):
+        rng = random.Random(17)
+        for i in range(120):
+            n = rng.randint(2, 10)
+            g = random_digraph(n, rng.choice((0.2, 0.4, 0.6, 0.8, 1.0)), seed=i)
+            assert vertex_connectivity(g, brute_cap=0) == vertex_connectivity(g)
+
+    def test_complete_digraph(self):
+        assert vertex_connectivity(complete_digraph(13)) == 12
+
+
+class TestRobustOutexpander:
+    def test_equal_verdicts(self):
+        rng = random.Random(19)
+        outcomes = set()
+        for i in range(150):
+            n = rng.randint(1, 13)
+            g = random_digraph(n, rng.choice((0.2, 0.4, 0.6, 0.8)), seed=i)
+            nu, tau = sorted((Fraction(rng.randint(1, 8), 20), Fraction(rng.randint(1, 9), 20)))
+            want = oracles.is_robust_outexpander_exact(g, nu, tau)
+            assert is_robust_outexpander(g, nu, tau) == want
+            outcomes.add(want.holds)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("n", [13, 15, 17])
+    def test_equal_on_circulants(self, n):
+        g = circulant_tournament(n)
+        want = oracles.is_robust_outexpander_exact(g, "1/20", "1/5")
+        assert want.holds and is_robust_outexpander(g, "1/20", "1/5") == want
+
+    def test_witness_past_first_scan_block(self):
+        # only sets holding the out-isolated vertex 16 fail, so the first
+        # witness lies past the first block of 2^16 masks
+        g = complete_digraph(17).without_arcs([(16, v) for v in range(16)])
+        want = oracles.is_robust_outexpander_exact(g, "1/5", "1/5")
+        assert 16 in want.witness["S"]
+        assert is_robust_outexpander(g, "1/5", "1/5") == want

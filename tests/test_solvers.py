@@ -1,11 +1,13 @@
 """Exact solvers, counters, and pattern searches."""
 
 import sys
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamdg import solvers
 from hamdg.constructions import (
     circulant_tournament,
     complete_digraph,
@@ -107,8 +109,23 @@ class TestCounting:
         assert str(rep.random_mean_cycles) == "3/4"
 
     def test_cap(self):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match="cap"):
             count_hamilton(complete_digraph(25))
+
+    def test_largest_exact_order(self):
+        # 21! > 2**63: the path total only fits once summed in Python ints
+        rep = count_hamilton(complete_digraph(21))
+        assert (rep.hamilton_paths, rep.hamilton_cycles) == (factorial(21), factorial(20))
+
+    def test_cap_refuses_22_at_once(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("DP started above the cap")
+
+        monkeypatch.setattr(solvers, "_end_counts", never)
+        with pytest.raises(BudgetExceeded, match="cap=21"):
+            count_hamilton(complete_digraph(22))
+        with pytest.raises(BudgetExceeded, match="cap=21"):
+            count_hamilton(complete_digraph(22), cap=30)
 
 
 class TestCyclesAndPancyclicity:
