@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -60,24 +59,6 @@ from .solvers import (
 EXIT_OK, EXIT_NEGATIVE, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
 
 
-@dataclass(frozen=True)
-class Config:
-    """Run-wide knobs; all flags fall back to these defaults."""
-
-    budget: int = DEFAULT_BUDGET
-    nu: Fraction = Fraction(1, 20)
-    tau: Fraction = Fraction(1, 5)
-    eps: Fraction = Fraction(1, 4)
-    matching_cap: Optional[int] = None
-
-    def __post_init__(self):
-        if self.budget <= 0:
-            raise HamdgError("budget must be positive")
-        for f in (self.nu, self.tau, self.eps):
-            if not 0 < f < 1:
-                raise HamdgError("fractions must lie in (0,1)")
-
-
 def _parse_params(items: list[str]) -> dict:
     out = {}
     for item in items:
@@ -101,31 +82,28 @@ def _load(path: str) -> Digraph:
 
 
 def _build_family(family: str, n: Optional[int], seed: int, params: dict):
-    """Returns (digraph, parts-or-None)."""
+    """Returns (digraph, parts-or-None).  A parameter the family needs but
+    was not given, and one it was given but does not take, are usage
+    errors."""
     p = dict(params)
-    if family in ("complete_digraph", "complete_graph", "directed_cycle", "transitive"):
-        if n is None:
-            raise HamdgError(f"{family} needs --n")
-        fn = {
-            "complete_digraph": cons.complete_digraph,
-            "complete_graph": cons.complete_graph,
-            "directed_cycle": cons.directed_cycle,
-            "transitive": cons.transitive_tournament,
-        }[family]
-        return fn(n), None
-    if family == "complete_bipartite":
-        return cons.complete_bipartite_digraph(p.pop("a"), p.pop("b")), None
-    if family == "circulant":
-        return cons.circulant_tournament(n), None
-    if family == "random_tournament":
-        return cons.random_tournament(n, seed), None
-    if family == "random_regular_tournament":
-        return cons.random_regular_tournament(n, seed), None
-    if family == "random_digraph":
-        prob = float(p.pop("p", 0.5))
-        return cons.random_digraph(n, prob, seed), None
-    if family == "random_regular_graph":
-        return cons.random_regular_graph(n, p.pop("d"), seed), None
+
+    def need(name):
+        if name == "n" and n is not None:
+            return n
+        if name not in p:
+            raise HamdgError(
+                f"{family} needs --n" if name == "n"
+                else f"{family} needs parameter {name!r}"
+            )
+        return p.pop(name)
+
+    parts = None
+    simple = {
+        "complete_digraph": cons.complete_digraph,
+        "complete_graph": cons.complete_graph,
+        "directed_cycle": cons.directed_cycle,
+        "transitive": cons.transitive_tournament,
+    }
     extremal_args = {
         "fig1": ("s",),
         "fig2": ("n",),
@@ -135,17 +113,36 @@ def _build_family(family: str, n: Optional[int], seed: int, params: dict):
         "two_regular_tournaments": ("d",),
         "pancyclic_bipartite": ("n",),
     }
-    if family in extremal_args:
-        args = []
-        for name in extremal_args[family]:
-            if name == "n" and n is not None:
-                args.append(n)
-            elif name in p:
-                args.append(p.pop(name))
-            else:
-                raise HamdgError(f"{family} needs parameter {name!r}")
-        return cons.generate_extremal(family, *args)
-    raise HamdgError(f"unknown family {family!r}")
+    if family in simple:
+        g = simple[family](need("n"))
+    elif family == "complete_bipartite":
+        g = cons.complete_bipartite_digraph(need("a"), need("b"))
+    elif family == "circulant":
+        shifts = p.pop("shifts", None)
+        if shifts is not None:
+            try:
+                shifts = tuple(int(x) for x in str(shifts).split(","))
+            except ValueError:
+                raise HamdgError(f"shifts wants integers, got {shifts!r}") from None
+        g = cons.circulant_tournament(need("n"), shifts)
+    elif family == "random_tournament":
+        g = cons.random_tournament(need("n"), seed)
+    elif family == "random_regular_tournament":
+        g = cons.random_regular_tournament(need("n"), seed)
+    elif family == "random_digraph":
+        prob = float(p.pop("p", 0.5))
+        g = cons.random_digraph(need("n"), prob, seed)
+    elif family == "random_regular_graph":
+        g = cons.random_regular_graph(need("n"), need("d"), seed)
+    elif family in extremal_args:
+        g, parts = cons.generate_extremal(
+            family, *(need(name) for name in extremal_args[family])
+        )
+    else:
+        raise HamdgError(f"unknown family {family!r}")
+    if p:
+        raise HamdgError(f"{family} takes no parameter {', '.join(map(repr, sorted(p)))}")
+    return g, parts
 
 
 def cmd_gen(args) -> int:

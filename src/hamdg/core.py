@@ -276,14 +276,17 @@ def is_tournament(g: Digraph) -> bool:
 # --- connectivity --------------------------------------------------------
 
 
-def _reach(adj: Sequence[int], start_mask: int) -> int:
-    seen = start_mask
-    frontier = start_mask
+def _reach(adj: Sequence[int], start_mask: int, within: int = -1) -> int:
+    """``start_mask`` plus every vertex reachable from it along arcs into
+    ``within`` (breadth first over bit rows)."""
+    seen = frontier = start_mask
     while frontier:
         new = 0
-        for v in bits(frontier):
-            new |= adj[v]
-        frontier = new & ~seen
+        while frontier:
+            low = frontier & -frontier
+            new |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = new & within & ~seen
         seen |= frontier
     return seen
 

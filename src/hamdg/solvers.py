@@ -20,6 +20,7 @@ from .core import (
     Digraph,
     HamiltonCycle,
     Matching,
+    _reach,
     bits,
     contract_matching,
     is_oriented,
@@ -48,39 +49,48 @@ class _Budget:
 # --- one-factors via bipartite matching ----------------------------------
 
 
+def _augment(
+    match_l: list[int], match_r: list[int], root: int, adj: Sequence[int], seen: int
+) -> bool:
+    """One augmenting path (Kuhn) from the free left ``root`` over the
+    left->right bit rows ``adj``, never entering the rights in ``seen``.
+
+    Depth first with an explicit stack; right vertices are tried in
+    ascending order, each at most once (``seen`` grows as a bitmask).
+    Returns False, leaving the matching as it was, if there is none."""
+    lefts = [root]  # the alternating path: lefts[i] -> rights[i]
+    rights: list[int] = []
+    while True:
+        cand = adj[lefts[-1]] & ~seen
+        if not cand:
+            lefts.pop()
+            if not lefts:
+                return False
+            rights.pop()
+            continue
+        low = cand & -cand
+        seen |= low
+        r = low.bit_length() - 1
+        rights.append(r)
+        owner = match_r[r]
+        if owner < 0:
+            for l, r in zip(lefts, rights):
+                match_l[l] = r
+                match_r[r] = l
+            return True
+        lefts.append(owner)
+
+
 def _bipartite_matching(n_left: int, adj: Sequence[int]) -> Optional[list[int]]:
     """Perfect matching in a bipartite graph given as left->right bit rows.
 
     Returns ``match[l] = r`` or ``None`` if no perfect matching exists.
-    Kuhn's augmenting paths, searched depth first with an explicit stack;
-    right vertices are tried in ascending order, each at most once per
-    augmentation (``seen`` is a bitmask).
-    """
+    One ``_augment`` per left vertex, in ascending order."""
     match_l = [-1] * n_left
-    match_r: dict[int, int] = {}
+    match_r = [-1] * max((row.bit_length() for row in adj), default=0)
     for root in range(n_left):
-        seen = 0
-        lefts = [root]  # the alternating path: lefts[i] -> rights[i]
-        rights: list[int] = []
-        while True:
-            cand = adj[lefts[-1]] & ~seen
-            if not cand:
-                lefts.pop()
-                if not lefts:
-                    return None
-                rights.pop()
-                continue
-            low = cand & -cand
-            seen |= low
-            r = low.bit_length() - 1
-            rights.append(r)
-            owner = match_r.get(r)
-            if owner is None:
-                for l, r in zip(lefts, rights):
-                    match_l[l] = r
-                    match_r[r] = l
-                break
-            lefts.append(owner)
+        if not _augment(match_l, match_r, root, adj, 0):
+            return None
     return match_l
 
 
@@ -98,100 +108,105 @@ def one_factor(g: Digraph) -> Optional[CycleFactor]:
 # --- Hamilton cycle search ----------------------------------------------
 
 
-def _ham_path_feasible(g: Digraph, visited: int, end: int, start: int) -> bool:
-    """Cheap pruning: every unvisited vertex needs an available in-arc and
-    out-arc, and the remainder must be weakly reachable."""
-    n = g.n
-    full = (1 << n) - 1
-    un = full & ~visited
-    if un == 0:
-        return True
-    avail_out = un | (1 << start)  # targets still usable
-    avail_in = un | (1 << end)  # sources still usable
-    for v in bits(un):
-        if g.out[v] & (avail_out & ~(1 << v)) == 0:
-            return False
-        if g.inn[v] & (avail_in & ~(1 << v)) == 0:
-            return False
-    # endpoint must be able to move somewhere
-    if g.out[end] & un == 0 and un:
-        return False
-    # reachability: all unvisited vertices must be reachable from `end`
-    # inside un plus the closing vertex
-    reach = 1 << end
-    frontier = reach
-    target = un | (1 << end)
-    while frontier:
-        new = 0
-        for v in bits(frontier):
-            new |= g.out[v] & target
-        frontier = new & ~reach
-        reach |= frontier
-    return reach & un == un
+def _hamilton_orders(
+    g: Digraph, succ: Sequence[int], b: _Budget
+) -> Iterator[tuple[int, ...]]:
+    """Every Hamilton cycle of ``g`` as a vertex order from 0, in
+    lexicographic order: the search kernel.
 
+    Paths grow from vertex 0, out-neighbours in ascending order, on an
+    explicit stack (one candidate mask per depth), and the budget ticks
+    once per node.  A node whose path 0..end leaves the unvisited set
+    ``un`` is kept only if (Vandegriend & Culberson, JAIR 1998)
 
-def find_hamilton_cycle(
-    g: Digraph, *, budget: int = DEFAULT_BUDGET
-) -> Optional[HamiltonCycle]:
-    """Pruned backtracking search for a Hamilton cycle."""
+    * the residual digraph, the path contracted into one vertex P, has a
+      1-factor: its bipartite double cover has a perfect matching, where
+      P's left row is ``out[end] & un``, right 0 stands for "into P" and
+      every other left u has row ``out[u] & (un | 1)``; and
+    * every unvisited vertex is reachable from ``end`` inside ``un``.
+
+    Both only cut subtrees without a Hamilton cycle, so the orders come out
+    as an unpruned search would give them.  ``succ`` is a perfect matching
+    of the whole double cover (at the root P is vertex 0 alone).  Each
+    child copies its parent's matching, drops left v, right v and P's edge
+    if ``out[v]`` lacks it, and re-augments the at most two lefts left
+    free, so the matching is never rebuilt from scratch.
+    """
     n = g.n
-    if n > 64:
-        raise BadParams("exact solver capped at n <= 64")
-    if n == 0:
-        return None
-    if n == 1:
-        return None  # no self-loops, so no cycle on one vertex
-    if not is_strongly_connected(g):
-        return None
-    if one_factor(g) is None:
-        return None
-    b = _Budget(budget)
+    out = g.out
     full = (1 << n) - 1
+    b.tick()
+    if _reach(out, 1) != full:
+        return
+    match_r = [-1] * n
+    for l, r in enumerate(succ):
+        match_r[r] = l
+    rows = list(out)  # left rows; rows[0] is P's, set per node
     path = [0]
-
-    def extend(visited: int, end: int) -> bool:
+    visited = 1
+    # per depth: the candidates left to try and the node's perfect matching
+    cands = [out[0]]
+    matches = [(list(succ), match_r)]
+    while cands:
+        cand = cands[-1]
+        if not cand:
+            cands.pop()
+            matches.pop()
+            visited ^= 1 << path.pop()
+            continue
+        low = cand & -cand
+        cands[-1] = cand ^ low
         b.tick()
-        if visited == full:
-            return g.has_arc(end, 0)
-        if not _ham_path_feasible(g, visited, end, 0):
-            return False
-        for v in bits(g.out[end] & ~visited):
-            path.append(v)
-            if extend(visited | (1 << v), v):
-                return True
-            path.pop()
-        return False
-
-    if extend(1, 0):
-        return HamiltonCycle(tuple(path))
-    return None
+        v = low.bit_length() - 1
+        un = full ^ visited ^ low
+        if not un:
+            if out[v] & 1:
+                yield (*path, v)
+            continue
+        parent_l, parent_r = matches[-1]
+        match_l, match_r = parent_l[:], parent_r[:]
+        rv, lv = match_l[v], match_r[v]
+        match_r[rv] = match_l[lv] = match_r[v] = -1
+        p_row = out[v] & un
+        r0 = match_l[0]
+        if r0 >= 0 and not p_row >> r0 & 1:
+            match_l[0] = match_r[r0] = -1
+        rows[0] = p_row
+        done = visited ^ low ^ 1  # no right of the path but "into P"
+        if lv and not _augment(match_l, match_r, lv, rows, done):
+            continue
+        if match_l[0] < 0 and not _augment(match_l, match_r, 0, rows, done):
+            continue
+        if _reach(out, low, un) & un != un:
+            continue
+        path.append(v)
+        visited |= low
+        cands.append(p_row)
+        matches.append((match_l, match_r))
 
 
 def enumerate_hamilton_cycles(
     g: Digraph, *, budget: int = DEFAULT_BUDGET
 ) -> Iterator[HamiltonCycle]:
-    """All Hamilton cycles, anchored at vertex 0, lexicographic path order."""
-    n = g.n
-    if n < 2:
+    """All Hamilton cycles, anchored at vertex 0, lexicographic path order
+    (``_hamilton_orders``).  ``budget`` bounds the search nodes."""
+    if g.n < 2:
+        return  # no self-loops, so no cycle on one vertex
+    succ = _bipartite_matching(g.n, g.out)
+    if succ is None:
         return
-    b = _Budget(budget)
-    full = (1 << n) - 1
-    path = [0]
+    for order in _hamilton_orders(g, succ, _Budget(budget)):
+        yield HamiltonCycle(order)
 
-    def extend(visited: int, end: int) -> Iterator[HamiltonCycle]:
-        b.tick()
-        if visited == full:
-            if g.has_arc(end, 0):
-                yield HamiltonCycle(tuple(path))
-            return
-        if not _ham_path_feasible(g, visited, end, 0):
-            return
-        for v in bits(g.out[end] & ~visited):
-            path.append(v)
-            yield from extend(visited | (1 << v), v)
-            path.pop()
 
-    yield from extend(1, 0)
+def find_hamilton_cycle(
+    g: Digraph, *, budget: int = DEFAULT_BUDGET
+) -> Optional[HamiltonCycle]:
+    """The first cycle of ``enumerate_hamilton_cycles``, or ``None``.
+    ``budget`` bounds the search nodes; there is no size cap."""
+    if g.n < 2 or not is_strongly_connected(g):
+        return None
+    return next(enumerate_hamilton_cycles(g, budget=budget), None)
 
 
 def hamilton_cycle_through(
@@ -486,7 +501,6 @@ def _pattern_search(
     g: Digraph, signs: Sequence[int], closed: bool, budget: int
 ) -> Optional[tuple[int, ...]]:
     n = g.n
-    length = n if closed else n  # vertices in the order
     if closed and len(signs) != n:
         raise BadParams("cycle pattern length must equal n")
     if not closed and len(signs) != n - 1:

@@ -1,10 +1,11 @@
 """Straightforward reference implementations kept as differential oracles.
 
 These are the original, unoptimised versions of the library's hot layers:
-the expander pipeline, the Hamilton counting DP, max-flow connectivity and
-the exact robust-expansion scan.  The library's fast paths must return
-exactly what these return: the same matching, the same host digraph, the
-same cycle order, the same counts, the same verdict and witness.
+the expander pipeline, the recursive Hamilton search, the Hamilton counting
+DP, max-flow connectivity and the exact robust-expansion scan.  The
+library's fast paths must return exactly what these return: the same
+matching, the same host digraph, the same cycle order, the same counts, the
+same verdict and witness.
 """
 
 from __future__ import annotations
@@ -15,7 +16,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from hamdg.conditions import Verdict, _frac
-from hamdg.core import CycleFactor, Digraph, HamiltonCycle, bits, popcount
+from hamdg.core import (
+    CycleFactor,
+    Digraph,
+    HamiltonCycle,
+    bits,
+    is_strongly_connected,
+    popcount,
+)
 from hamdg.errors import BadParams
 from hamdg.expander import ClusterBlowup, ReducedDigraph, robust_threshold
 
@@ -173,6 +181,109 @@ def rotation_extension(
         if not moved:
             return None
     return None
+
+
+def _ham_path_feasible(g: Digraph, visited: int, end: int, start: int) -> bool:
+    """Cheap pruning: every unvisited vertex needs an available in-arc and
+    out-arc, and the remainder must be weakly reachable."""
+    n = g.n
+    full = (1 << n) - 1
+    un = full & ~visited
+    if un == 0:
+        return True
+    avail_out = un | (1 << start)  # targets still usable
+    avail_in = un | (1 << end)  # sources still usable
+    for v in bits(un):
+        if g.out[v] & (avail_out & ~(1 << v)) == 0:
+            return False
+        if g.inn[v] & (avail_in & ~(1 << v)) == 0:
+            return False
+    # endpoint must be able to move somewhere
+    if g.out[end] & un == 0 and un:
+        return False
+    # reachability: all unvisited vertices must be reachable from `end`
+    # inside un plus the closing vertex
+    reach = 1 << end
+    frontier = reach
+    target = un | (1 << end)
+    while frontier:
+        new = 0
+        for v in bits(frontier):
+            new |= g.out[v] & target
+        frontier = new & ~reach
+        reach |= frontier
+    return reach & un == un
+
+
+def residual_feasible(g: Digraph, visited: int, end: int, start: int) -> bool:
+    """The kernel's prune with the matching built from scratch: the path
+    start..end contracted into one vertex P (left row ``out[end] & un``,
+    right ``start`` standing for "into P") has a perfect matching in its
+    bipartite double cover, and every unvisited vertex is reachable from
+    ``end`` inside the unvisited set."""
+    un = ((1 << g.n) - 1) & ~visited
+    if un == 0:
+        return True
+    lefts = [start] + list(bits(un))
+    rights = lefts
+    col = {r: j for j, r in enumerate(rights)}
+    rows = []
+    for u in lefts:
+        row = g.out[end] & un if u == start else g.out[u] & (un | 1 << start)
+        rows.append(sum(1 << col[r] for r in bits(row)))
+    if bipartite_matching(len(lefts), rows) is None:
+        return False
+    return _ham_path_feasible(g, visited, end, start)
+
+
+def hamilton_search(
+    g: Digraph, feasible=_ham_path_feasible, *, first: bool = False
+) -> tuple[list[tuple[int, ...]], int]:
+    """Recursive Hamilton search anchored at vertex 0, neighbours in
+    ascending order, one node per call of ``extend``; returns the cycle
+    orders found (only the first when ``first``) and the nodes expanded."""
+    n = g.n
+    full = (1 << n) - 1
+    path = [0]
+    found: list[tuple[int, ...]] = []
+    nodes = 0
+
+    def extend(visited: int, end: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if visited == full:
+            if g.has_arc(end, 0):
+                found.append(tuple(path))
+                return first
+            return False
+        if not feasible(g, visited, end, 0):
+            return False
+        for v in bits(g.out[end] & ~visited):
+            path.append(v)
+            if extend(visited | (1 << v), v):
+                return True
+            path.pop()
+        return False
+
+    extend(1, 0)
+    return found, nodes
+
+
+def find_hamilton_cycle(g: Digraph) -> tuple[Optional[HamiltonCycle], int]:
+    """The recursive search with its pre-checks: the first cycle (or None)
+    and the nodes expanded."""
+    if g.n < 2 or not is_strongly_connected(g) or one_factor(g) is None:
+        return None, 0
+    found, nodes = hamilton_search(g, first=True)
+    return (HamiltonCycle(found[0]) if found else None), nodes
+
+
+def enumerate_hamilton_cycles(g: Digraph) -> tuple[list[HamiltonCycle], int]:
+    """Every Hamilton cycle in search order, and the nodes expanded."""
+    if g.n < 2:
+        return [], 0
+    found, nodes = hamilton_search(g)
+    return [HamiltonCycle(order) for order in found], nodes
 
 
 def count_hamilton(g: Digraph) -> tuple[int, int]:

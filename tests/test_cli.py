@@ -44,6 +44,31 @@ class TestGen:
         code, _, err = run(capsys, "gen", "--family", "moebius", "--n", "5")
         assert code == 2 and "error" in err
 
+    def test_circulant_shifts(self, capsys):
+        code, out, _ = run(
+            capsys, "gen", "--family", "circulant", "--n", "9", "--param", "shifts=1,2,3,5"
+        )
+        assert code == 0
+        assert hio.parse(out) == circulant_tournament(9, (1, 2, 3, 5))
+        assert hio.parse(out) != circulant_tournament(9)
+
+    def test_unused_param_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "gen", "--family", "circulant", "--n", "7", "--param", "degree=3"
+        )
+        assert code == 2 and out == "" and "'degree'" in err
+
+    @pytest.mark.parametrize(
+        "argv,missing",
+        [
+            (("--family", "complete_bipartite", "--param", "b=2"), "'a'"),
+            (("--family", "random_tournament"), "--n"),
+        ],
+    )
+    def test_missing_param_is_usage_error(self, capsys, argv, missing):
+        code, out, err = run(capsys, "gen", *argv)
+        assert code == 2 and out == "" and missing in err
+
 
 class TestCheck:
     def test_negative_verdict_exit_1(self, capsys, tmp_path):
@@ -109,6 +134,32 @@ class TestDecomposeCover:
         code, out, _ = run(capsys, "cover", "--input", path)
         assert code == 0
         assert "# size=" in out and "half_plus_quarter=" in out
+
+
+class TestGolden:
+    # sha256 of stdout: every cycle of a cover, or the solver's certificate
+    @pytest.mark.parametrize(
+        "gen,cmd,digest",
+        [
+            (("--family", "circulant", "--n", "21"), ("cover",),
+             "4adf5018bdf1d63662230119b5b58935b6c2d6519a0714d22f446799e3cd9561"),
+            (("--family", "circulant", "--n", "23"), ("cover",),
+             "b2ac3621b56258bb1f217b60caafdf1ca64e274e41430b78e5d7018fcd74526a"),
+            (("--family", "random_regular_graph", "--n", "24", "--param", "d=5",
+              "--graph"), ("cover", "--graph"),
+             "2712efcf3bda0d97aaf19af330c24c3281992ab34ae5ec6b44d63d535be869e5"),
+            (("--family", "fig4_square", "--param", "m=2"), ("solve",),
+             "ba7cccb2fb1385243f554ff9fdd09591d39bc3e70b791da75ab836e69e53fc30"),
+            (("--family", "random_tournament", "--n", "40"), ("solve",),
+             "c30e4ba9208cfc8eb6dce83888893435dc2d4419fdfd6cd82e61819f6c80f925"),
+        ],
+    )
+    def test_output_golden(self, capsys, tmp_path, gen, cmd, digest):
+        path = str(tmp_path / "g.dg")
+        assert run(capsys, "gen", *gen, "--output", path)[0] == 0
+        code, out, _ = run(capsys, *cmd, "--input", path)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestExpander:

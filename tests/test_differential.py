@@ -2,8 +2,8 @@
 
 The oracles in ``oracles.py`` are the original straightforward versions.
 Outputs must be equal, not merely valid: every certificate downstream
-(matchings, initial factor, merges, final cycle) depends on them, and
-counts, kappa and robust-expansion verdicts (witness included) are
+(matchings, initial factor, merges, final cycle, cover) depends on them,
+and counts, kappa and robust-expansion verdicts (witness included) are
 reported as they are.
 """
 
@@ -31,8 +31,12 @@ from hamdg.expander import (
     make_cluster_blowup,
 )
 from hamdg.solvers import (
+    _Budget,
     _bipartite_matching,
+    _hamilton_orders,
     count_hamilton,
+    enumerate_hamilton_cycles,
+    find_hamilton_cycle,
     one_factor,
     rotation_extension,
 )
@@ -200,6 +204,69 @@ def small_digraphs(draw, max_n=9):
     n = draw(st.integers(0, max_n))
     keep = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
     return Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and keep[u * n + v]])
+
+
+def _planted(rng, n, p):
+    """A random 1-factor of cycles of 2 to 4 vertices plus arcs drawn with
+    probability p, so the search gets past its 1-factor pre-check."""
+    verts = rng.sample(range(n), n)
+    arcs = set()
+    i = 0
+    while i < n:
+        k = rng.randint(2, 4)
+        k = n - i if n - i - k < 2 else k
+        cyc = verts[i : i + k]
+        arcs |= {(cyc[j], cyc[(j + 1) % k]) for j in range(k)}
+        i += k
+    arcs |= {(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p}
+    return Digraph(n, sorted(arcs))
+
+
+def _kernel(g, first=False):
+    """The kernel's cycle orders (only the first when ``first``) and the
+    nodes it expanded; the root matching as ``find_hamilton_cycle`` gets it."""
+    b = _Budget(10**9)
+    orders = _hamilton_orders(g, _bipartite_matching(g.n, g.out), b)
+    found = [o for o in [next(orders, None)] if o] if first else list(orders)
+    return found, 10**9 - b.left
+
+
+class TestHamiltonSearch:
+    @given(small_digraphs())
+    @settings(max_examples=200, deadline=None)
+    def test_equal_on_small_digraphs(self, g):
+        want, nodes = oracles.find_hamilton_cycle(g)
+        assert find_hamilton_cycle(g) == want
+        if nodes:
+            assert _kernel(g, first=True)[1] <= nodes
+        assert list(enumerate_hamilton_cycles(g)) == oracles.enumerate_hamilton_cycles(g)[0]
+
+    def test_first_cycle_and_fewer_nodes(self):
+        rng = random.Random(29)
+        outcomes = set()
+        for _ in range(400):
+            g = _planted(rng, rng.randint(2, 14), rng.choice((0.1, 0.2, 0.3)))
+            want, nodes = oracles.find_hamilton_cycle(g)
+            assert find_hamilton_cycle(g) == want
+            if nodes:
+                assert _kernel(g, first=True)[1] <= nodes
+                outcomes.add(want is None)
+        assert outcomes == {True, False}
+
+    def test_equal_enumerations(self):
+        rng = random.Random(31)
+        for i in range(150):
+            g = random_digraph(rng.randint(2, 10), rng.choice((0.2, 0.35, 0.5)), seed=i)
+            want, _ = oracles.enumerate_hamilton_cycles(g)
+            assert list(enumerate_hamilton_cycles(g)) == want
+
+    def test_repair_equals_rebuild(self):
+        # the incremental matching repair keeps exactly the nodes that a
+        # matching built from scratch at every node keeps
+        rng = random.Random(37)
+        for _ in range(400):
+            g = _planted(rng, rng.randint(2, 11), rng.choice((0.1, 0.2, 0.3)))
+            assert _kernel(g) == oracles.hamilton_search(g, oracles.residual_feasible)
 
 
 class TestCountHamilton:

@@ -293,8 +293,20 @@ class TestAssembly:
             for x, b in matching:
                 assert blowup.host.has_arc(x, b)
 
-    @pytest.mark.parametrize("m,density,seed", [(8, 0.6, 5), (10, 0.8, 5), (8, 1.0, 0)])
-    def test_merge_methods_record_the_closer(self, monkeypatch, m, density, seed):
+    @pytest.mark.parametrize(
+        "m,density,seed,exceptional",
+        [
+            (8, 0.6, 5, 2),
+            (10, 0.8, 5, 2),
+            (8, 1.0, 0, 2),
+            # the exact fallback closes a merge digraph of 125 vertices
+            (128, 0.8, 1, 4),
+        ],
+        ids=["8-0.6-5", "10-0.8-5", "8-1.0-0", "128-0.8-1-exceptional4"],
+    )
+    def test_merge_methods_record_the_closer(
+        self, monkeypatch, m, density, seed, exceptional
+    ):
         import hamdg.expander as ex
 
         heuristic = []
@@ -310,10 +322,11 @@ class TestAssembly:
         red = ReducedDigraph(r, m)
         f = OneFactorF(CycleFactor(((0, 1, 2),)), r)
         blowup, demands = make_cluster_blowup(
-            red, exceptional=2, pair_density=density, seed=seed
+            red, exceptional=exceptional, pair_density=density, seed=seed
         )
         w = build_closed_walk(red, f, demands, cap=m)
         trace = assemble_hamilton(blowup, red, f, w)
+        assert trace.cycle.is_valid(blowup.host)
         assert len(trace.merge_methods) == len(trace.merges) == len(heuristic)
         assert trace.merge_methods == tuple(
             "rotation" if hit else "exact" for hit in heuristic

@@ -12,6 +12,7 @@ from hamdg.constructions import (
     circulant_tournament,
     complete_digraph,
     directed_cycle,
+    generate_extremal,
     random_digraph,
     random_tournament,
     transitive_tournament,
@@ -55,6 +56,17 @@ class TestFindHamilton:
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceeded):
             find_hamilton_cycle(complete_digraph(12), budget=5)
+
+    def test_extremal_decided_within_small_budget(self):
+        # the residual 1-factor prune settles nw_extremal(22, 2) in 45 nodes
+        g, _ = generate_extremal("nw_extremal", 22, 2)
+        assert find_hamilton_cycle(g, budget=10**3) is None
+
+    def test_no_size_cap(self):
+        # past 64 vertices, where the recursive search used to stop
+        g = random_tournament(100, 3)
+        h = find_hamilton_cycle(g, budget=10**4)
+        assert h is not None and h.is_valid(g)
 
     @given(digraphs(7))
     @settings(max_examples=80, deadline=None)
