@@ -18,14 +18,7 @@ from typing import Optional
 
 from . import constructions as cons
 from . import io as hio
-from .conditions import (
-    CONNECTIVITY_RULES,
-    DEGREE_RULES,
-    SEQUENCE_RULES,
-    check_connectivity_condition,
-    check_degree_condition,
-    check_sequence_condition,
-)
+from .conditions import check
 from .core import CycleFactor, Digraph, Matching, classify, is_strongly_connected
 from .decomp import (
     cover_regular_graph,
@@ -83,12 +76,15 @@ def _load(path: str) -> Digraph:
 
 def _build_family(family: str, n: Optional[int], seed: int, params: dict):
     """Returns (digraph, parts-or-None).  A parameter the family needs but
-    was not given, and one it was given but does not take, are usage
-    errors."""
+    was not given, and one it was given but does not take (``--n``
+    included), are usage errors."""
     p = dict(params)
+    took_n = False
 
     def need(name):
+        nonlocal took_n
         if name == "n" and n is not None:
+            took_n = True
             return n
         if name not in p:
             raise HamdgError(
@@ -140,6 +136,8 @@ def _build_family(family: str, n: Optional[int], seed: int, params: dict):
         )
     else:
         raise HamdgError(f"unknown family {family!r}")
+    if n is not None and not took_n:
+        raise HamdgError(f"{family} takes no --n")
     if p:
         raise HamdgError(f"{family} takes no parameter {', '.join(map(repr, sorted(p)))}")
     return g, parts
@@ -166,16 +164,7 @@ def cmd_gen(args) -> int:
 
 def cmd_check(args) -> int:
     g = _load(args.input)
-    params = _parse_params(args.param)
-    rule = args.rule
-    if rule in DEGREE_RULES:
-        v = check_degree_condition(g, rule, **params)
-    elif rule in SEQUENCE_RULES:
-        v = check_sequence_condition(g, rule, **params)
-    elif rule in CONNECTIVITY_RULES:
-        v = check_connectivity_condition(g, rule, **params)
-    else:
-        raise HamdgError(f"unknown rule {rule!r}")
+    v = check(args.rule, g, **_parse_params(args.param))
     json.dump(v.to_record(), sys.stdout, default=str)
     sys.stdout.write("\n")
     return EXIT_OK if v.holds else EXIT_NEGATIVE

@@ -18,9 +18,10 @@ import numpy as np
 
 from .conditions import Verdict
 from .core import Digraph, HamiltonCycle, Matching, bits, is_tournament, popcount
-from .errors import BadParams, BudgetExceeded, CoverFailure
+from .errors import BadParams, CoverFailure
 from .solvers import (
     DEFAULT_BUDGET,
+    _Budget,
     enumerate_hamilton_cycles,
     find_hamilton_cycle,
     hamilton_cycle_through,
@@ -97,13 +98,10 @@ def decompose_exact(
     arcsets = [frozenset(h.arcs()) for h in all_cycles]
     universe = set(g.arcs())
     chosen: list[int] = []
-
-    nodes = [0]
+    b = _Budget(budget)
 
     def solve(uncovered: frozenset, available: list[int]) -> bool:
-        nodes[0] += 1
-        if nodes[0] > budget:
-            raise BudgetExceeded("decomposition search budget exhausted")
+        b.tick()
         if not uncovered:
             return True
         # pick the uncovered arc with the fewest candidate cycles
@@ -127,10 +125,11 @@ def decompose_exact(
     return None
 
 
-def greedy_extract(
-    g: Digraph, *, budget: int = DEFAULT_BUDGET, order_seed: Optional[int] = None
+def _extract(
+    g: Digraph, budget: int, order_seed: Optional[int], *, both_ways: bool
 ) -> tuple[list[HamiltonCycle], Digraph]:
-    """Repeatedly find and remove a Hamilton cycle until none exists.
+    """Repeatedly find and remove a Hamilton cycle until none exists; each
+    found cycle removes its arcs, and their reverses too if ``both_ways``.
 
     ``order_seed`` relabels the vertices before each extraction so restarts
     explore different greedy decompositions; output is mapped back."""
@@ -155,7 +154,16 @@ def greedy_extract(
         if h is None:
             return cycles, rest
         cycles.append(h)
-        rest = rest.without_arcs(h.arcs())
+        arcs = h.arcs()
+        rest = rest.without_arcs(arcs + [(v, u) for u, v in arcs] if both_ways else arcs)
+
+
+def greedy_extract(
+    g: Digraph, *, budget: int = DEFAULT_BUDGET, order_seed: Optional[int] = None
+) -> tuple[list[HamiltonCycle], Digraph]:
+    """Greedy Hamilton cycle extraction (``_extract``); each found cycle
+    removes its arcs."""
+    return _extract(g, budget, order_seed, both_ways=False)
 
 
 # --- Misra-Gries edge colouring ------------------------------------------
@@ -376,34 +384,10 @@ def cover_regular_graph(
 def greedy_extract_undirected(
     g: Digraph, *, budget: int = DEFAULT_BUDGET, order_seed: Optional[int] = None
 ) -> tuple[list[HamiltonCycle], Digraph]:
-    """Greedy Hamilton cycle extraction on a symmetric digraph; each found
-    cycle removes both orientations of its edges."""
-    rng = (
-        np.random.Generator(np.random.Philox(order_seed))
-        if order_seed is not None
-        else None
-    )
-    rest = g
-    cycles: list[HamiltonCycle] = []
-    while True:
-        if rng is None:
-            h = find_hamilton_cycle(rest, budget=budget)
-        else:
-            perm = [int(p) for p in rng.permutation(g.n)]
-            inv = [0] * g.n
-            for i, p in enumerate(perm):
-                inv[p] = i
-            relabeled = Digraph(g.n, [(inv[u], inv[v]) for u, v in rest.arcs()])
-            hh = find_hamilton_cycle(relabeled, budget=budget)
-            h = (
-                HamiltonCycle(tuple(perm[v] for v in hh.order)).canonical()
-                if hh
-                else None
-            )
-        if h is None:
-            return cycles, rest
-        cycles.append(h)
-        rest = rest.without_arcs(h.arcs() + [(v, u) for u, v in h.arcs()])
+    """Greedy Hamilton cycle extraction on a symmetric digraph
+    (``_extract``); each found cycle removes both orientations of its
+    edges."""
+    return _extract(g, budget, order_seed, both_ways=True)
 
 
 def _benchmarks(n: int) -> dict[str, int]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -315,7 +315,64 @@ def count_hamilton_naive(g: Digraph) -> tuple[int, int]:
     return paths, cycles
 
 
+# --- sequence searches ---------------------------------------------------
+
+
+def _sequences(
+    first: int,
+    length: int,
+    cand: Callable[[list[int], int], int],
+    closes: Callable[[list[int]], int],
+    b: _Budget,
+) -> Iterator[tuple[int, ...]]:
+    """Every sequence of ``length`` distinct vertices whose first vertex is
+    a bit of ``first``, whose every next vertex is a bit of ``cand(seq,
+    used)`` and for which ``closes(seq)`` holds, in lexicographic order:
+    the kernel of the searches below.
+
+    Depth first on an explicit stack, one candidate mask per depth, bits
+    tried in ascending order.  ``used`` is the mask of ``seq``; the kernel
+    removes it from every candidate mask.  The budget ticks once per vertex
+    placed, so an exhausted search of N prefixes costs N ticks."""
+    seq: list[int] = []
+    used = 0
+    cands = [first]
+    while cands:
+        c = cands[-1]
+        if not c:
+            cands.pop()
+            if seq:
+                used ^= 1 << seq.pop()
+            continue
+        low = c & -c
+        cands[-1] = c ^ low
+        b.tick()
+        seq.append(low.bit_length() - 1)
+        if len(seq) < length:
+            used |= low
+            cands.append(cand(seq, used) & ~used)
+            continue
+        if closes(seq):
+            yield tuple(seq)
+        seq.pop()
+
+
 # --- pancyclicity and fixed-length cycles --------------------------------
+
+
+def _cycles(
+    g: Digraph, length: int, anchors: int, avail: int, b: _Budget
+) -> Iterator[tuple[int, ...]]:
+    """The cycles of ``length`` vertices inside ``avail`` whose smallest
+    vertex is a bit of ``anchors``, each listed from its smallest vertex."""
+    out = g.out
+    return _sequences(
+        anchors,
+        length,
+        lambda seq, used: out[seq[-1]] & avail & -(2 << seq[0]),
+        lambda seq: out[seq[-1]] >> seq[0] & 1,
+        b,
+    )
 
 
 def find_cycle_of_length(
@@ -325,30 +382,13 @@ def find_cycle_of_length(
 
     Anchored enumeration: the smallest vertex of the cycle is tried in
     ascending order, and only larger vertices may appear after it.
+    ``budget`` bounds the search nodes; there is no size cap.
     """
     if length < 2 or length > g.n:
         return None
-    b = _Budget(budget)
-    path: list[int] = []
-
-    def extend(anchor: int, visited: int, end: int, depth: int) -> bool:
-        b.tick()
-        if depth == length:
-            return g.has_arc(end, anchor)
-        allowed = g.out[end] & ~visited
-        allowed &= ~((1 << (anchor + 1)) - 1)  # only vertices > anchor
-        for v in bits(allowed):
-            path.append(v)
-            if extend(anchor, visited | (1 << v), v, depth + 1):
-                return True
-            path.pop()
-        return False
-
-    for anchor in range(g.n - length + 1):
-        path[:] = [anchor]
-        if extend(anchor, 1 << anchor, anchor, 1):
-            return tuple(path)
-    return None
+    anchors = (1 << (g.n - length + 1)) - 1
+    found = _cycles(g, length, anchors, (1 << g.n) - 1, _Budget(budget))
+    return next(found, None)
 
 
 @dataclass(frozen=True)
@@ -359,13 +399,10 @@ class PancyclicReport:
     missing: Optional[int]  # first missing length when not pancyclic
 
 
-def is_pancyclic(
-    g: Digraph, *, budget: int = DEFAULT_BUDGET, cap: int = 20
-) -> PancyclicReport:
+def is_pancyclic(g: Digraph, *, budget: int = DEFAULT_BUDGET) -> PancyclicReport:
     """Cycle of every length from the class minimum (2 for digraphs, 3 for
-    oriented graphs and tournaments) up to n."""
-    if g.n > cap:
-        raise BudgetExceeded(f"pancyclicity capped at n <= {cap}")
+    oriented graphs and tournaments) up to n.  ``budget`` bounds the search
+    nodes of each length."""
     lmin = 3 if is_oriented(g) else 2
     found: dict[int, tuple[int, ...]] = {}
     for length in range(lmin, g.n + 1):
@@ -382,45 +419,34 @@ def is_pancyclic(
 def kth_power_hamilton(
     g: Digraph, k: int, *, budget: int = DEFAULT_BUDGET
 ) -> Optional[HamiltonCycle]:
-    """Cyclic order where every vertex sends an arc to each of the next k."""
+    """Cyclic order where every vertex sends an arc to each of the next k,
+    searched from vertex 0 (cyclic symmetry makes other starts redundant).
+    A vertex must receive arcs from each of the previous k; the order must
+    also wrap round.  ``budget`` bounds the search nodes."""
     if k < 1:
         raise BadParams("k >= 1 required")
     if k == 1:
         return find_hamilton_cycle(g, budget=budget)
     n = g.n
-    if n > 16:
-        raise BudgetExceeded("kth power search capped at n <= 16 for k >= 2")
     if n < k + 1:
         return None
-    b = _Budget(budget)
-    full = (1 << n) - 1
-    order = [0]
+    out = g.out
 
-    def extend(visited: int) -> bool:
-        b.tick()
-        pos = len(order)
-        if visited == full:
-            # wrap-around constraints for the last k positions
-            for i in range(n - k, n):
-                for j in range(1, k + 1):
-                    if i + j >= n and not g.has_arc(order[i], order[(i + j) % n]):
-                        return False
-            return True
-        # candidates must receive arcs from each of the previous min(pos,k)
-        cand = full & ~visited
-        for back in range(1, min(pos, k) + 1):
-            cand &= g.out[order[pos - back]]
-        for v in bits(cand):
-            order.append(v)
-            if extend(visited | (1 << v)):
-                return True
-            order.pop()
-        return False
+    def cand(seq: list[int], used: int) -> int:
+        c = out[seq[-1]]
+        for v in seq[-k:-1]:
+            c &= out[v]
+        return c
 
-    # anchor at vertex 0: cyclic symmetry makes other starts redundant
-    if extend(1):
-        return HamiltonCycle(tuple(order))
-    return None
+    def closes(seq: list[int]) -> bool:
+        return all(
+            out[seq[i]] >> seq[i + j - n] & 1
+            for i in range(n - k, n)
+            for j in range(n - i, k + 1)
+        )
+
+    order = next(_sequences(1, n, cand, closes, _Budget(budget)), None)
+    return None if order is None else HamiltonCycle(order)
 
 
 def validate_kth_power(g: Digraph, h: HamiltonCycle, k: int) -> bool:
@@ -438,35 +464,31 @@ def validate_kth_power(g: Digraph, h: HamiltonCycle, k: int) -> bool:
 def k_ordered_hamilton(
     g: Digraph, sequence: Sequence[int], *, budget: int = DEFAULT_BUDGET
 ) -> Optional[HamiltonCycle]:
-    """Hamilton cycle visiting ``sequence`` in the given cyclic order."""
+    """Hamilton cycle visiting ``sequence`` in the given cyclic order,
+    searched from ``sequence[0]``: a vertex of the sequence may only be
+    entered when it is the next one due.  ``budget`` bounds the search
+    nodes."""
     seq = list(sequence)
     if len(set(seq)) != len(seq):
         raise BadParams("sequence vertices must be distinct")
     if not seq:
         return find_hamilton_cycle(g, budget=budget)
     n = g.n
-    b = _Budget(budget)
-    full = (1 << n) - 1
-    in_seq = {v: i for i, v in enumerate(seq)}
-    path = [seq[0]]
+    if not all(0 <= v < n for v in seq):
+        raise BadParams("sequence vertices must be vertices of the digraph")
+    out = g.out
+    seq_mask = sum(1 << v for v in seq)
+    free = ((1 << n) - 1) ^ seq_mask
+    due = [1 << v for v in seq] + [0]  # by the number of them visited
 
-    def extend(visited: int, end: int, next_idx: int) -> bool:
-        b.tick()
-        if visited == full:
-            return next_idx == len(seq) and g.has_arc(end, seq[0])
-        for v in bits(g.out[end] & ~visited):
-            idx = in_seq.get(v)
-            if idx is not None and idx != next_idx:
-                continue
-            path.append(v)
-            if extend(visited | (1 << v), v, next_idx + (idx is not None)):
-                return True
-            path.pop()
-        return False
+    def cand(path: list[int], used: int) -> int:
+        return out[path[-1]] & (free | due[popcount(used & seq_mask)])
 
-    if extend(1 << seq[0], seq[0], 1):
-        return HamiltonCycle(tuple(path))
-    return None
+    def closes(path: list[int]) -> int:
+        return out[path[-1]] >> seq[0] & 1
+
+    order = next(_sequences(due[0], n, cand, closes, _Budget(budget)), None)
+    return None if order is None else HamiltonCycle(order)
 
 
 # --- arbitrarily oriented Hamilton cycles and paths ----------------------
@@ -500,48 +522,34 @@ class OrientationPattern:
 def _pattern_search(
     g: Digraph, signs: Sequence[int], closed: bool, budget: int
 ) -> Optional[tuple[int, ...]]:
+    """Vertex order whose step i follows the out-row (sign +1) or the
+    in-row (sign -1) of position i, from every start vertex in turn."""
     n = g.n
     if closed and len(signs) != n:
         raise BadParams("cycle pattern length must equal n")
     if not closed and len(signs) != n - 1:
         raise BadParams("path pattern length must equal n-1")
-    b = _Budget(budget)
-    full = (1 << n) - 1
-    order: list[int] = []
+    rows = [g.out if s == 1 else g.inn for s in signs]
 
-    def step_mask(cur: int, sign: int) -> int:
-        return g.out[cur] if sign == 1 else g.inn[cur]
+    def closes(seq: list[int]) -> int:
+        return not closed or rows[n - 1][seq[-1]] >> seq[0] & 1
 
-    def extend(visited: int, pos: int) -> bool:
-        b.tick()
-        if visited == full:
-            if not closed:
-                return True
-            s = signs[n - 1]
-            u, v = order[-1], order[0]
-            return g.has_arc(u, v) if s == 1 else g.has_arc(v, u)
-        cand = step_mask(order[-1], signs[pos - 1]) & ~visited
-        for v in bits(cand):
-            order.append(v)
-            if extend(visited | (1 << v), pos + 1):
-                return True
-            order.pop()
-        return False
-
-    for start in range(n):
-        order[:] = [start]
-        if extend(1 << start, 1):
-            return tuple(order)
-    return None
+    found = _sequences(
+        (1 << n) - 1,
+        n,
+        lambda seq, used: rows[len(seq) - 1][seq[-1]],
+        closes,
+        _Budget(budget),
+    )
+    return next(found, None)
 
 
 def oriented_hamilton(
     g: Digraph, pattern: OrientationPattern, *, budget: int = DEFAULT_BUDGET
 ) -> Optional[tuple[int, ...]]:
     """Cyclic vertex order realizing the sign pattern: sign i applies to the
-    step from position i to i+1 (mod n)."""
-    if g.n > 18:
-        raise BudgetExceeded("oriented Hamilton search capped at n <= 18")
+    step from position i to i+1 (mod n).  ``budget`` bounds the search
+    nodes; there is no size cap."""
     return _pattern_search(g, pattern.signs, True, budget)
 
 
@@ -549,8 +557,6 @@ def oriented_hamilton_path(
     g: Digraph, pattern: OrientationPattern, *, budget: int = DEFAULT_BUDGET
 ) -> Optional[tuple[int, ...]]:
     """Vertex order realizing a path orientation pattern of length n-1."""
-    if g.n > 18:
-        raise BudgetExceeded("oriented Hamilton search capped at n <= 18")
     return _pattern_search(g, pattern.signs, False, budget)
 
 
@@ -577,59 +583,34 @@ def validate_oriented(
 def disjoint_cycle_factor(
     g: Digraph, lengths: Sequence[int], *, budget: int = DEFAULT_BUDGET
 ) -> Optional[CycleFactor]:
-    """Vertex-disjoint cycles with exactly the prescribed length multiset."""
+    """Vertex-disjoint cycles with exactly the prescribed length multiset.
+
+    The lowest uncovered vertex starts a cycle of each distinct remaining
+    length in turn (``_cycles``), one recursion level per chosen cycle.
+    ``budget`` bounds the cycle-search nodes over the whole call."""
     lmin = 3 if is_oriented(g) else 2
     if sum(lengths) != g.n:
         raise BadParams("lengths must sum to n")
     if any(l < lmin for l in lengths):
         raise BadParams(f"cycle lengths must be >= {lmin} for this class")
     b = _Budget(budget)
-    full = (1 << g.n) - 1
-
-    def cycles_through(
-        anchor: int, length: int, avail: int
-    ) -> Iterator[tuple[int, ...]]:
-        # cycles of given length with smallest vertex = anchor, inside avail
-        path = [anchor]
-
-        def extend(visited: int, end: int, depth: int) -> Iterator[tuple[int, ...]]:
-            b.tick()
-            if depth == length:
-                if g.has_arc(end, anchor):
-                    yield tuple(path)
-                return
-            allowed = g.out[end] & avail & ~visited
-            allowed &= ~((1 << (anchor + 1)) - 1)
-            for v in bits(allowed):
-                path.append(v)
-                yield from extend(visited | (1 << v), v, depth + 1)
-                path.pop()
-
-        yield from extend(1 << anchor, anchor, 1)
-
     chosen: list[tuple[int, ...]] = []
 
     def solve(avail: int, remaining: tuple[int, ...]) -> bool:
         if avail == 0:
             return not remaining
-        anchor = (avail & -avail).bit_length() - 1
-        tried = set()
         for i, length in enumerate(remaining):
-            if length in tried:
+            if length in remaining[:i]:
                 continue
-            tried.add(length)
             rest = remaining[:i] + remaining[i + 1 :]
-            for cyc in cycles_through(anchor, length, avail):
-                mask = 0
-                for v in cyc:
-                    mask |= 1 << v
+            for cyc in _cycles(g, length, avail & -avail, avail, b):
                 chosen.append(cyc)
-                if solve(avail & ~mask, rest):
+                if solve(avail & ~sum(1 << v for v in cyc), rest):
                     return True
                 chosen.pop()
         return False
 
-    if solve(full, tuple(sorted(lengths))):
+    if solve((1 << g.n) - 1, tuple(sorted(lengths))):
         return CycleFactor(tuple(chosen))
     return None
 
@@ -642,73 +623,39 @@ def embed_tree(
 ) -> Optional[dict[int, int]]:
     """Injective arc-preserving embedding of an oriented tree into a host.
 
-    ``tree`` must be an orientation of an undirected tree.
-    """
+    ``tree`` must be an orientation of an undirected tree.  Its vertices
+    are placed in breadth-first order from vertex 0, each on an out- or
+    in-neighbour of its parent's image.  ``budget`` bounds the search
+    nodes."""
     k = tree.n
     if k > host.n:
         return None
-    und_deg = [popcount(tree.out[v] | tree.inn[v]) for v in range(k)]
-    if tree.m != k - 1 or (k > 1 and not _tree_connected(tree)):
+    und = [tree.out[v] | tree.inn[v] for v in range(k)]
+    if tree.m != k - 1 or _reach(und, 1) != (1 << k) - 1:
         raise BadParams("tree argument is not an oriented tree")
-    # BFS order from vertex 0; each later vertex has exactly one earlier
-    # neighbour (its parent) since the underlying graph is a tree.
-    order = [0]
-    seen = {0}
-    idx = 0
-    while idx < len(order):
-        v = order[idx]
-        idx += 1
-        for w in bits(tree.out[v] | tree.inn[v]):
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-    parent: dict[int, tuple[int, bool]] = {}
-    for v in order[1:]:
-        for w in bits(tree.out[v] | tree.inn[v]):
-            if w in parent or w == order[0]:
-                parent[v] = (w, tree.has_arc(w, v))  # True: parent -> child
-                break
-    b = _Budget(budget)
-    assign: dict[int, int] = {}
-    used = 0
-
-    def place(i: int) -> bool:
-        nonlocal used
-        b.tick()
-        if i == len(order):
-            return True
-        v = order[i]
-        if i == 0:
-            cand = (1 << host.n) - 1
-        else:
-            p, down = parent[v]
-            hp = assign[p]
-            cand = (host.out[hp] if down else host.inn[hp]) & ~used
-        for hv in bits(cand):
-            assign[v] = hv
-            used |= 1 << hv
-            if place(i + 1):
-                return True
-            used &= ~(1 << hv)
-            del assign[v]
-        return False
-
-    if place(0):
-        return dict(assign)
-    return None
-
-
-def _tree_connected(tree: Digraph) -> bool:
-    und = [tree.out[v] | tree.inn[v] for v in range(tree.n)]
+    # BFS order from vertex 0; per position, the position of the parent
+    # (the one earlier neighbour, since the underlying graph is a tree) and
+    # the host rows of the parent's image that hold the child's image.  The
+    # root's entries are never read.
+    order, up, rows = [0], [0], [host.out]
     seen = 1
-    frontier = 1
-    while frontier:
-        new = 0
-        for v in bits(frontier):
-            new |= und[v]
-        frontier = new & ~seen
-        seen |= frontier
-    return seen == (1 << tree.n) - 1
+    for i, v in enumerate(order):
+        for w in bits(und[v] & ~seen):
+            seen |= 1 << w
+            order.append(w)
+            up.append(i)
+            rows.append(host.out if tree.out[v] >> w & 1 else host.inn)
+    found = next(
+        _sequences(
+            (1 << host.n) - 1,
+            k,
+            lambda seq, used: rows[len(seq)][seq[up[len(seq)]]],
+            lambda seq: True,
+            _Budget(budget),
+        ),
+        None,
+    )
+    return None if found is None else dict(zip(order, found))
 
 
 # --- rotation-extension heuristic ----------------------------------------

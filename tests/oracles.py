@@ -2,7 +2,9 @@
 
 These are the original, unoptimised versions of the library's hot layers:
 the expander pipeline, the recursive Hamilton search, the Hamilton counting
-DP, max-flow connectivity and the exact robust-expansion scan.  The
+DP, max-flow connectivity, the exact robust-expansion scan and the six
+recursive sequence searches (fixed-length cycles, cycle powers, k-ordered
+cycles, oriented patterns, cycle factors, tree embedding).  The
 library's fast paths must return exactly what these return: the same
 matching, the same host digraph, the same cycle order, the same counts, the
 same verdict and witness.
@@ -21,10 +23,11 @@ from hamdg.core import (
     Digraph,
     HamiltonCycle,
     bits,
+    is_oriented,
     is_strongly_connected,
     popcount,
 )
-from hamdg.errors import BadParams
+from hamdg.errors import BadParams, BudgetExceeded
 from hamdg.expander import ClusterBlowup, ReducedDigraph, robust_threshold
 
 
@@ -378,3 +381,275 @@ def is_robust_outexpander_exact(g: Digraph, nu, tau) -> Verdict:
             witness = {"S": sorted(bits(mask)), "rn_size": rn, "needed": str(size + need)}
             return Verdict("robust_outexpander", False, witness)
     return Verdict("robust_outexpander", True)
+
+
+# --- the recursive sequence searches -------------------------------------
+
+
+class Nodes:
+    """Counts search nodes, one per call of a recursive ``extend``/``place``,
+    and raises ``BudgetExceeded`` on node ``budget + 1``."""
+
+    def __init__(self, budget: int = 10**9):
+        self.budget = budget
+        self.count = 0
+
+    def tick(self) -> None:
+        self.count += 1
+        if self.count > self.budget:
+            raise BudgetExceeded("search node budget exhausted")
+
+
+def find_cycle_of_length(
+    g: Digraph, length: int, b: Nodes
+) -> Optional[tuple[int, ...]]:
+    """Anchored recursive enumeration: the smallest vertex of the cycle in
+    ascending order, only larger vertices after it."""
+    if length < 2 or length > g.n:
+        return None
+    path: list[int] = []
+
+    def extend(anchor: int, visited: int, end: int, depth: int) -> bool:
+        b.tick()
+        if depth == length:
+            return g.has_arc(end, anchor)
+        allowed = g.out[end] & ~visited
+        allowed &= ~((1 << (anchor + 1)) - 1)  # only vertices > anchor
+        for v in bits(allowed):
+            path.append(v)
+            if extend(anchor, visited | (1 << v), v, depth + 1):
+                return True
+            path.pop()
+        return False
+
+    for anchor in range(g.n - length + 1):
+        path[:] = [anchor]
+        if extend(anchor, 1 << anchor, anchor, 1):
+            return tuple(path)
+    return None
+
+
+def kth_power_hamilton(g: Digraph, k: int, b: Nodes) -> Optional[HamiltonCycle]:
+    """Recursive search from vertex 0 for a cyclic order where every vertex
+    sends an arc to each of the next k (k >= 2, no size cap)."""
+    n = g.n
+    if n < k + 1:
+        return None
+    full = (1 << n) - 1
+    order = [0]
+
+    def extend(visited: int) -> bool:
+        b.tick()
+        pos = len(order)
+        if visited == full:
+            for i in range(n - k, n):
+                for j in range(1, k + 1):
+                    if i + j >= n and not g.has_arc(order[i], order[(i + j) % n]):
+                        return False
+            return True
+        cand = full & ~visited
+        for back in range(1, min(pos, k) + 1):
+            cand &= g.out[order[pos - back]]
+        for v in bits(cand):
+            order.append(v)
+            if extend(visited | (1 << v)):
+                return True
+            order.pop()
+        return False
+
+    if extend(1):
+        return HamiltonCycle(tuple(order))
+    return None
+
+
+def k_ordered_hamilton(
+    g: Digraph, sequence: Sequence[int], b: Nodes
+) -> Optional[HamiltonCycle]:
+    """Recursive search from ``sequence[0]``; a sequence vertex may only be
+    entered when it is the next one due (``sequence`` non-empty)."""
+    seq = list(sequence)
+    if len(set(seq)) != len(seq):
+        raise BadParams("sequence vertices must be distinct")
+    full = (1 << g.n) - 1
+    in_seq = {v: i for i, v in enumerate(seq)}
+    path = [seq[0]]
+
+    def extend(visited: int, end: int, next_idx: int) -> bool:
+        b.tick()
+        if visited == full:
+            return next_idx == len(seq) and g.has_arc(end, seq[0])
+        for v in bits(g.out[end] & ~visited):
+            idx = in_seq.get(v)
+            if idx is not None and idx != next_idx:
+                continue
+            path.append(v)
+            if extend(visited | (1 << v), v, next_idx + (idx is not None)):
+                return True
+            path.pop()
+        return False
+
+    if extend(1 << seq[0], seq[0], 1):
+        return HamiltonCycle(tuple(path))
+    return None
+
+
+def pattern_search(
+    g: Digraph, signs: Sequence[int], closed: bool, b: Nodes
+) -> Optional[tuple[int, ...]]:
+    """Recursive oriented Hamilton cycle (``closed``) or path search over
+    every start vertex (no size cap)."""
+    n = g.n
+    if closed and len(signs) != n:
+        raise BadParams("cycle pattern length must equal n")
+    if not closed and len(signs) != n - 1:
+        raise BadParams("path pattern length must equal n-1")
+    full = (1 << n) - 1
+    order: list[int] = []
+
+    def step_mask(cur: int, sign: int) -> int:
+        return g.out[cur] if sign == 1 else g.inn[cur]
+
+    def extend(visited: int, pos: int) -> bool:
+        b.tick()
+        if visited == full:
+            if not closed:
+                return True
+            s = signs[n - 1]
+            u, v = order[-1], order[0]
+            return g.has_arc(u, v) if s == 1 else g.has_arc(v, u)
+        cand = step_mask(order[-1], signs[pos - 1]) & ~visited
+        for v in bits(cand):
+            order.append(v)
+            if extend(visited | (1 << v), pos + 1):
+                return True
+            order.pop()
+        return False
+
+    for start in range(n):
+        order[:] = [start]
+        if extend(1 << start, 1):
+            return tuple(order)
+    return None
+
+
+def disjoint_cycle_factor(
+    g: Digraph, lengths: Sequence[int], b: Nodes
+) -> Optional[CycleFactor]:
+    """Set partition into cycles of the given lengths, each cycle found by
+    a recursive generator from the lowest available vertex."""
+    lmin = 3 if is_oriented(g) else 2
+    if sum(lengths) != g.n:
+        raise BadParams("lengths must sum to n")
+    if any(l < lmin for l in lengths):
+        raise BadParams(f"cycle lengths must be >= {lmin} for this class")
+    full = (1 << g.n) - 1
+
+    def cycles_through(anchor: int, length: int, avail: int):
+        path = [anchor]
+
+        def extend(visited: int, end: int, depth: int):
+            b.tick()
+            if depth == length:
+                if g.has_arc(end, anchor):
+                    yield tuple(path)
+                return
+            allowed = g.out[end] & avail & ~visited
+            allowed &= ~((1 << (anchor + 1)) - 1)
+            for v in bits(allowed):
+                path.append(v)
+                yield from extend(visited | (1 << v), v, depth + 1)
+                path.pop()
+
+        yield from extend(1 << anchor, anchor, 1)
+
+    chosen: list[tuple[int, ...]] = []
+
+    def solve(avail: int, remaining: tuple[int, ...]) -> bool:
+        if avail == 0:
+            return not remaining
+        anchor = (avail & -avail).bit_length() - 1
+        tried = set()
+        for i, length in enumerate(remaining):
+            if length in tried:
+                continue
+            tried.add(length)
+            rest = remaining[:i] + remaining[i + 1 :]
+            for cyc in cycles_through(anchor, length, avail):
+                mask = 0
+                for v in cyc:
+                    mask |= 1 << v
+                chosen.append(cyc)
+                if solve(avail & ~mask, rest):
+                    return True
+                chosen.pop()
+        return False
+
+    if solve(full, tuple(sorted(lengths))):
+        return CycleFactor(tuple(chosen))
+    return None
+
+
+def _tree_connected(tree: Digraph) -> bool:
+    und = [tree.out[v] | tree.inn[v] for v in range(tree.n)]
+    seen = 1
+    frontier = 1
+    while frontier:
+        new = 0
+        for v in bits(frontier):
+            new |= und[v]
+        frontier = new & ~seen
+        seen |= frontier
+    return seen == (1 << tree.n) - 1
+
+
+def embed_tree(host: Digraph, tree: Digraph, b: Nodes) -> Optional[dict[int, int]]:
+    """Recursive embedding of an oriented tree in breadth-first order from
+    tree vertex 0; ``place(i)`` is one node, ``place(0)`` included."""
+    k = tree.n
+    if k > host.n:
+        return None
+    if tree.m != k - 1 or (k > 1 and not _tree_connected(tree)):
+        raise BadParams("tree argument is not an oriented tree")
+    order = [0]
+    seen = {0}
+    idx = 0
+    while idx < len(order):
+        v = order[idx]
+        idx += 1
+        for w in bits(tree.out[v] | tree.inn[v]):
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    parent: dict[int, tuple[int, bool]] = {}
+    for v in order[1:]:
+        for w in bits(tree.out[v] | tree.inn[v]):
+            if w in parent or w == order[0]:
+                parent[v] = (w, tree.has_arc(w, v))
+                break
+    assign: dict[int, int] = {}
+    used = 0
+
+    def place(i: int) -> bool:
+        nonlocal used
+        b.tick()
+        if i == len(order):
+            return True
+        v = order[i]
+        if i == 0:
+            cand = (1 << host.n) - 1
+        else:
+            p, down = parent[v]
+            hp = assign[p]
+            cand = (host.out[hp] if down else host.inn[hp]) & ~used
+        for hv in bits(cand):
+            assign[v] = hv
+            used |= 1 << hv
+            if place(i + 1):
+                return True
+            used &= ~(1 << hv)
+            del assign[v]
+        return False
+
+    if place(0):
+        return dict(assign)
+    return None

@@ -69,6 +69,22 @@ class TestGen:
         code, out, err = run(capsys, "gen", *argv)
         assert code == 2 and out == "" and missing in err
 
+    @pytest.mark.parametrize(
+        "family,params",
+        [
+            ("complete_bipartite", ("a=2", "b=3")),
+            ("fig1", ("s=2",)),
+            ("fig3_haggkvist", ("m=3",)),
+            ("fig4_square", ("m=2",)),
+            ("two_regular_tournaments", ("d=2",)),
+        ],
+    )
+    def test_unused_n_is_usage_error(self, capsys, family, params):
+        argv = [arg for kv in params for arg in ("--param", kv)]
+        assert run(capsys, "gen", "--family", family, *argv)[0] == 0
+        code, out, err = run(capsys, "gen", "--family", family, "--n", "99", *argv)
+        assert code == 2 and out == "" and "--n" in err
+
 
 class TestCheck:
     def test_negative_verdict_exit_1(self, capsys, tmp_path):
@@ -85,6 +101,13 @@ class TestCheck:
         assert code == 0 and '"holds": true' in out
 
 
+    def test_unknown_rule_is_usage_error(self, capsys, tmp_path):
+        path = str(tmp_path / "t.dg")
+        run(capsys, "gen", "--family", "complete_digraph", "--n", "5", "--output", path)
+        code, out, err = run(capsys, "check", "--rule", "dirac", "--input", path)
+        assert code == 2 and out == "" and "unknown rule 'dirac'" in err
+
+
 class TestSolveCount:
     def test_solve_emits_cycle_record(self, capsys, tmp_path):
         path = str(tmp_path / "t.dg")
@@ -97,6 +120,13 @@ class TestSolveCount:
         run(capsys, "gen", "--family", "transitive", "--n", "5", "--output", path)
         code, out, _ = run(capsys, "solve", "--input", path)
         assert code == 1 and out.strip() == "NONE"
+
+    def test_cycle_of_length_past_recursion_limit(self, capsys, tmp_path):
+        path = str(tmp_path / "c.dg")
+        run(capsys, "gen", "--family", "directed_cycle", "--n", "1200", "--output", path)
+        code, out, _ = run(capsys, "solve", "--input", path, "--length", "1200")
+        assert code == 0
+        assert out == " ".join(["CYCLE", "1", "1200"] + [str(v) for v in range(1200)]) + "\n"
 
     def test_budget_exit_3(self, capsys, tmp_path):
         path = str(tmp_path / "t.dg")

@@ -15,14 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from hamdg import solvers
 from hamdg.constructions import (
     circulant_tournament,
     complete_digraph,
+    directed_cycle,
     random_digraph,
     random_regular_graph,
     random_tournament,
 )
 from hamdg.core import CycleFactor, Digraph, _vertex_disjoint_paths, vertex_connectivity
+from hamdg.errors import BadParams, BudgetExceeded
 from hamdg.expander import (
     ReducedDigraph,
     _restrict,
@@ -31,13 +34,22 @@ from hamdg.expander import (
     make_cluster_blowup,
 )
 from hamdg.solvers import (
+    OrientationPattern,
     _Budget,
     _bipartite_matching,
     _hamilton_orders,
     count_hamilton,
+    disjoint_cycle_factor,
+    embed_tree,
     enumerate_hamilton_cycles,
+    find_cycle_of_length,
     find_hamilton_cycle,
+    is_pancyclic,
+    k_ordered_hamilton,
+    kth_power_hamilton,
     one_factor,
+    oriented_hamilton,
+    oriented_hamilton_path,
     rotation_extension,
 )
 
@@ -377,3 +389,179 @@ class TestRobustOutexpander:
         want = oracles.is_robust_outexpander_exact(g, "1/5", "1/5")
         assert 16 in want.witness["S"]
         assert is_robust_outexpander(g, "1/5", "1/5") == want
+
+
+# --- the sequence-search kernel against the recursive searches -------------
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (BadParams, BudgetExceeded) as e:
+        return type(e), str(e)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Runs a library search as ``run(fn, *args, budget=B)`` and returns its
+    outcome (result or exception) and the nodes its budgets were charged."""
+    made = []
+
+    class Counted(_Budget):
+        def __init__(self, nodes):
+            super().__init__(nodes)
+            made.append((self, nodes))
+
+    monkeypatch.setattr(solvers, "_Budget", Counted)
+
+    def run(fn, *args, budget):
+        made.clear()
+        out = _outcome(lambda: fn(*args, budget=budget))
+        return out, sum(start - b.left for b, start in made)
+
+    return run
+
+
+def _oracle(fn, *args, budget):
+    nodes = oracles.Nodes(budget)
+    return _outcome(lambda: fn(*args, nodes)), nodes.count
+
+
+def _random_tree(rng, k):
+    """A random oriented tree on k vertices, or now and then a non-tree."""
+    arcs = []
+    for v in range(1, k):
+        u = rng.randrange(v)
+        arcs.append((u, v) if rng.random() < 0.5 else (v, u))
+    if k >= 3 and rng.random() < 0.1:
+        # re-aim the last arc: usually a cycle plus a cut-off vertex
+        arcs[-1] = (arcs[-1][0], (arcs[-1][1] + 1) % k)
+        arcs = [(u, v) for u, v in arcs if u != v]
+    perm = rng.sample(range(k), k)
+    return Digraph(k, {(perm[u], perm[v]) for u, v in arcs})
+
+
+def _random_lengths(rng, n):
+    """Cycle lengths >= 2 summing to n, or now and then a bad list."""
+    lengths, left = [], n
+    while left:
+        l = rng.randint(min(2, left), left)
+        l += left - l == 1
+        lengths.append(l)
+        left -= l
+    if rng.random() < 0.1:
+        lengths.append(rng.randint(1, 3))
+    return lengths
+
+
+def _searches(rng, g):
+    """One call of each of the six sequence searches on ``g``: its name,
+    the library call, the recursive oracle and the arguments."""
+    n = g.n
+    seq = rng.sample(range(n), rng.randint(1, min(n, 4)))
+    if rng.random() < 0.1:
+        seq.append(seq[0])
+    signs = tuple(rng.choice((1, -1)) for _ in range(n))
+    bad = rng.random() < 0.05  # a pattern of the wrong length
+    yield ("cycle", find_cycle_of_length, oracles.find_cycle_of_length,
+           (g, rng.randint(0, n + 1)))
+    yield ("power", kth_power_hamilton, oracles.kth_power_hamilton,
+           (g, rng.choice((2, 3))))
+    yield ("ordered", k_ordered_hamilton, oracles.k_ordered_hamilton, (g, seq))
+    yield ("oriented",
+           lambda g, s, budget: oriented_hamilton(g, OrientationPattern(s), budget=budget),
+           lambda g, s, b: oracles.pattern_search(g, s, True, b),
+           (g, signs[: n - bad]))
+    yield ("oriented_path",
+           lambda g, s, budget: oriented_hamilton_path(g, OrientationPattern(s), budget=budget),
+           lambda g, s, b: oracles.pattern_search(g, s, False, b),
+           (g, signs[: n - 1 + bad]))
+    yield ("factor", disjoint_cycle_factor, oracles.disjoint_cycle_factor,
+           (g, _random_lengths(rng, n)))
+    yield ("tree", embed_tree, oracles.embed_tree,
+           (g, _random_tree(rng, rng.randint(1, n + 1))))
+
+
+def _kind(outcome):
+    if isinstance(outcome, tuple) and outcome and isinstance(outcome[0], type):
+        return outcome[0].__name__
+    return "none" if outcome is None else "found"
+
+
+class TestSequenceSearches:
+    @pytest.mark.parametrize("family", ["digraph", "tournament"])
+    def test_equal_results_and_nodes(self, counted, family):
+        # the same certificate or exception, under ample and under small
+        # budgets, from the same number of nodes; the recursive tree
+        # embedding also counts its empty root, place(0)
+        rng = random.Random(41 if family == "digraph" else 43)
+        kinds: dict[str, set] = {}
+        for i in range(500):
+            n = rng.randint(1, 11)
+            if family == "digraph":
+                g = random_digraph(n, rng.choice((0.2, 0.35, 0.5, 0.7)), seed=i)
+            else:
+                g = random_tournament(n, seed=i)
+            for name, fn, oracle, args in _searches(rng, g):
+                budget = rng.choice((rng.randint(1, 60), 3000, 10**5))
+                got, nodes = counted(fn, *args, budget=budget)
+                root = name == "tree"
+                want, want_nodes = _oracle(oracle, *args, budget=budget + root)
+                assert got == want, (name, args)
+                assert want_nodes - nodes == (root and want_nodes > 0), (name, args)
+                kinds.setdefault(name, set()).add(_kind(got))
+        for name, seen in kinds.items():
+            assert {"found", "none", "BudgetExceeded"} <= seen, (name, seen)
+            assert name in ("cycle", "power") or "BadParams" in seen, (name, seen)
+
+    def test_pancyclic_lengths_equal(self):
+        rng = random.Random(47)
+        for i in range(60):
+            g = random_tournament(rng.randint(3, 9), seed=i)
+            rep = is_pancyclic(g)
+            for length in range(3, g.n + 1):
+                want = oracles.find_cycle_of_length(g, length, oracles.Nodes())
+                if length in rep.cycles:
+                    assert rep.cycles[length] == want
+                else:
+                    assert rep.missing == length and want is None
+                    break
+
+
+class TestSequenceSearchesPastOldLimits:
+    # the recursive searches raised RecursionError at n = 1200, and the
+    # size caps raised BudgetExceeded for the powers at n = 17, the
+    # oriented searches at n = 19 and pancyclicity at n = 21
+    N = 1200
+
+    def test_cycle_of_length(self):
+        assert find_cycle_of_length(directed_cycle(self.N), self.N) == tuple(range(self.N))
+
+    def test_k_ordered(self):
+        h = k_ordered_hamilton(directed_cycle(self.N), [0, 600, 1100])
+        assert h.order == tuple(range(self.N))
+
+    def test_cycle_factor(self):
+        f = disjoint_cycle_factor(directed_cycle(self.N), [self.N])
+        assert f.cycles == (tuple(range(self.N)),)
+
+    def test_embed_tree(self):
+        path = Digraph(self.N, [(i, i + 1) for i in range(self.N - 1)])
+        assert embed_tree(directed_cycle(self.N), path) == {v: v for v in range(self.N)}
+
+    def test_square_at_17(self):
+        g = complete_digraph(17)
+        assert kth_power_hamilton(g, 2).order == tuple(range(17))
+
+    def test_oriented_at_19(self):
+        g = random_tournament(19, seed=0)
+        pat = OrientationPattern.from_bits(0b1011001110001011010, 19)
+        order = oriented_hamilton(g, pat)
+        assert order is not None and solvers.validate_oriented(g, order, pat, True)
+        path_pat = OrientationPattern.from_bits(0b101100111000101101, 18)
+        order = oriented_hamilton_path(g, path_pat)
+        assert order is not None and solvers.validate_oriented(g, order, path_pat, False)
+
+    def test_pancyclic_at_21(self):
+        rep = is_pancyclic(circulant_tournament(21))
+        assert rep.holds and sorted(rep.cycles) == list(range(3, 22))

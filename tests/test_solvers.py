@@ -181,6 +181,11 @@ class TestPowersAndOrder:
         # 0 then 5 appear in cyclic order after 3
         assert (i0 - i3) % n < (i5 - i3) % n
 
+    @pytest.mark.parametrize("sequence", [[0, 7], [7, 0], [-1, 2]])
+    def test_k_ordered_rejects_foreign_vertices(self, sequence):
+        with pytest.raises(BadParams):
+            k_ordered_hamilton(directed_cycle(5), sequence)
+
 
 class TestOrientedPatterns:
     def test_pattern_constructors(self):
