@@ -23,7 +23,8 @@ PartMap = dict[str, list[int]]
 def complete_digraph(n: int) -> Digraph:
     if n < 1:
         raise BadParams("n >= 1")
-    return Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v])
+    full = (1 << n) - 1
+    return Digraph.from_out_masks([full ^ (1 << v) for v in range(n)])
 
 
 def complete_graph(n: int) -> Digraph:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -34,14 +35,43 @@ import os
 DEFAULT_BUDGET = int(os.environ.get("HAMDG_BUDGET", 10**8))
 
 
+class _Refuted(Exception):
+    """A root refutation proved that the digraph has no Hamilton cycle."""
+
+
 class _Budget:
-    __slots__ = ("left",)
+    """The search nodes left; ``tick`` is called once per node.
+
+    ``arm(nodes, refutes)`` adds a one-shot checkpoint: once the search has
+    expanded ``nodes`` more nodes and asks for another, ``refutes()`` runs,
+    and if it returns true the tick raises ``_Refuted``.  The nodes past the
+    checkpoint are held back until then, so ``tick`` stays one decrement
+    and one compare, the total stays the budget, and the checkpoint's own
+    work is not counted as nodes."""
+
+    __slots__ = ("left", "held", "refutes")
 
     def __init__(self, nodes: int):
         self.left = nodes
+        self.held = 0
+        self.refutes: Optional[Callable[[], bool]] = None
+
+    def arm(self, nodes: int, refutes: Callable[[], bool]) -> None:
+        if self.left > nodes:  # else the budget runs out first
+            self.held, self.left, self.refutes = self.left - nodes, nodes, refutes
 
     def tick(self) -> None:
         self.left -= 1
+        if self.left < 0:
+            self._overrun()
+
+    def _overrun(self) -> None:
+        refutes, self.refutes = self.refutes, None
+        if refutes is not None:
+            if refutes():
+                raise _Refuted
+            self.left += self.held
+            self.held = 0
         if self.left < 0:
             raise BudgetExceeded("search node budget exhausted")
 
@@ -185,25 +215,140 @@ def _hamilton_orders(
         matches.append((match_l, match_r))
 
 
+def _forced_arcs(
+    out: Sequence[int], inn: Sequence[int]
+) -> Optional[tuple[Sequence[int], Sequence[int]]]:
+    """The rows ``out``, ``inn`` less arcs that no Hamilton cycle uses, or
+    ``None`` when forced arcs refute every Hamilton cycle.
+
+    An arc u->v is forced when it is u's only out-arc or v's only in-arc
+    (Vandegriend & Culberson, JAIR 1998): every Hamilton cycle uses it, so
+    u's other out-arcs and v's other in-arcs go.  Forced arcs join into
+    paths, and the arc from a path's last vertex back to its first goes
+    while the path has fewer than n vertices, so a forced cycle shorter
+    than n shows as an emptied row.  The rules run to a fixpoint; an
+    emptied row refutes.  When every in- and out-degree is at least 2
+    nothing is forced and the rows come back as given."""
+    n = len(out)
+    if all(r & (r - 1) for r in out) and all(r & (r - 1) for r in inn):
+        return out, inn
+    out, inn = list(out), list(inn)
+    nxt, prv = [-1] * n, [-1] * n  # the forced arcs
+    end = list(range(n))  # at either end of a forced path: its other end
+    size = [1] * n  # at either end of a forced path: its vertex count
+    todo = [v for v in range(n) if not (out[v] & (out[v] - 1) and inn[v] & (inn[v] - 1))]
+
+    def drop(u: int, w: int) -> None:
+        out[u] &= ~(1 << w)
+        inn[w] &= ~(1 << u)
+        todo.extend((u, w))
+
+    while todo:
+        v = todo.pop()
+        o, i = out[v], inn[v]
+        if not o or not i:
+            return None
+        if nxt[v] < 0 and not o & (o - 1):
+            u, w = v, o.bit_length() - 1
+        elif prv[v] < 0 and not i & (i - 1):
+            u, w = i.bit_length() - 1, v
+        else:
+            continue
+        # force u -> w: u ends a forced path, w starts one
+        nxt[u], prv[w] = w, u
+        for x in bits(out[u] ^ (1 << w)):
+            drop(u, x)
+        for x in bits(inn[w] ^ (1 << u)):
+            drop(x, w)
+        head, tail = end[u], end[w]
+        if head == w:  # a Hamilton cycle: shorter ones lost their last arc
+            continue
+        end[head], end[tail] = tail, head
+        size[head] = size[tail] = size[u] + size[w]
+        if size[head] < n and out[tail] >> head & 1:
+            drop(tail, head)
+        todo.append(v)
+    return out, inn
+
+
+def _more_components(und: Sequence[int], within: int, k: int) -> bool:
+    """Whether the undirected rows ``und`` restricted to ``within`` have
+    more than ``k`` components."""
+    for _ in range(k + 1):
+        if not within:
+            return False
+        within &= ~_reach(und, within & -within, within)
+    return True
+
+
+def _tough_cut(und: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """The first vertex set S, 1 <= |S| <= 2, whose removal leaves more
+    than |S| components of the undirected graph with rows ``und``, or
+    ``None``.  A Hamilton cycle less |S| vertices falls into at most |S|
+    paths, so such an S refutes it (Chvátal, 1973).
+
+    The smallest of more than k components of G - S (|S| = k) has at most
+    (n - k) / (k + 1) vertices, each adjacent only inside it and to S, so
+    the minimum degree d allows S only if (k + 1) d <= n + k*k - k - 1:
+    2d <= n - 1 for one vertex and 3d <= n + 1 for two.  Sizes ruled out
+    that way are not scanned.  Each candidate costs one component count,
+    O(n^3) bit-row operations for the pairs."""
+    n = len(und)
+    full = (1 << n) - 1
+    d = min(map(popcount, und), default=0)
+    for k in (1, 2):
+        if (k + 1) * d > n + k * k - k - 1:
+            continue
+        for cut in combinations(range(n), k):
+            if _more_components(und, full ^ sum(1 << v for v in cut), k):
+                return cut
+    return None
+
+
 def enumerate_hamilton_cycles(
     g: Digraph, *, budget: int = DEFAULT_BUDGET
 ) -> Iterator[HamiltonCycle]:
     """All Hamilton cycles, anchored at vertex 0, lexicographic path order
-    (``_hamilton_orders``).  ``budget`` bounds the search nodes."""
-    if g.n < 2:
+    (``_hamilton_orders``).  ``budget`` bounds the search nodes.
+
+    Two root refutations cut away digraphs without a Hamilton cycle; they
+    never drop a cycle, so the cycles and their order are the unpruned
+    search's.  Before the kernel, ``_forced_arcs`` deletes the arcs that
+    forced arcs rule out (the kernel searches what is left) or refutes at
+    once.  Once the kernel has expanded n^2 nodes, ``_tough_cut`` scans the
+    underlying graph once for a vertex set S, |S| <= 2, with more than |S|
+    components left, which ends the search with no cycle.  The scan costs
+    O(n^3) bit-row operations, about what the n^2 nodes already cost, so
+    it at most roughly doubles a long search and a short one never pays
+    it.  It is skipped when the minimum degree rules a cut out, and its
+    work is not counted as nodes."""
+    n = g.n
+    if n < 2:
         return  # no self-loops, so no cycle on one vertex
-    succ = _bipartite_matching(g.n, g.out)
+    rows = _forced_arcs(g.out, g.inn)
+    if rows is None:
+        return
+    out, inn = rows
+    if out is not g.out:
+        g = Digraph.from_out_masks(out)
+    succ = _bipartite_matching(n, out)
     if succ is None:
         return
-    for order in _hamilton_orders(g, succ, _Budget(budget)):
-        yield HamiltonCycle(order)
+    b = _Budget(budget)
+    b.arm(n * n, lambda: _tough_cut([o | i for o, i in zip(out, inn)]) is not None)
+    try:
+        for order in _hamilton_orders(g, succ, b):
+            yield HamiltonCycle(order)
+    except _Refuted:
+        return
 
 
 def find_hamilton_cycle(
     g: Digraph, *, budget: int = DEFAULT_BUDGET
 ) -> Optional[HamiltonCycle]:
-    """The first cycle of ``enumerate_hamilton_cycles``, or ``None``.
-    ``budget`` bounds the search nodes; there is no size cap."""
+    """The first cycle of ``enumerate_hamilton_cycles``, or ``None``, with
+    its two root refutations.  ``budget`` bounds the search nodes; there
+    is no size cap."""
     if g.n < 2 or not is_strongly_connected(g):
         return None
     return next(enumerate_hamilton_cycles(g, budget=budget), None)

@@ -121,6 +121,13 @@ class TestSolveCount:
         code, out, _ = run(capsys, "solve", "--input", path)
         assert code == 1 and out.strip() == "NONE"
 
+    def test_solve_fig1_none_exit_1(self, capsys, tmp_path):
+        # n = 29: the cut scan at n^2 nodes refutes, within n^2 + 1 nodes
+        path = str(tmp_path / "fig1.dg")
+        run(capsys, "gen", "--family", "fig1", "--param", "s=3", "--output", path)
+        code, out, _ = run(capsys, "solve", "--input", path, "--budget", str(29 * 29 + 1))
+        assert code == 1 and out.strip() == "NONE"
+
     def test_cycle_of_length_past_recursion_limit(self, capsys, tmp_path):
         path = str(tmp_path / "c.dg")
         run(capsys, "gen", "--family", "directed_cycle", "--n", "1200", "--output", path)

@@ -7,6 +7,7 @@ and counts, kappa and robust-expansion verdicts (witness included) are
 reported as they are.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,6 +19,8 @@ import oracles
 from hamdg import solvers
 from hamdg.constructions import (
     circulant_tournament,
+    fig1,
+    fig2,
     complete_digraph,
     directed_cycle,
     random_digraph,
@@ -37,8 +40,11 @@ from hamdg.solvers import (
     OrientationPattern,
     _Budget,
     _bipartite_matching,
+    _forced_arcs,
     _hamilton_orders,
+    _tough_cut,
     count_hamilton,
+    count_hamilton_naive,
     disjoint_cycle_factor,
     embed_tree,
     enumerate_hamilton_cycles,
@@ -279,6 +285,223 @@ class TestHamiltonSearch:
         for _ in range(400):
             g = _planted(rng, rng.randint(2, 11), rng.choice((0.1, 0.2, 0.3)))
             assert _kernel(g) == oracles.hamilton_search(g, oracles.residual_feasible)
+
+
+# --- the root refutations against brute force ------------------------------
+
+
+def _components(und, keep):
+    """The components of the undirected rows ``und`` on the vertex set
+    ``keep``, by a plain depth-first search over vertex numbers."""
+    seen, count = set(), 0
+    for root in keep:
+        if root in seen:
+            continue
+        count += 1
+        seen.add(root)
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w in keep:
+                if w not in seen and und[v] >> w & 1:
+                    seen.add(w)
+                    stack.append(w)
+    return count
+
+
+def _first_cut(und):
+    """The first S (by size, then lexicographic), 1 <= |S| <= 2, leaving
+    more than |S| components: every candidate, no degree gate."""
+    n = len(und)
+    for k in (1, 2):
+        for cut in itertools.combinations(range(n), k):
+            if _components(und, set(range(n)) - set(cut)) > k:
+                return cut
+    return None
+
+
+def _underlying(g):
+    return [o | i for o, i in zip(g.out, g.inn)]
+
+
+def _check_refutations(g, cycles):
+    """Both root refutations on ``g``, which has ``cycles`` Hamilton
+    cycles: each fires only when there are none, forced-arc deletion keeps
+    every cycle, and the cut scan finds exactly the brute-force cut.
+    Returns which rules fired."""
+    fired = set()
+    rows = _forced_arcs(g.out, g.inn)
+    if rows is None:
+        assert cycles == 0
+        fired.add("forced")
+    else:
+        out, inn = rows
+        reduced = Digraph.from_out_masks(out)
+        assert reduced.inn == tuple(inn)
+        assert all(r & ~o == 0 for r, o in zip(out, g.out))
+        if reduced != g:
+            fired.add("reduced")
+            assert count_hamilton(reduced).hamilton_cycles == cycles
+    und = _underlying(g)
+    cut = _tough_cut(und)
+    assert cut == _first_cut(und)
+    if cut is not None:
+        assert _components(und, set(range(g.n)) - set(cut)) > len(cut)
+        assert cycles == 0
+        fired.add(f"cut{len(cut)}")
+    return fired
+
+
+def _symmetric_digraph(n, p, seed):
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return Digraph(n, edges + [(v, u) for u, v in edges])
+
+
+def _forced_chain(n, k, closed):
+    """K_n in which 1..k each keep only the in-arc from their predecessor,
+    so 0 -> 1 -> ... -> k is forced; ``closed`` also leaves 0 only the
+    in-arc from k, which forces a cycle of k + 1 < n vertices."""
+    heads = range(1 if not closed else 0, k + 1)
+    drop = {(u, v) for v in heads for u in range(n) if u != (v - 1) % (k + 1) and u != v}
+    return complete_digraph(n).without_arcs(sorted(drop))
+
+
+def _glued_cliques(sizes, cut):
+    """Symmetric cliques of the given sizes, each fully joined to the
+    ``cut`` shared vertices 0..cut-1 (a clique of size s has s + cut
+    vertices in all)."""
+    edges, base = set(), cut
+    for size in sizes:
+        part = list(range(cut)) + list(range(base, base + size))
+        edges |= {(u, v) for u in part for v in part if u != v}
+        base += size
+    return Digraph(base, sorted(edges))
+
+
+def _petersen():
+    edges = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    edges += [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Digraph(10, edges + [(v, u) for u, v in edges])
+
+
+# hand-built triggers and the rules they fire: forced chains (open ones
+# keep a Hamilton cycle), fig2, and cliques glued at 1- and 2-vertex cuts;
+# three cliques of size s on a 2-vertex cut meet the pair gate 3d <= n + 1
+# with equality; the Petersen graph has no Hamilton cycle and no cut
+TRIGGERS = {
+    "chain_open_8_3": (_forced_chain(8, 3, False), {"reduced"}),
+    "chain_open_9_7": (_forced_chain(9, 7, False), {"reduced"}),
+    "chain_closed_8_3": (_forced_chain(8, 3, True), {"forced"}),
+    "chain_closed_9_7": (_forced_chain(9, 7, True), {"forced"}),
+    **{f"fig2_{n}": (fig2(n)[0], {"forced"}) for n in (5, 7, 9)},
+    "glued_1_at_1": (_glued_cliques((3, 3), 1), {"cut1"}),
+    "glued_2_at_1": (_glued_cliques((2, 4), 1), {"cut1"}),
+    "glued_2_at_2": (_glued_cliques((3, 3), 2), set()),
+    "glued_3_at_2_tight": (_glued_cliques((2, 2, 2), 2), {"cut2"}),
+    "glued_3_at_2": (_glued_cliques((1, 2, 3), 2), {"cut2"}),
+    "petersen": (_petersen(), set()),
+}
+HAMILTONIAN = {"chain_open_8_3", "chain_open_9_7", "glued_2_at_2"}
+
+
+class TestRootRefutations:
+    def test_all_digraphs_on_four_vertices(self):
+        pairs = [(u, v) for u in range(4) for v in range(4) if u != v]
+        fired = set()
+        for mask in range(1 << len(pairs)):
+            g = Digraph(4, [a for i, a in enumerate(pairs) if mask >> i & 1])
+            fired |= _check_refutations(g, count_hamilton_naive(g)[1])
+        # two vertices out of four leave at most two components
+        assert fired == {"forced", "reduced", "cut1"}
+
+    @pytest.mark.parametrize("kind", ["random", "symmetric"])
+    def test_random_digraphs(self, kind):
+        rng = random.Random(53 if kind == "random" else 59)
+        fired = set()
+        for i in range(1500):
+            n = rng.randint(2, 9)
+            p = rng.choice((0.15, 0.25, 0.35, 0.5))
+            if kind == "random":
+                g = random_digraph(n, p, seed=i)
+            else:
+                g = _symmetric_digraph(n, p + 0.1, i)
+            fired |= _check_refutations(g, count_hamilton(g).hamilton_cycles)
+        # a symmetric digraph with a vertex of degree 1 is refuted outright
+        want = {"forced", "cut1", "cut2"} if kind == "symmetric" else {"forced", "reduced"}
+        assert want <= fired
+
+    @pytest.mark.parametrize("name", sorted(TRIGGERS))
+    def test_triggers(self, name):
+        g, want = TRIGGERS[name]
+        cycles = count_hamilton(g).hamilton_cycles
+        assert (cycles > 0) == (name in HAMILTONIAN)
+        assert _check_refutations(g, cycles) == want
+        assert find_hamilton_cycle(g) == oracles.find_hamilton_cycle(g)[0]
+        assert list(enumerate_hamilton_cycles(g)) == oracles.enumerate_hamilton_cycles(g)[0]
+
+    def test_forced_chain_rows(self):
+        # 0 -> 1 -> 2 -> 3 forced: the other out-arcs of 0, 1, 2 and the
+        # closing arc 3 -> 0 go, and nothing else
+        n, k = 8, 3
+        keep = [(i, i + 1) for i in range(k)] + [
+            (u, v)
+            for u in range(k, n)
+            for v in [0, *range(k + 1, n)]
+            if u != v and (u, v) != (k, 0)
+        ]
+        g, want = TRIGGERS["chain_open_8_3"][0], Digraph(n, keep)
+        out, inn = _forced_arcs(g.out, g.inn)
+        assert (tuple(out), tuple(inn)) == (want.out, want.inn)
+        # reversed, the same arcs are forced by the out-arc rule
+        out, inn = _forced_arcs(g.inn, g.out)
+        assert (tuple(out), tuple(inn)) == (want.inn, want.out)
+        # on nine vertices 0 then has one in-neighbour left, 8, and the
+        # whole Hamilton cycle is forced
+        g = TRIGGERS["chain_open_9_7"][0]
+        assert tuple(_forced_arcs(g.out, g.inn)[0]) == directed_cycle(9).out
+
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_fig1_cut_is_the_connectors(self, s):
+        g, parts = fig1(s)
+        assert _tough_cut(_underlying(g)) == (parts["a"][0], parts["b"][0])
+
+    def test_scan_runs_once_after_n_squared_nodes(self, monkeypatch):
+        calls = []
+
+        def spy(und):
+            calls.append(len(und))
+            return _tough_cut(und)
+
+        monkeypatch.setattr(solvers, "_tough_cut", spy)
+        g, _ = fig1(2)
+        with pytest.raises(BudgetExceeded):
+            find_hamilton_cycle(g, budget=g.n * g.n)
+        assert calls == []
+        assert find_hamilton_cycle(g, budget=g.n * g.n + 1) is None
+        assert calls == [g.n]
+        # a search that ends within n^2 nodes never scans
+        calls.clear()
+        for g in (random_tournament(30, 0), directed_cycle(30)):
+            assert find_hamilton_cycle(g, budget=g.n * g.n) is not None
+        assert calls == []
+
+    def test_budget_unchanged_when_the_scan_finds_nothing(self):
+        # the Petersen graph has no Hamilton cycle and no cut; the held-back
+        # nodes come back after the scan, so the budget is the kernel's
+        g = _petersen()
+        _, nodes = _kernel(g)
+        assert nodes > g.n * g.n
+        assert find_hamilton_cycle(g, budget=nodes) is None
+        with pytest.raises(BudgetExceeded):
+            find_hamilton_cycle(g, budget=nodes - 1)
+
+
+def test_complete_digraph_equals_arc_list_build():
+    for n in range(1, 41):
+        want = Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v])
+        g = complete_digraph(n)
+        assert (g.n, g.out, g.inn) == (want.n, want.out, want.inn)
 
 
 class TestCountHamilton:

@@ -12,6 +12,8 @@ from hamdg.constructions import (
     circulant_tournament,
     complete_digraph,
     directed_cycle,
+    fig1,
+    fig2,
     generate_extremal,
     random_digraph,
     random_tournament,
@@ -61,6 +63,19 @@ class TestFindHamilton:
         # the residual 1-factor prune settles nw_extremal(22, 2) in 45 nodes
         g, _ = generate_extremal("nw_extremal", 22, 2)
         assert find_hamilton_cycle(g, budget=10**3) is None
+
+    @pytest.mark.parametrize("s", [2, 3, 4, 5, 6])
+    def test_fig1_refuted_by_cut_scan(self, s):
+        # no forced arc and no prune ends these searches; the cut scan after
+        # n^2 nodes finds the two connector vertices
+        g, _ = fig1(s)
+        assert find_hamilton_cycle(g, budget=g.n * g.n + 1) is None
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_fig2_refuted_by_forced_arcs(self, n):
+        # y -> z, then z -> x and x -> y are forced: a 3-cycle, before any node
+        g, _ = fig2(n)
+        assert find_hamilton_cycle(g, budget=1) is None
 
     def test_no_size_cap(self):
         # past 64 vertices, where the recursive search used to stop
