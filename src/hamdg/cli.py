@@ -2,7 +2,8 @@
 covers, expander checks, and reproducible experiment tables.
 
 Exit codes: 0 success, 1 negative verdict (e.g. no Hamilton cycle),
-2 usage error, 3 search budget exhausted.
+2 usage error, 3 search budget exhausted, 4 internal error (the traceback
+goes to stderr).
 """
 
 from __future__ import annotations
@@ -10,16 +11,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
+import traceback
 from fractions import Fraction
 from typing import Optional
 
 from . import constructions as cons
 from . import io as hio
 from .conditions import check
-from .core import CycleFactor, Digraph, Matching, classify, is_strongly_connected
+from .core import CycleFactor, Digraph, HamiltonCycle, Matching, classify, is_strongly_connected
 from .decomp import (
     cover_regular_graph,
     cover_tournament,
@@ -27,13 +28,12 @@ from .decomp import (
     validate as validate_cover,
     walecki,
 )
-from .errors import BudgetExceeded, CoverFailure, HamdgError
+from .errors import BudgetExceeded, HamdgError
 from .expander import (
     OneFactorF,
     ReducedDigraph,
     assemble_hamilton,
     build_closed_walk,
-    epsilon_regular_pair,
     is_robust_outexpander,
     make_cluster_blowup,
 )
@@ -49,7 +49,30 @@ from .solvers import (
     oriented_hamilton,
 )
 
-EXIT_OK, EXIT_NEGATIVE, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
+EXIT_OK, EXIT_NEGATIVE, EXIT_USAGE, EXIT_BUDGET, EXIT_INTERNAL = 0, 1, 2, 3, 4
+
+
+def _value(flag: str, text, convert, what: str):
+    """``convert(text)``; a value it rejects is a usage error naming ``flag``."""
+    try:
+        return convert(text)
+    except (ValueError, ZeroDivisionError):
+        raise HamdgError(f"{flag} wants {what}, got {text!r}") from None
+
+
+def _ints(text) -> tuple[int, ...]:
+    return tuple(int(x) for x in str(text).split(","))
+
+
+def _pair(text) -> tuple[int, int]:
+    u, v = _ints(text)
+    return u, v
+
+
+def _signs(text: str) -> tuple[int, ...]:
+    if set(text) - {"+", "-"}:
+        raise ValueError(text)
+    return tuple(1 if c == "+" else -1 for c in text)
 
 
 def _parse_params(items: list[str]) -> dict:
@@ -75,72 +98,40 @@ def _load(path: str) -> Digraph:
 
 
 def _build_family(family: str, n: Optional[int], seed: int, params: dict):
-    """Returns (digraph, parts-or-None).  A parameter the family needs but
-    was not given, and one it was given but does not take (``--n``
-    included), are usage errors."""
+    """Returns (digraph, parts-or-None) from ``constructions.FAMILIES``.  A
+    parameter the family needs but was not given, and one it was given but
+    does not take (``--n`` included), are usage errors."""
+    fam = cons.FAMILIES.get(family)
+    if fam is None:
+        raise HamdgError(f"unknown family {family!r}")
     p = dict(params)
-    took_n = False
-
-    def need(name):
-        nonlocal took_n
-        if name == "n" and n is not None:
-            took_n = True
-            return n
-        if name not in p:
+    args = []
+    for name in fam.params:
+        if name == "seed":
+            args.append(seed)
+        elif name == "n" and n is not None:
+            args.append(n)
+        elif name in p:
+            flag, text = f"--param {name}", p.pop(name)
+            if name in ("shifts", "sizes"):
+                args.append(_value(flag, text, _ints, "integers"))
+            elif name == "p":
+                args.append(_value(flag, text, float, "a number"))
+            else:
+                args.append(_value(flag, text, int, "an integer"))
+        elif name in fam.defaults:
+            args.append(fam.defaults[name])
+        else:
             raise HamdgError(
                 f"{family} needs --n" if name == "n"
                 else f"{family} needs parameter {name!r}"
             )
-        return p.pop(name)
-
-    parts = None
-    simple = {
-        "complete_digraph": cons.complete_digraph,
-        "complete_graph": cons.complete_graph,
-        "directed_cycle": cons.directed_cycle,
-        "transitive": cons.transitive_tournament,
-    }
-    extremal_args = {
-        "fig1": ("s",),
-        "fig2": ("n",),
-        "fig3_haggkvist": ("m",),
-        "fig4_square": ("m",),
-        "nw_extremal": ("n", "k"),
-        "two_regular_tournaments": ("d",),
-        "pancyclic_bipartite": ("n",),
-    }
-    if family in simple:
-        g = simple[family](need("n"))
-    elif family == "complete_bipartite":
-        g = cons.complete_bipartite_digraph(need("a"), need("b"))
-    elif family == "circulant":
-        shifts = p.pop("shifts", None)
-        if shifts is not None:
-            try:
-                shifts = tuple(int(x) for x in str(shifts).split(","))
-            except ValueError:
-                raise HamdgError(f"shifts wants integers, got {shifts!r}") from None
-        g = cons.circulant_tournament(need("n"), shifts)
-    elif family == "random_tournament":
-        g = cons.random_tournament(need("n"), seed)
-    elif family == "random_regular_tournament":
-        g = cons.random_regular_tournament(need("n"), seed)
-    elif family == "random_digraph":
-        prob = float(p.pop("p", 0.5))
-        g = cons.random_digraph(need("n"), prob, seed)
-    elif family == "random_regular_graph":
-        g = cons.random_regular_graph(need("n"), need("d"), seed)
-    elif family in extremal_args:
-        g, parts = cons.generate_extremal(
-            family, *(need(name) for name in extremal_args[family])
-        )
-    else:
-        raise HamdgError(f"unknown family {family!r}")
-    if n is not None and not took_n:
+    if n is not None and "n" not in fam.params:
         raise HamdgError(f"{family} takes no --n")
     if p:
         raise HamdgError(f"{family} takes no parameter {', '.join(map(repr, sorted(p)))}")
-    return g, parts
+    made = fam.make(*args)
+    return made if fam.parts else (made, None)
 
 
 def cmd_gen(args) -> int:
@@ -186,17 +177,14 @@ def cmd_solve(args) -> int:
     if args.power is not None:
         h = kth_power_hamilton(g, args.power, budget=budget)
     elif args.pattern is not None:
-        signs = tuple(1 if c == "+" else -1 for c in args.pattern)
-        h = oriented_hamilton(g, OrientationPattern(signs), budget=budget)
+        signs = _value("--pattern", args.pattern, _signs, "'+' and '-' only")
+        order = oriented_hamilton(g, OrientationPattern(signs), budget=budget)
+        h = None if order is None else HamiltonCycle(order)
     elif args.through:
-        pairs = []
-        for tok in args.through.split():
-            u, v = tok.split(",")
-            pairs.append((int(u), int(v)))
-        try:
-            h = hamilton_cycle_through(g, Matching(tuple(pairs)), budget=budget)
-        except CoverFailure:
-            h = None
+        pairs = tuple(
+            _value("--through", tok, _pair, "arcs u,v") for tok in args.through.split()
+        )
+        h = hamilton_cycle_through(g, Matching(pairs), budget=budget)
     else:
         h = find_hamilton_cycle(g, budget=budget)
     if h is None:
@@ -263,7 +251,8 @@ def cmd_cover(args) -> int:
 
 
 def cmd_expander(args) -> int:
-    nu, tau = Fraction(args.nu), Fraction(args.tau)
+    nu = _value("--nu", args.nu, Fraction, "a fraction")
+    tau = _value("--tau", args.tau, Fraction, "a fraction")
     if args.pipeline:
         base = {
             "triangle": (cons.complete_digraph(3), CycleFactor(((0, 1, 2),))),
@@ -419,7 +408,7 @@ def _exp_cover(ns: list[int]) -> tuple[list[dict], bool]:
 
 
 def cmd_experiment(args) -> int:
-    ns = [int(x) for x in args.n.split(",")] if args.n else []
+    ns = list(_value("--n", args.n, _ints, "integers")) if args.n else []
     t0 = time.monotonic()
     if args.name == "kelly":
         rows, ok = _exp_kelly(ns or [3, 5])
@@ -442,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hamdg", description="Hamilton cycles in digraphs at desk scale"
     )
-    default_budget = int(os.environ.get("HAMDG_BUDGET", DEFAULT_BUDGET))
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an instance in exchange format")
@@ -467,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power", type=int)
     p.add_argument("--pattern", help="orientation signs, e.g. ++-+-")
     p.add_argument("--through", help="matching arcs 'u,v u,v ...'")
-    p.add_argument("--budget", type=int, default=default_budget)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("count", help="count Hamilton paths or cycles")
@@ -478,14 +466,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="Hamilton decomposition")
     p.add_argument("--input")
     p.add_argument("--walecki", type=int, metavar="N", help="K_N construction")
-    p.add_argument("--budget", type=int, default=default_budget)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("cover", help="Hamilton cover pipeline")
     p.add_argument("--input", required=True)
     p.add_argument("--graph", action="store_true", help="undirected host")
     p.add_argument("--cap", type=int)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_cover)
 
     p = sub.add_parser("expander", help="robust outexpansion / blow-up pipeline")
@@ -505,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="reproducible experiment tables")
     p.add_argument("name", choices=("kelly", "camion", "cover"))
     p.add_argument("--n", help="comma-separated sizes")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jsonl", action="store_true")
     p.set_defaults(fn=cmd_experiment)
     return ap
@@ -518,9 +504,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BudgetExceeded as e:
         print(f"budget exhausted: {e}", file=sys.stderr)
         return EXIT_BUDGET
-    except (HamdgError, OSError, ValueError) as e:
+    except (HamdgError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

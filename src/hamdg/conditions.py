@@ -14,6 +14,7 @@ from math import factorial
 from typing import Any, Optional
 
 from .core import (
+    INDEPENDENCE_CAP,
     Digraph,
     degree_sequences,
     dominated_pairs,
@@ -309,7 +310,7 @@ def check_connectivity_condition(g: Digraph, rule: str, **params) -> Verdict:
     if rule not in CONNECTIVITY_RULES:
         raise BadParams(f"unknown connectivity rule {rule!r}")
     kappa = vertex_connectivity(g)
-    _, alpha2 = independence_numbers(g, cap=params.get("cap", 30))
+    _, alpha2 = independence_numbers(g, cap=params.get("cap", INDEPENDENCE_CAP))
     if rule == "jackson_factorial":
         needed = 2**alpha2 * factorial(alpha2 + 2)
     else:

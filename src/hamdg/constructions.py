@@ -7,7 +7,8 @@ so structural claims can be asserted without recomputation.  Identical
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -47,18 +48,6 @@ def directed_cycle(n: int) -> Digraph:
     if n < 2:
         raise BadParams("n >= 2")
     return Digraph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def gen_classic(kind: str, *params: int) -> Digraph:
-    table = {
-        "complete_digraph": complete_digraph,
-        "complete_graph": complete_graph,
-        "complete_bipartite_digraph": complete_bipartite_digraph,
-        "directed_cycle": directed_cycle,
-    }
-    if kind not in table:
-        raise BadParams(f"unknown classic kind {kind!r}")
-    return table[kind](*params)
 
 
 # --- tournaments ---------------------------------------------------------
@@ -108,7 +97,7 @@ def random_tournament(n: int, seed: int) -> Digraph:
     return Digraph(n, arcs)
 
 
-def random_regular_tournament(n: int, seed: int, *, steps: Optional[int] = None) -> Digraph:
+def random_regular_tournament(n: int, seed: int) -> Digraph:
     """Seeded regular tournament: circulant start, then triangle-reversal
     switchings (reverse a directed 3-cycle), which preserve all semidegrees."""
     if n % 2 == 0:
@@ -116,9 +105,7 @@ def random_regular_tournament(n: int, seed: int, *, steps: Optional[int] = None)
     g = circulant_tournament(n)
     out = list(g.out)
     rng = np.random.Generator(np.random.Philox(seed))
-    if steps is None:
-        steps = 50 * n * n
-    for _ in range(steps):
+    for _ in range(50 * n * n):
         a, b, c = rng.choice(n, size=3, replace=False)
         a, b, c = int(a), int(b), int(c)
         if out[a] >> b & 1 and out[b] >> c & 1 and out[c] >> a & 1:
@@ -131,18 +118,6 @@ def random_regular_tournament(n: int, seed: int, *, steps: Optional[int] = None)
     return Digraph.from_out_masks(out)
 
 
-def gen_tournament(n: int, kind: str, *, seed: int = 0, shifts=None) -> Digraph:
-    if kind == "circulant":
-        return circulant_tournament(n, shifts)
-    if kind == "random":
-        return random_tournament(n, seed)
-    if kind == "random_regular":
-        return random_regular_tournament(n, seed)
-    if kind == "transitive":
-        return transitive_tournament(n)
-    raise BadParams(f"unknown tournament kind {kind!r}")
-
-
 def random_digraph(n: int, arc_prob: float, seed: int) -> Digraph:
     """Each ordered pair gets an arc independently with probability arc_prob."""
     rng = np.random.Generator(np.random.Philox(seed))
@@ -153,7 +128,7 @@ def random_digraph(n: int, arc_prob: float, seed: int) -> Digraph:
     return Digraph(n, arcs)
 
 
-def random_regular_graph(n: int, d: int, seed: int, *, steps: Optional[int] = None) -> Digraph:
+def random_regular_graph(n: int, d: int, seed: int) -> Digraph:
     """Seeded d-regular undirected graph (as symmetric digraph).
 
     Starts from a circulant base and applies double-edge switchings.
@@ -175,10 +150,8 @@ def random_regular_graph(n: int, d: int, seed: int, *, steps: Optional[int] = No
         for i in range(n // 2):
             add(i, i + n // 2)
     rng = np.random.Generator(np.random.Philox(seed))
-    if steps is None:
-        steps = 30 * n * d
     elist = sorted(edges)
-    for _ in range(steps):
+    for _ in range(30 * n * d):
         i, j = rng.integers(0, len(elist), size=2)
         (a, b), (c, e) = elist[int(i)], elist[int(j)]
         if len({a, b, c, e}) < 4:
@@ -404,17 +377,47 @@ def cycle_blowup(k: int, sizes: Sequence[int]) -> tuple[Digraph, PartMap]:
     return g, {f"V{i}": p for i, p in enumerate(parts)}
 
 
+# --- the family table ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Family:
+    """A generator and the names of its positional parameters, in call
+    order; ``seed`` is the caller's seed.  ``defaults`` holds the optional
+    parameters, and a ``parts`` family also returns a part map."""
+
+    make: Callable
+    params: tuple[str, ...]
+    parts: bool = False
+    defaults: dict = field(default_factory=dict)
+
+
+FAMILIES: dict[str, Family] = {
+    "complete_digraph": Family(complete_digraph, ("n",)),
+    "complete_graph": Family(complete_graph, ("n",)),
+    "complete_bipartite": Family(complete_bipartite_digraph, ("a", "b")),
+    "directed_cycle": Family(directed_cycle, ("n",)),
+    "transitive": Family(transitive_tournament, ("n",)),
+    "circulant": Family(circulant_tournament, ("n", "shifts"), defaults={"shifts": None}),
+    "random_tournament": Family(random_tournament, ("n", "seed")),
+    "random_regular_tournament": Family(random_regular_tournament, ("n", "seed")),
+    "random_digraph": Family(random_digraph, ("n", "p", "seed"), defaults={"p": 0.5}),
+    "random_regular_graph": Family(random_regular_graph, ("n", "d", "seed")),
+    "fig1": Family(fig1, ("s",), parts=True),
+    "fig2": Family(fig2, ("n",), parts=True),
+    "fig3_haggkvist": Family(fig3_haggkvist, ("m",), parts=True),
+    "fig4_square": Family(fig4_square, ("m",), parts=True),
+    "nw_extremal": Family(nw_extremal, ("n", "k"), parts=True),
+    "two_regular_tournaments": Family(two_regular_tournaments, ("d",), parts=True),
+    "pancyclic_bipartite": Family(pancyclic_bipartite, ("n",), parts=True),
+    "cycle_blowup": Family(cycle_blowup, ("k", "sizes"), parts=True),
+}
+
+
 def generate_extremal(family: str, *params) -> tuple[Digraph, PartMap]:
-    table = {
-        "fig1": fig1,
-        "fig2": fig2,
-        "fig3_haggkvist": fig3_haggkvist,
-        "fig4_square": fig4_square,
-        "nw_extremal": nw_extremal,
-        "two_regular_tournaments": two_regular_tournaments,
-        "pancyclic_bipartite": pancyclic_bipartite,
-        "cycle_blowup": cycle_blowup,
-    }
-    if family not in table:
+    """A family of ``FAMILIES`` that returns a part map, built from its
+    positional parameters."""
+    fam = FAMILIES.get(family)
+    if fam is None or not fam.parts:
         raise BadParams(f"unknown extremal family {family!r}")
-    return table[family](*params)
+    return fam.make(*params)

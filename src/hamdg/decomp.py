@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -36,14 +36,6 @@ class Decomposition:
 @dataclass(frozen=True)
 class Cover:
     cycles: tuple[HamiltonCycle, ...]
-
-    def multiplicity(self, g: Digraph, *, directed: bool = True) -> dict:
-        counts: dict = {}
-        for h in self.cycles:
-            for u, v in h.arcs():
-                key = (u, v) if directed else (min(u, v), max(u, v))
-                counts[key] = counts.get(key, 0) + 1
-        return counts
 
 
 @dataclass(frozen=True)
@@ -275,110 +267,75 @@ class CoverReport:
     benchmark: dict[str, int]  # (1/2+xi)n reference sizes
 
 
-def _leftover_matchings(leftover_undirected: Digraph, cap: int) -> list[Matching]:
-    coloring = vizing_color(leftover_undirected)
-    pieces: list[Matching] = []
-    for cls in coloring.classes:
-        pieces.extend(split_matching(Matching(tuple(cls)), cap))
-    return pieces
+# cover_tournament tries an exact decomposition first up to this order.
+EXACT_MAX_N = 9
+# Relabelled greedy extractions tried after the first one fails to route.
+RESTARTS = 3
 
 
 def cover_tournament(
-    g: Digraph,
-    *,
-    cap: Optional[int] = None,
-    budget: int = DEFAULT_BUDGET,
-    exact_max_n: int = 9,
-    restarts: int = 3,
+    g: Digraph, *, cap: Optional[int] = None, budget: int = DEFAULT_BUDGET
 ) -> CoverReport:
-    """Cover every arc of a regular tournament with Hamilton cycles.
-
-    Pipeline: exact decomposition when feasible, otherwise greedy
-    extraction; Vizing-colour the leftover's underlying graph; split the
-    colour classes into matchings of size at most ``cap``; finish each
-    matching with a Hamilton cycle through it.
-    """
+    """Cover every arc of a regular tournament with Hamilton cycles: an
+    exact decomposition if one exists and n <= ``EXACT_MAX_N``, otherwise
+    the pipeline of ``_cover``."""
     if not is_tournament(g):
         raise BadParams("cover_tournament expects a tournament")
     n = g.n
     r = (n - 1) // 2
     if any(g.out_deg(v) != r for v in range(n)):
         raise BadParams("cover_tournament expects a regular tournament")
-    if cap is None:
-        cap = max(1, math.isqrt(n - 1) + 1)  # ceil(sqrt(n)) shape
-    last_fail: Optional[CoverFailure] = None
-    for attempt in range(restarts + 1):
-        if n <= exact_max_n and attempt == 0:
-            dec = decompose_exact(g, budget=budget)
-            if dec is not None:
-                return CoverReport(
-                    Cover(dec.cycles), len(dec.cycles), 0, _benchmarks(n)
-                )
-            extracted, leftover = greedy_extract(g, budget=budget)
-        else:
-            seed = None if attempt == 0 else attempt
-            extracted, leftover = greedy_extract(g, budget=budget, order_seed=seed)
-        try:
-            fill = _route_matchings(g, leftover.symmetrize(), cap, budget, directed=True)
-            cycles = tuple(extracted) + tuple(fill)
-            return CoverReport(Cover(cycles), len(extracted), len(fill), _benchmarks(n))
-        except CoverFailure as exc:
-            last_fail = exc
-    raise last_fail  # type: ignore[misc]
-
-
-def _route_matchings(
-    host: Digraph, leftover_und: Digraph, cap: int, budget: int, *, directed: bool
-) -> list[HamiltonCycle]:
-    out = []
-    for m in _leftover_matchings(leftover_und, cap):
-        if directed:
-            oriented = Matching(
-                tuple(
-                    (u, v) if host.has_arc(u, v) else (v, u) for u, v in sorted(m.arcs)
-                )
-            )
-            h = hamilton_cycle_through(host, oriented, budget=budget)
-        else:
-            # orientation trick: orient the matching low -> high, double
-            # every other edge of the host graph
-            oriented = Matching(tuple(sorted(m.arcs)))
-            doubled = host.without_arcs([(v, u) for u, v in oriented.arcs])
-            h = hamilton_cycle_through(doubled, oriented, budget=budget)
-        if h is None:
-            raise CoverFailure(m)
-        out.append(h)
-    return out
+    if n <= EXACT_MAX_N:
+        dec = decompose_exact(g, budget=budget)
+        if dec is not None:
+            return CoverReport(Cover(dec.cycles), len(dec.cycles), 0, _benchmarks(n))
+    return _cover(g, cap, budget, both_ways=False)
 
 
 def cover_regular_graph(
-    g: Digraph,
-    *,
-    cap: Optional[int] = None,
-    budget: int = DEFAULT_BUDGET,
-    restarts: int = 3,
+    g: Digraph, *, cap: Optional[int] = None, budget: int = DEFAULT_BUDGET
 ) -> CoverReport:
     """Cover every edge of a regular undirected graph (symmetric digraph)
-    with Hamilton cycles, edge reuse allowed."""
+    with Hamilton cycles, edge reuse allowed (``_cover``)."""
     if not g.is_symmetric():
         raise BadParams("cover_regular_graph expects a symmetric digraph")
-    n = g.n
-    degs = {popcount(g.out[v]) for v in range(n)}
-    if len(degs) != 1:
+    if len({popcount(row) for row in g.out}) != 1:
         raise BadParams("cover_regular_graph expects a regular graph")
+    return _cover(g, cap, budget, both_ways=True)
+
+
+def _cover(
+    g: Digraph, cap: Optional[int], budget: int, *, both_ways: bool
+) -> CoverReport:
+    """Extract Hamilton cycles greedily (removing reverses too if
+    ``both_ways``), Vizing-colour the leftover's underlying graph, split the
+    colour classes into matchings of size at most ``cap`` and finish each
+    matching with a Hamilton cycle through it.  A matching with no such
+    cycle restarts from a relabelled extraction, ``RESTARTS`` times; then
+    the last ``CoverFailure`` is raised.
+
+    Each matching edge is oriented as the host has it, low -> high on a
+    symmetric host.  The reverse arcs need not be removed there: contraction
+    maps the reverse of a matching arc to a self-loop, which it drops."""
     if cap is None:
-        cap = max(1, math.isqrt(n - 1) + 1)
-    last_fail: Optional[CoverFailure] = None
-    for attempt in range(restarts + 1):
-        seed = None if attempt == 0 else attempt
-        extracted, rest = greedy_extract_undirected(g, budget=budget, order_seed=seed)
-        try:
-            fill = _route_matchings(g, rest, cap, budget, directed=False)
+        cap = max(1, math.isqrt(g.n - 1) + 1)  # ceil(sqrt(n)) shape
+    extract = greedy_extract_undirected if both_ways else greedy_extract
+    for attempt in range(RESTARTS + 1):
+        extracted, leftover = extract(g, budget=budget, order_seed=attempt or None)
+        coloring = vizing_color(leftover.symmetrize())
+        pieces = [m for cls in coloring.classes for m in split_matching(Matching(cls), cap)]
+        fill: list[HamiltonCycle] = []
+        for m in pieces:
+            oriented = tuple((u, v) if g.has_arc(u, v) else (v, u) for u, v in m.arcs)
+            h = hamilton_cycle_through(g, Matching(oriented), budget=budget)
+            if h is None:
+                failure = CoverFailure(m)
+                break
+            fill.append(h)
+        else:
             cycles = tuple(extracted) + tuple(fill)
-            return CoverReport(Cover(cycles), len(extracted), len(fill), _benchmarks(n))
-        except CoverFailure as exc:
-            last_fail = exc
-    raise last_fail  # type: ignore[misc]
+            return CoverReport(Cover(cycles), len(extracted), len(fill), _benchmarks(g.n))
+    raise failure
 
 
 def greedy_extract_undirected(

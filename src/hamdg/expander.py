@@ -63,6 +63,8 @@ def robust_out_nbhd(g: Digraph, s: set[int] | int, nu) -> set[int]:
 
 
 _SCAN_BLOCK = 1 << 16
+# Largest order the exact robust-expansion scan accepts; it costs O(2^n n).
+ROBUST_EXACT_CAP = 20
 
 
 def _first_robust_violation(
@@ -97,7 +99,6 @@ def is_robust_outexpander(
     mode: str = "exact",
     trials: int = 10_000,
     seed: int = 0,
-    exact_cap: int = 20,
 ) -> Verdict:
     """Check |RN+_nu(S)| >= |S| + nu*n for all S with tau*n < |S| < (1-tau)*n.
 
@@ -128,8 +129,8 @@ def is_robust_outexpander(
         return None
 
     if mode == "exact":
-        if n > exact_cap:
-            raise BudgetExceeded(f"exact mode capped at n <= {exact_cap}")
+        if n > ROBUST_EXACT_CAP:
+            raise BudgetExceeded(f"exact mode capped at n <= {ROBUST_EXACT_CAP}")
         mask = _first_robust_violation(g, t, sizes, need)
         if mask is not None:
             return Verdict("robust_outexpander", False, violates(mask))
@@ -196,6 +197,10 @@ class BipartitePair:
         return [sum(r >> j & 1 for r in self.rows) for j in range(self.nb)]
 
 
+# Largest side the exact regular-pair scan accepts; it tries every X.
+PAIR_EXACT_CAP = 14
+
+
 def epsilon_regular_pair(
     pair: BipartitePair,
     eps,
@@ -203,7 +208,6 @@ def epsilon_regular_pair(
     mode: str = "exact",
     trials: int = 10_000,
     seed: int = 0,
-    exact_cap: int = 14,
 ) -> tuple[Verdict, Fraction]:
     """Is |d(X,Y) - d(A,B)| < eps for all X,Y with |X| >= eps|A|,
     |Y| >= eps|B|?  Returns (verdict, overall density as exact rational).
@@ -248,8 +252,8 @@ def epsilon_regular_pair(
         return None
 
     if mode == "exact":
-        if na > exact_cap or nb > exact_cap:
-            raise BudgetExceeded(f"exact mode capped at sides <= {exact_cap}")
+        if na > PAIR_EXACT_CAP or nb > PAIR_EXACT_CAP:
+            raise BudgetExceeded(f"exact mode capped at sides <= {PAIR_EXACT_CAP}")
         for xmask in range(1, 1 << na):
             if popcount(xmask) >= xmin:
                 wit = check_x(xmask)

@@ -4,14 +4,16 @@ These are the original, unoptimised versions of the library's hot layers:
 the expander pipeline, the recursive Hamilton search, the Hamilton counting
 DP, max-flow connectivity, the exact robust-expansion scan and the six
 recursive sequence searches (fixed-length cycles, cycle powers, k-ordered
-cycles, oriented patterns, cycle factors, tree embedding).  The
-library's fast paths must return exactly what these return: the same
-matching, the same host digraph, the same cycle order, the same counts, the
-same verdict and witness.
+cycles, oriented patterns, cycle factors, tree embedding), and the two
+cover pipelines, each with its own restart loop.  The library's fast paths
+must return exactly what these return: the same matching, the same host
+digraph, the same cycle order, the same counts, the same verdict and
+witness, the same cover or the same failing matching.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -22,13 +24,26 @@ from hamdg.core import (
     CycleFactor,
     Digraph,
     HamiltonCycle,
+    Matching,
     bits,
     is_oriented,
     is_strongly_connected,
+    is_tournament,
     popcount,
 )
-from hamdg.errors import BadParams, BudgetExceeded
+from hamdg.decomp import (
+    Cover,
+    CoverReport,
+    _benchmarks,
+    decompose_exact,
+    greedy_extract,
+    greedy_extract_undirected,
+    split_matching,
+    vizing_color,
+)
+from hamdg.errors import BadParams, BudgetExceeded, CoverFailure
 from hamdg.expander import ClusterBlowup, ReducedDigraph, robust_threshold
+from hamdg.solvers import DEFAULT_BUDGET, hamilton_cycle_through
 
 
 def bipartite_matching(n_left: int, adj: Sequence[int]) -> Optional[list[int]]:
@@ -653,3 +668,107 @@ def embed_tree(host: Digraph, tree: Digraph, b: Nodes) -> Optional[dict[int, int
     if place(0):
         return dict(assign)
     return None
+
+
+# --- the two cover pipelines ---------------------------------------------
+
+
+def _leftover_matchings(leftover_undirected: Digraph, cap: int) -> list[Matching]:
+    coloring = vizing_color(leftover_undirected)
+    pieces: list[Matching] = []
+    for cls in coloring.classes:
+        pieces.extend(split_matching(Matching(tuple(cls)), cap))
+    return pieces
+
+
+def cover_tournament(
+    g: Digraph,
+    *,
+    cap: Optional[int] = None,
+    budget: int = DEFAULT_BUDGET,
+    exact_max_n: int = 9,
+    restarts: int = 3,
+) -> CoverReport:
+    """Exact decomposition on the first attempt up to ``exact_max_n``, then
+    greedy extraction and routing with its own restart loop."""
+    if not is_tournament(g):
+        raise BadParams("cover_tournament expects a tournament")
+    n = g.n
+    r = (n - 1) // 2
+    if any(g.out_deg(v) != r for v in range(n)):
+        raise BadParams("cover_tournament expects a regular tournament")
+    if cap is None:
+        cap = max(1, math.isqrt(n - 1) + 1)
+    last_fail: Optional[CoverFailure] = None
+    for attempt in range(restarts + 1):
+        if n <= exact_max_n and attempt == 0:
+            dec = decompose_exact(g, budget=budget)
+            if dec is not None:
+                return CoverReport(
+                    Cover(dec.cycles), len(dec.cycles), 0, _benchmarks(n)
+                )
+            extracted, leftover = greedy_extract(g, budget=budget)
+        else:
+            seed = None if attempt == 0 else attempt
+            extracted, leftover = greedy_extract(g, budget=budget, order_seed=seed)
+        try:
+            fill = _route_matchings(g, leftover.symmetrize(), cap, budget, directed=True)
+            cycles = tuple(extracted) + tuple(fill)
+            return CoverReport(Cover(cycles), len(extracted), len(fill), _benchmarks(n))
+        except CoverFailure as exc:
+            last_fail = exc
+    raise last_fail  # type: ignore[misc]
+
+
+def _route_matchings(
+    host: Digraph, leftover_und: Digraph, cap: int, budget: int, *, directed: bool
+) -> list[HamiltonCycle]:
+    """Directed: orient each matching edge as the host has it.  Undirected:
+    orient it low -> high and route in the host with the reverse matching
+    arcs removed (``doubled``)."""
+    out = []
+    for m in _leftover_matchings(leftover_und, cap):
+        if directed:
+            oriented = Matching(
+                tuple(
+                    (u, v) if host.has_arc(u, v) else (v, u) for u, v in sorted(m.arcs)
+                )
+            )
+            h = hamilton_cycle_through(host, oriented, budget=budget)
+        else:
+            oriented = Matching(tuple(sorted(m.arcs)))
+            doubled = host.without_arcs([(v, u) for u, v in oriented.arcs])
+            h = hamilton_cycle_through(doubled, oriented, budget=budget)
+        if h is None:
+            raise CoverFailure(m)
+        out.append(h)
+    return out
+
+
+def cover_regular_graph(
+    g: Digraph,
+    *,
+    cap: Optional[int] = None,
+    budget: int = DEFAULT_BUDGET,
+    restarts: int = 3,
+) -> CoverReport:
+    """Greedy undirected extraction and routing with its own restart loop."""
+    if not g.is_symmetric():
+        raise BadParams("cover_regular_graph expects a symmetric digraph")
+    n = g.n
+    degs = {popcount(g.out[v]) for v in range(n)}
+    if len(degs) != 1:
+        raise BadParams("cover_regular_graph expects a regular graph")
+    if cap is None:
+        cap = max(1, math.isqrt(n - 1) + 1)
+    last_fail: Optional[CoverFailure] = None
+    for attempt in range(restarts + 1):
+        seed = None if attempt == 0 else attempt
+        extracted, rest = greedy_extract_undirected(g, budget=budget, order_seed=seed)
+        try:
+            fill = _route_matchings(g, rest, cap, budget, directed=False)
+            cycles = tuple(extracted) + tuple(fill)
+            return CoverReport(Cover(cycles), len(extracted), len(fill), _benchmarks(n))
+        except CoverFailure as exc:
+            last_fail = exc
+    raise last_fail  # type: ignore[misc]

@@ -4,9 +4,11 @@ import hashlib
 
 import pytest
 
+from hamdg import cli
 from hamdg import io as hio
 from hamdg.cli import main
 from hamdg.constructions import circulant_tournament
+from hamdg.solvers import OrientationPattern, validate_oriented
 
 
 def run(capsys, *argv):
@@ -135,6 +137,15 @@ class TestSolveCount:
         assert code == 0
         assert out == " ".join(["CYCLE", "1", "1200"] + [str(v) for v in range(1200)]) + "\n"
 
+    def test_pattern_emits_cycle_record(self, capsys, tmp_path):
+        path = str(tmp_path / "t.dg")
+        run(capsys, "gen", "--family", "circulant", "--n", "7", "--output", path)
+        code, out, _ = run(capsys, "solve", "--input", path, "--pattern", "+++++++")
+        assert code == 0
+        order = hio.parse_cycle(out.strip()).order
+        pattern = OrientationPattern((1,) * 7)
+        assert validate_oriented(circulant_tournament(7), order, pattern, closed=True)
+
     def test_budget_exit_3(self, capsys, tmp_path):
         path = str(tmp_path / "t.dg")
         run(capsys, "gen", "--family", "complete_digraph", "--n", "12", "--output", path)
@@ -246,8 +257,8 @@ class TestExperiment:
         assert "kelly-n5,5,24,24,2,True" in out
 
     def test_reruns_byte_identical(self, capsys):
-        _, out1, _ = run(capsys, "experiment", "cover", "--n", "5,7", "--seed", "3")
-        _, out2, _ = run(capsys, "experiment", "cover", "--n", "5,7", "--seed", "3")
+        _, out1, _ = run(capsys, "experiment", "cover", "--n", "5,7")
+        _, out2, _ = run(capsys, "experiment", "cover", "--n", "5,7")
         assert out1 == out2
 
     def test_jsonl_flag(self, capsys):
@@ -260,3 +271,47 @@ class TestUsage:
         with pytest.raises(SystemExit) as e:
             main(["frobnicate"])
         assert e.value.code == 2
+
+    def test_removed_seed_flag_is_rejected(self):
+        with pytest.raises(SystemExit) as e:
+            main(["cover", "--input", "g.dg", "--seed", "1"])
+        assert e.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (("expander", "--nu", "1/0"), "--nu"),
+            (("expander", "--tau", "a"), "--tau"),
+            (("solve", "--through", "0,1,2"), "--through"),
+            (("solve", "--pattern", "++x"), "--pattern"),
+        ],
+    )
+    def test_bad_value_is_usage_error(self, capsys, tmp_path, argv, flag):
+        path = str(tmp_path / "t.dg")
+        run(capsys, "gen", "--family", "circulant", "--n", "3", "--output", path)
+        code, out, err = run(capsys, *argv, "--input", path)
+        assert code == 2 and out == "" and flag in err
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (("experiment", "cover", "--n", "5,x"), "--n"),
+            (("gen", "--family", "random_digraph", "--n", "4", "--param", "p=x"), "--param p"),
+            (("gen", "--family", "fig1", "--param", "s=two"), "--param s"),
+        ],
+    )
+    def test_bad_parameter_is_usage_error(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and flag in err
+
+    def test_internal_error_exit_4(self, capsys, tmp_path, monkeypatch):
+        path = str(tmp_path / "t.dg")
+        run(capsys, "gen", "--family", "circulant", "--n", "5", "--output", path)
+
+        def broken(g, budget):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "find_hamilton_cycle", broken)
+        code, out, err = run(capsys, "solve", "--input", path)
+        assert code == 4 and out == ""
+        assert "Traceback" in err and "ValueError: internal fault" in err

@@ -7,9 +7,6 @@ from hamdg.constructions import (
     complete_bipartite_digraph,
     complete_digraph,
     complete_graph,
-    directed_cycle,
-    gen_classic,
-    gen_tournament,
     generate_extremal,
     random_digraph,
     random_regular_graph,
@@ -42,11 +39,6 @@ class TestClassic:
         g = complete_bipartite_digraph(2, 3)
         assert g.m == 12
         assert not g.has_arc(0, 1) and g.has_arc(0, 2)
-
-    def test_dispatcher(self):
-        assert gen_classic("directed_cycle", 5) == directed_cycle(5)
-        with pytest.raises(BadParams):
-            gen_classic("petersen", 10)
 
 
 class TestTournaments:
@@ -85,10 +77,6 @@ class TestTournaments:
         a = random_regular_tournament(9, seed=1)
         b = random_regular_tournament(9, seed=2)
         assert a != b
-
-    def test_dispatcher(self):
-        assert gen_tournament(7, "circulant") == circulant_tournament(7)
-        assert is_tournament(gen_tournament(6, "random", seed=0))
 
 
 class TestRandomGraphs:
@@ -178,3 +166,7 @@ class TestExtremal:
     def test_unknown_family(self):
         with pytest.raises(BadParams):
             generate_extremal("fig9", 1)
+
+    def test_family_without_part_map_is_not_extremal(self):
+        with pytest.raises(BadParams):
+            generate_extremal("circulant", 7)

@@ -22,13 +22,23 @@ from hamdg.constructions import (
     fig1,
     fig2,
     complete_digraph,
+    complete_graph,
     directed_cycle,
     random_digraph,
     random_regular_graph,
+    random_regular_tournament,
     random_tournament,
 )
-from hamdg.core import CycleFactor, Digraph, _vertex_disjoint_paths, vertex_connectivity
-from hamdg.errors import BadParams, BudgetExceeded
+from hamdg.core import (
+    CycleFactor,
+    Digraph,
+    Matching,
+    _vertex_disjoint_paths,
+    contract_matching,
+    vertex_connectivity,
+)
+from hamdg.decomp import cover_regular_graph, cover_tournament
+from hamdg.errors import BadParams, BudgetExceeded, CoverFailure
 from hamdg.expander import (
     ReducedDigraph,
     _restrict,
@@ -788,3 +798,65 @@ class TestSequenceSearchesPastOldLimits:
     def test_pancyclic_at_21(self):
         rep = is_pancyclic(circulant_tournament(21))
         assert rep.holds and sorted(rep.cycles) == list(range(3, 22))
+
+
+# --- one cover loop against the two pipelines it replaced ------------------
+
+
+def _cover_outcome(cover, g):
+    """The report, or the matching a CoverFailure names."""
+    try:
+        return cover(g)
+    except CoverFailure as exc:
+        return exc.matching
+
+
+class TestCoverLoop:
+    @pytest.mark.parametrize("n,d", [(24, 4), (24, 5), (24, 6), (20, 4)])
+    def test_equal_on_random_regular_graphs(self, n, d):
+        for seed in range(50):
+            g = random_regular_graph(n, d, seed)
+            want = _cover_outcome(oracles.cover_regular_graph, g)
+            assert _cover_outcome(cover_regular_graph, g) == want
+
+    def test_equal_failure_on_a_known_graph(self):
+        # a leftover matching that no Hamilton cycle runs through with every
+        # edge oriented low -> high, on every restart
+        g = random_regular_graph(24, 4, 1054104823)
+        with pytest.raises(CoverFailure) as want:
+            oracles.cover_regular_graph(g)
+        with pytest.raises(CoverFailure) as got:
+            cover_regular_graph(g)
+        assert got.value.matching == want.value.matching
+
+    @pytest.mark.parametrize("n", range(9, 22, 2))
+    def test_equal_on_random_regular_tournaments(self, n):
+        for seed in range(4):
+            g = random_regular_tournament(n, seed)
+            want = _cover_outcome(oracles.cover_tournament, g)
+            assert _cover_outcome(cover_tournament, g) == want
+
+    def test_equal_on_circulants(self):
+        for n in range(5, 26, 2):
+            g = circulant_tournament(n)
+            assert cover_tournament(g) == oracles.cover_tournament(g)
+
+    def test_equal_on_complete_graphs(self):
+        # K25 is left out: its last extraction is an 8 s exhaustive search
+        for n in range(5, 24, 2):
+            g = complete_graph(n)
+            assert cover_regular_graph(g) == oracles.cover_regular_graph(g)
+
+    def test_contraction_drops_reverse_matching_arcs(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            n = rng.randint(2, 16)
+            g = random_digraph(n, rng.random(), rng.randrange(10**6)).symmetrize()
+            free, arcs = set(range(n)), []
+            for u, v in rng.sample(g.undirected_edges(), len(g.undirected_edges())):
+                if u in free and v in free:
+                    free -= {u, v}
+                    arcs.append((u, v) if rng.random() < 0.5 else (v, u))
+            m = Matching(tuple(arcs))
+            doubled = g.without_arcs([(v, u) for u, v in arcs])
+            assert contract_matching(g, m)[0] == contract_matching(doubled, m)[0]
