@@ -2,8 +2,8 @@
 covers, expander checks, and reproducible experiment tables.
 
 Exit codes: 0 success, 1 negative verdict (e.g. no Hamilton cycle),
-2 usage error, 3 search budget exhausted, 4 internal error (the traceback
-goes to stderr).
+2 usage error, 3 no answer within the search limits (node budget or cover
+restarts exhausted), 4 internal error (the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .decomp import (
     validate as validate_cover,
     walecki,
 )
-from .errors import BudgetExceeded, HamdgError
+from .errors import BudgetExceeded, CoverFailure, HamdgError
 from .expander import (
     OneFactorF,
     ReducedDigraph,
@@ -503,6 +503,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.fn(args)
     except BudgetExceeded as e:
         print(f"budget exhausted: {e}", file=sys.stderr)
+        return EXIT_BUDGET
+    except CoverFailure as e:
+        print(f"cover restarts exhausted: {e}", file=sys.stderr)
         return EXIT_BUDGET
     except (HamdgError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -12,7 +12,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Digraph
+from .core import Digraph, int_rows
 from .errors import BadParams
 
 PartMap = dict[str, list[int]]
@@ -36,18 +36,14 @@ def complete_graph(n: int) -> Digraph:
 def complete_bipartite_digraph(a: int, b: int) -> Digraph:
     if a < 1 or b < 1:
         raise BadParams("class sizes >= 1")
-    arcs = []
-    for u in range(a):
-        for v in range(a, a + b):
-            arcs.append((u, v))
-            arcs.append((v, u))
-    return Digraph(a + b, arcs)
+    left, right = (1 << a) - 1, ((1 << b) - 1) << a
+    return Digraph.from_out_masks([right] * a + [left] * b)
 
 
 def directed_cycle(n: int) -> Digraph:
     if n < 2:
         raise BadParams("n >= 2")
-    return Digraph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Digraph.from_out_masks([1 << ((i + 1) % n) for i in range(n)])
 
 
 # --- tournaments ---------------------------------------------------------
@@ -65,7 +61,6 @@ def circulant_tournament(n: int, shifts: Optional[Sequence[int]] = None) -> Digr
         raise BadParams("need n >= 1")
     if shifts is None:
         shifts = range(1, (n - 1) // 2 + 1)
-    shifts = sorted(set(shifts))
     chosen = set(shifts)
     if n % 2 == 0 and n // 2 in chosen:
         raise BadParams("the n/2 shift is handled implicitly for even n")
@@ -74,14 +69,21 @@ def circulant_tournament(n: int, shifts: Optional[Sequence[int]] = None) -> Digr
             continue
         if (d in chosen) == (n - d in chosen):
             raise BadParams("shifts must pick exactly one of d, n-d for each d")
-    arcs = [(i, (i + s) % n) for i in range(n) for s in shifts]
+    full = (1 << n) - 1
+    base = 0
+    for s in chosen:
+        base |= 1 << (s % n)
+    # row i is the shift pattern rotated left by i within n bits
+    out = [(base << i | base >> (n - i)) & full for i in range(n)]
     if n % 2 == 0:
-        arcs += [(i, i + n // 2) for i in range(n // 2)]
-    return Digraph(n, arcs)
+        for i in range(n // 2):
+            out[i] |= 1 << (i + n // 2)
+    return Digraph.from_out_masks(out)
 
 
 def transitive_tournament(n: int) -> Digraph:
-    return Digraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    full = (1 << n) - 1
+    return Digraph.from_out_masks([full >> (i + 1) << (i + 1) for i in range(n)])
 
 
 def random_tournament(n: int, seed: int) -> Digraph:
@@ -121,11 +123,11 @@ def random_regular_tournament(n: int, seed: int) -> Digraph:
 def random_digraph(n: int, arc_prob: float, seed: int) -> Digraph:
     """Each ordered pair gets an arc independently with probability arc_prob."""
     rng = np.random.Generator(np.random.Philox(seed))
-    sample = rng.random((n, n))
-    arcs = [
-        (u, v) for u in range(n) for v in range(n) if u != v and sample[u, v] < arc_prob
-    ]
-    return Digraph(n, arcs)
+    keep = rng.random((n, n)) < arc_prob
+    np.fill_diagonal(keep, False)
+    return Digraph.from_out_masks(
+        int_rows(np.packbits(keep, axis=1, bitorder="little"))
+    )
 
 
 def random_regular_graph(n: int, d: int, seed: int) -> Digraph:

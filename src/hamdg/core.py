@@ -12,9 +12,21 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
+import numpy as np
+
 from .errors import ArcMissing, BadParams, BudgetExceeded, NotAMatching
 
 INDEPENDENCE_CAP = 30
+
+# in-rows of digraphs with at least this many vertices come from a numpy
+# bit transpose, which costs about 20 µs a call plus up to 1 µs a vertex;
+# the per-arc loop costs about 0.25 µs an arc, so it stays below the gate,
+# where the cover and decide paths build small sparse digraphs by the
+# thousand
+TRANSPOSE_MIN_N = 32
+# bytes of unpacked bits per transpose block, so the transient memory is
+# one block on top of the O(n^2/8) packed rows
+_TRANSPOSE_BLOCK_BYTES = 8 << 20
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -27,6 +39,16 @@ def bits(mask: int) -> Iterator[int]:
 
 def popcount(mask: int) -> int:
     return mask.bit_count()
+
+
+def int_rows(packed: np.ndarray) -> list[int]:
+    """Bit rows from a 2-D uint8 array of rows packed little-endian (as
+    ``np.packbits(..., axis=1, bitorder="little")`` gives them)."""
+    data, width = packed.tobytes(), packed.shape[1]
+    return [
+        int.from_bytes(data[i * width : (i + 1) * width], "little")
+        for i in range(len(packed))
+    ]
 
 
 class Digraph:
@@ -48,14 +70,32 @@ class Digraph:
 
     @staticmethod
     def _derive_in(n: int, out: Sequence[int]) -> tuple[int, ...]:
-        inn = [0] * n
-        for u in range(n):
-            m = out[u]
-            while m:
-                b = m & -m
-                inn[b.bit_length() - 1] |= 1 << u
-                m ^= b
-        return tuple(inn)
+        """In-rows from out-rows: bit u of row v is bit v of ``out[u]``."""
+        if n < TRANSPOSE_MIN_N:
+            inn = [0] * n
+            for u in range(n):
+                m = out[u]
+                while m:
+                    b = m & -m
+                    inn[b.bit_length() - 1] |= 1 << u
+                    m ^= b
+            return tuple(inn)
+        width = (n + 7) // 8
+        rows = np.frombuffer(
+            b"".join(row.to_bytes(width, "little") for row in out), np.uint8
+        ).reshape(n, width)
+        cols = np.empty((n, width), np.uint8)
+        # blocks of a multiple of 8 rows, so each block fills whole bytes of
+        # the transposed rows; the last block's pad bits are zero
+        step = max(8, _TRANSPOSE_BLOCK_BYTES // n // 8 * 8)
+        for lo in range(0, n, step):
+            block = np.unpackbits(
+                rows[lo : lo + step], axis=1, count=n, bitorder="little"
+            )
+            cols[:, lo // 8 : (lo + step) // 8] = np.packbits(
+                block.T, axis=1, bitorder="little"
+            )
+        return tuple(int_rows(cols))
 
     @classmethod
     def from_out_masks(cls, masks: Sequence[int]) -> "Digraph":

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .conditions import Verdict, _frac
-from .core import CycleFactor, Digraph, HamiltonCycle, bits, popcount
+from .core import CycleFactor, Digraph, HamiltonCycle, bits, int_rows, popcount
 from .errors import (
     BadParams,
     BudgetExceeded,
@@ -540,14 +540,11 @@ def make_cluster_blowup(
         # time (Philox yields the same stream either way); rows below the
         # degree floor become complete
         keep = rng.random((m, m)) < pair_density
-        packed = np.packbits(keep, axis=1, bitorder="little").tobytes()
-        width = len(packed) // m
+        rows = int_rows(np.packbits(keep, axis=1, bitorder="little"))
         thin = (keep.sum(axis=1) < min_pair_degree).tolist()
         shift = cj * m
         for i, a in enumerate(clusters[ci]):
-            row = full if thin[i] else int.from_bytes(
-                packed[i * width : (i + 1) * width], "little")
-            out[a] |= row << shift
+            out[a] |= (full if thin[i] else rows[i]) << shift
     for i, (t_c, u_c) in enumerate(demands):
         a = exc[i]
         out[a] |= full << (t_c * m)

@@ -4,11 +4,12 @@ These are the original, unoptimised versions of the library's hot layers:
 the expander pipeline, the recursive Hamilton search, the Hamilton counting
 DP, max-flow connectivity, the exact robust-expansion scan and the six
 recursive sequence searches (fixed-length cycles, cycle powers, k-ordered
-cycles, oriented patterns, cycle factors, tree embedding), and the two
-cover pipelines, each with its own restart loop.  The library's fast paths
-must return exactly what these return: the same matching, the same host
-digraph, the same cycle order, the same counts, the same verdict and
-witness, the same cover or the same failing matching.
+cycles, oriented patterns, cycle factors, tree embedding), the two cover
+pipelines, each with its own restart loop, the per-arc in-row derivation
+and the arc-list builds of the dense constructions.  The library's fast
+paths must return exactly what these return: the same matching, the same
+host digraph, the same cycle order, the same counts, the same verdict and
+witness, the same cover or the same failing matching, the same rows.
 """
 
 from __future__ import annotations
@@ -772,3 +773,54 @@ def cover_regular_graph(
         except CoverFailure as exc:
             last_fail = exc
     raise last_fail  # type: ignore[misc]
+
+
+# --- in-rows and the arc-list constructions -------------------------------
+
+
+def derive_in(n: int, out: Sequence[int]) -> tuple[int, ...]:
+    """In-rows built one arc at a time."""
+    inn = [0] * n
+    for u in range(n):
+        m = out[u]
+        while m:
+            b = m & -m
+            inn[b.bit_length() - 1] |= 1 << u
+            m ^= b
+    return tuple(inn)
+
+
+def complete_bipartite_digraph(a: int, b: int) -> Digraph:
+    arcs = []
+    for u in range(a):
+        for v in range(a, a + b):
+            arcs.append((u, v))
+            arcs.append((v, u))
+    return Digraph(a + b, arcs)
+
+
+def directed_cycle(n: int) -> Digraph:
+    return Digraph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def circulant_tournament(n: int, shifts: Optional[Sequence[int]] = None) -> Digraph:
+    """Arcs i -> i+s (mod n), plus lower half -> upper half for even n."""
+    if shifts is None:
+        shifts = range(1, (n - 1) // 2 + 1)
+    arcs = [(i, (i + s) % n) for i in range(n) for s in sorted(set(shifts))]
+    if n % 2 == 0:
+        arcs += [(i, i + n // 2) for i in range(n // 2)]
+    return Digraph(n, arcs)
+
+
+def transitive_tournament(n: int) -> Digraph:
+    return Digraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def random_digraph(n: int, arc_prob: float, seed: int) -> Digraph:
+    rng = np.random.Generator(np.random.Philox(seed))
+    sample = rng.random((n, n))
+    arcs = [
+        (u, v) for u in range(n) for v in range(n) if u != v and sample[u, v] < arc_prob
+    ]
+    return Digraph(n, arcs)

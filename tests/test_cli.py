@@ -8,6 +8,7 @@ from hamdg import cli
 from hamdg import io as hio
 from hamdg.cli import main
 from hamdg.constructions import circulant_tournament
+from hamdg.errors import CoverFailure
 from hamdg.solvers import OrientationPattern, validate_oriented
 
 
@@ -175,6 +176,22 @@ class TestDecomposeCover:
         run(capsys, "gen", "--family", "complete_digraph", "--n", "4", "--output", path)
         code, out, _ = run(capsys, "decompose", "--input", path)
         assert code == 1 and out.strip() == "NONE"
+
+    def test_cover_failure_exit_3(self, capsys, tmp_path, monkeypatch):
+        # a valid input whose restarts all fail is not a usage error
+        import hamdg.decomp as decomp
+
+        path = str(tmp_path / "t.dg")
+        # n = 11 is past decomp.EXACT_MAX_N, so the cover loop runs
+        run(capsys, "gen", "--family", "circulant", "--n", "11", "--output", path)
+
+        def exhausted(g, cap, budget, *, both_ways):
+            raise CoverFailure(((0, 1),))
+
+        monkeypatch.setattr(decomp, "_cover", exhausted)
+        code, out, err = run(capsys, "cover", "--input", path)
+        assert code == 3 and out == ""
+        assert "cover restarts exhausted" in err and "(0, 1)" in err
 
     def test_cover_summary(self, capsys, tmp_path):
         path = str(tmp_path / "t.dg")

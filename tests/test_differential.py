@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hamdg import solvers
+from hamdg import core, solvers
 from hamdg.constructions import (
     circulant_tournament,
+    complete_bipartite_digraph,
     fig1,
     fig2,
     complete_digraph,
@@ -28,6 +29,7 @@ from hamdg.constructions import (
     random_regular_graph,
     random_regular_tournament,
     random_tournament,
+    transitive_tournament,
 )
 from hamdg.core import (
     CycleFactor,
@@ -507,11 +509,111 @@ class TestRootRefutations:
             find_hamilton_cycle(g, budget=nodes - 1)
 
 
+def _same_rows(g, want):
+    assert (g.n, g.out, g.inn) == (want.n, want.out, want.inn)
+    assert g.inn == oracles.derive_in(g.n, g.out)
+
+
+class TestTranspose:
+    """In-rows from the numpy bit transpose (n >= TRANSPOSE_MIN_N) and
+    from the per-arc loop below it, against the loop."""
+
+    @pytest.mark.parametrize("p", [0, 0.1, 0.5, 0.95, 1])
+    def test_every_order_to_70(self, p):
+        rng = random.Random(int(p * 100))
+        for n in range(71):
+            out = [
+                sum(1 << v for v in range(n) if v != u and rng.random() < p)
+                for u in range(n)
+            ]
+            g = Digraph.from_out_masks(out)
+            assert g.inn == oracles.derive_in(n, out), n
+            assert Digraph(n, g.arcs()).inn == g.inn
+            assert (g.reverse().out, g.reverse().inn) == (g.inn, g.out)
+
+    @pytest.mark.parametrize("n", [31, 32, 33, 40, 64, 65, 70])
+    def test_empty_and_complete_rows(self, n):
+        full = (1 << n) - 1
+        rng = random.Random(n)
+        out = [
+            (0, full ^ (1 << u), rng.getrandbits(n) & ~(1 << u))[u % 3]
+            for u in range(n)
+        ]
+        assert Digraph.from_out_masks(out).inn == oracles.derive_in(n, out)
+
+    def test_blocks_with_a_partial_last_block(self):
+        n = 3001
+        step = core._TRANSPOSE_BLOCK_BYTES // n // 8 * 8
+        assert step < n < 2 * step and n % 8  # two blocks, the last one partial
+        rng = random.Random(5)
+        full = (1 << n) - 1
+        out = [sum(1 << v for v in rng.sample(range(n), 30)) & ~(1 << u)
+               for u in range(n)]
+        for u in (0, step - 1, step, n - 1):
+            out[u] = full ^ (1 << u)
+        out[step + 1] = 0
+        assert Digraph.from_out_masks(out).inn == oracles.derive_in(n, out)
+
+    def test_one_byte_blocks(self, monkeypatch):
+        # blocks of 8 rows, so most orders end in a partial block
+        monkeypatch.setattr(core, "_TRANSPOSE_BLOCK_BYTES", 1)
+        rng = random.Random(9)
+        for n in range(32, 80):
+            out = [rng.getrandbits(n) & ~(1 << u) for u in range(n)]
+            assert Digraph.from_out_masks(out).inn == oracles.derive_in(n, out)
+
+    def test_checks_kept(self):
+        for n in (5, 40):
+            with pytest.raises(BadParams, match="self-loop"):
+                Digraph.from_out_masks([1 << 3] * n)
+            with pytest.raises(BadParams, match="vertex range"):
+                Digraph.from_out_masks([1 << n] + [0] * (n - 1))
+            with pytest.raises(BadParams, match="out of range"):
+                Digraph(n, [(0, n)])
+            with pytest.raises(BadParams, match="self-loop"):
+                Digraph(n, [(2, 2)])
+
+
 def test_complete_digraph_equals_arc_list_build():
     for n in range(1, 41):
         want = Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v])
         g = complete_digraph(n)
         assert (g.n, g.out, g.inn) == (want.n, want.out, want.inn)
+
+
+class TestDenseConstructions:
+    """The row-built dense constructions against their arc-list builds."""
+
+    def test_orders_to_60(self):
+        for n in range(1, 61):
+            _same_rows(circulant_tournament(n), oracles.circulant_tournament(n))
+            _same_rows(transitive_tournament(n), oracles.transitive_tournament(n))
+            if n >= 2:
+                _same_rows(directed_cycle(n), oracles.directed_cycle(n))
+            for a in (1, 2, n // 2 or 1):
+                _same_rows(
+                    complete_bipartite_digraph(a, n),
+                    oracles.complete_bipartite_digraph(a, n),
+                )
+
+    def test_custom_shifts(self):
+        rng = random.Random(2)
+        for n in range(2, 61):
+            for _ in range(3):
+                shifts = [
+                    d if rng.random() < 0.5 else n - d
+                    for d in range(1, (n - 1) // 2 + 1)
+                ]
+                _same_rows(
+                    circulant_tournament(n, shifts),
+                    oracles.circulant_tournament(n, shifts),
+                )
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_random_digraph(self, p):
+        for seed in range(20):
+            n = 5 + 3 * seed
+            _same_rows(random_digraph(n, p, seed), oracles.random_digraph(n, p, seed))
 
 
 class TestCountHamilton:

@@ -1,5 +1,7 @@
 """Robust outexpansion, regular pairs, shifted walks, assembly."""
 
+import hashlib
+
 import pytest
 from fractions import Fraction
 
@@ -335,3 +337,18 @@ class TestAssembly:
             assert "exact" in trace.merge_methods
         else:
             assert set(trace.merge_methods) == {"rotation"}
+
+    def test_triangle_m1024_cycle_pinned(self):
+        # 3,076 host vertices; the cycle order is pinned by sha256
+        r = complete_digraph(3)
+        red = ReducedDigraph(r, 1024)
+        f = OneFactorF(CycleFactor(((0, 1, 2),)), r)
+        blowup, demands = make_cluster_blowup(red, exceptional=4, seed=0)
+        w = build_closed_walk(red, f, demands, cap=1024)
+        trace = assemble_hamilton(blowup, red, f, w)
+        assert trace.cycle.is_valid(blowup.host)
+        assert trace.merge_methods == ("rotation",) * 3
+        order = " ".join(map(str, trace.cycle.order)).encode()
+        assert hashlib.sha256(order).hexdigest() == (
+            "f9b53cf2d7890a1ca632bb2d7762efd0fb5f76933a720955d7df9ae0990baad7"
+        )
