@@ -10,14 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import ceil, factorial
 from typing import Any, Optional
 
 from .core import (
     INDEPENDENCE_CAP,
     Digraph,
     degree_sequences,
-    dominated_pairs,
+    dominated_row,
     independence_numbers,
     is_oriented,
     is_strongly_connected,
@@ -74,6 +74,46 @@ def _needs_strong(g: Digraph, rule: str) -> Optional[Verdict]:
     return None
 
 
+def _degree_below(degs, top: int) -> list[int]:
+    """``below[k]``: the mask of the vertices whose degree in ``degs`` is
+    less than k, for k = 0..top (every degree is below ``top``)."""
+    below = [0] * (top + 1)
+    for v, d in enumerate(degs):
+        below[d + 1] |= 1 << v
+    for k in range(1, top + 1):
+        below[k] |= below[k - 1]
+    return below
+
+
+def _out_in_pair(g: Digraph, need: int) -> Optional[dict[str, Any]]:
+    """Pair and sum of the first (x, y), x != y, with no arc x->y and
+    out(x) + in(y) < need: one bit-row scan per x."""
+    outd = list(map(int.bit_count, g.out))
+    in_below = _degree_below(map(int.bit_count, g.inn), g.n)
+    for x, d in enumerate(outd):
+        c = in_below[max(0, min(need - d, g.n))] & ~g.out[x] & ~(1 << x)
+        if c:
+            y = (c & -c).bit_length() - 1
+            return {"pair": (x, y), "sum": d + g.in_deg(y)}
+    return None
+
+
+def _nonadjacent_pair(g: Digraph, dominated: bool) -> Optional[dict[str, Any]]:
+    """Pair and sum of the first non-adjacent x < y (with a common
+    in-neighbour, if ``dominated``) whose total degrees sum below 2n - 1."""
+    n = g.n
+    tot = [a.bit_count() + b.bit_count() for a, b in zip(g.out, g.inn)]
+    tot_below = _degree_below(tot, 2 * n - 1)
+    for x in range(n):
+        c = tot_below[2 * n - 1 - tot[x]] & ~(g.out[x] | g.inn[x]) & (-2 << x)
+        if c and dominated:
+            c &= dominated_row(g, x)
+        if c:
+            y = (c & -c).bit_length() - 1
+            return {"pair": (x, y), "sum": tot[x] + tot[y]}
+    return None
+
+
 # --- degree conditions ---------------------------------------------------
 
 
@@ -86,56 +126,26 @@ def check_degree_condition(g: Digraph, rule: str, **params) -> Verdict:
     """
     n = g.n
     if rule == "ghouila_houri":
-        bad = _needs_strong(g, rule)
-        if bad:
+        if bad := _needs_strong(g, rule):
             return bad
         dplus, dminus, _ = semidegrees(g)
         if dplus + dminus >= n:
             return Verdict(rule, True)
-        v = min(
-            range(n), key=lambda x: (g.out_deg(x) + g.in_deg(x), x)
-        )
+        tot = [a.bit_count() + b.bit_count() for a, b in zip(g.out, g.inn)]
+        v = tot.index(min(tot))
         return _fails(rule, {"vertex": v, "sum": dplus + dminus, "needed": n})
 
-    if rule == "woodall":
+    if rule in ("woodall", "meyniel", "bgl"):
         if n < 2:
             return _fails(rule, reason="needs n >= 2")
-        bad = _needs_strong(g, rule)
-        if bad:
+        if bad := _needs_strong(g, rule):
             return bad
-        for x in range(n):
-            for y in range(n):
-                if x != y and not g.has_arc(x, y):
-                    if g.out_deg(x) + g.in_deg(y) < n:
-                        return _fails(
-                            rule,
-                            {
-                                "pair": (x, y),
-                                "sum": g.out_deg(x) + g.in_deg(y),
-                                "needed": n,
-                            },
-                        )
-        return Verdict(rule, True)
-
-    if rule in ("meyniel", "bgl"):
-        if n < 2:
-            return _fails(rule, reason="needs n >= 2")
-        bad = _needs_strong(g, rule)
-        if bad:
-            return bad
-        if rule == "bgl":
-            candidates = dominated_pairs(g)
+        if rule == "woodall":
+            found, needed = _out_in_pair(g, n), n
         else:
-            candidates = [
-                (x, y) for x in range(n) for y in range(x + 1, n)
-            ]
-        for x, y in candidates:
-            adjacent = g.has_arc(x, y) or g.has_arc(y, x)
-            if adjacent:
-                continue
-            s = g.total_deg(x) + g.total_deg(y)
-            if s < 2 * n - 1:
-                return _fails(rule, {"pair": (x, y), "sum": s, "needed": 2 * n - 1})
+            found, needed = _nonadjacent_pair(g, rule == "bgl"), 2 * n - 1
+        if found:
+            return _fails(rule, {**found, "needed": needed})
         return Verdict(rule, True)
 
     if rule == "oriented_semidegree":
@@ -144,14 +154,14 @@ def check_degree_condition(g: Digraph, rule: str, **params) -> Verdict:
         # delta0 >= (3n-4)/8  <=>  8*delta0 >= 3n-4
         if 8 * d0 >= 3 * n - 4:
             return Verdict(rule, True)
-        v = min(range(n), key=lambda x: (min(g.out_deg(x), g.in_deg(x)), x))
+        v = [min(a.bit_count(), b.bit_count()) for a, b in zip(g.out, g.inn)].index(d0)
         return _fails(
             rule, {"vertex": v, "semidegree": d0, "threshold": f"(3n-4)/8 = {Fraction(3*n-4,8)}"}
         )
 
     if rule == "haggkvist_star":
         _require_oriented(g, rule)
-        delta = min(g.total_deg(v) for v in range(n))
+        delta = min(map(g.total_deg, range(n)), default=0)
         dplus, dminus, _ = semidegrees(g)
         star = delta + dplus + dminus
         # delta* > (3n-3)/2  <=>  2*delta* > 3n-3
@@ -163,14 +173,10 @@ def check_degree_condition(g: Digraph, rule: str, **params) -> Verdict:
         _require_oriented(g, rule)
         alpha = _frac(params.get("alpha", 0))
         thr = (Fraction(3, 4) + alpha) * n
-        for x in range(n):
-            for y in range(n):
-                if x != y and not g.has_arc(x, y):
-                    s = g.out_deg(x) + g.in_deg(y)
-                    if s < thr:
-                        return _fails(
-                            rule, {"pair": (x, y), "sum": s, "threshold": str(thr)}
-                        )
+        # an integer s is below thr exactly when it is below ceil(thr)
+        found = _out_in_pair(g, ceil(thr))
+        if found:
+            return _fails(rule, {**found, "threshold": str(thr)})
         return Verdict(rule, True)
 
     if rule == "digraph_semidegree":
@@ -239,8 +245,7 @@ def check_sequence_condition(g: Digraph, rule: str, **params) -> Verdict:
     if rule == "nash_williams":
         if n < 3:
             return _fails(rule, reason="needs n >= 3")
-        bad = _needs_strong(g, rule)
-        if bad:
+        if bad := _needs_strong(g, rule):
             return bad
         for i in range(1, n):
             if 2 * i >= n:
@@ -276,22 +281,22 @@ def check_sequence_condition(g: Digraph, rule: str, **params) -> Verdict:
         beta = _frac(params.get("beta", 0))
         if beta <= 0:
             raise BadParams("ckko needs beta > 0")
-        half = Fraction(n, 2)
-        for i in range(1, n):
-            if 2 * i >= n:
-                break
-            lo = min(i + beta * n, half)
-            # the secondary index n - i - beta*n is floored; an index below
-            # 1 makes that clause unavailable
-            j = int(n - i - beta * n)
-            ok_i = dplus[i] >= lo or (1 <= j <= n and dminus[j] >= n - i)
-            ok_ii = dminus[i] >= lo or (1 <= j <= n and dplus[j] >= n - i)
+        p, q = beta.numerator, beta.denominator
+        for i in range(1, (n + 1) // 2):  # 2i < n
+            # d >= min(i + beta*n, n/2)  <=>  q*d >= q*i + p*n  or  2*d >= n
+            lo = q * i + p * n
+            # the secondary index n - i - beta*n is truncated toward zero;
+            # an index below 1 makes that clause unavailable
+            num = q * (n - i) - p * n
+            j = num // q if num >= 0 else -(-num // q)
+            ok_i = q * dplus[i] >= lo or 2 * dplus[i] >= n or j >= 1 and dminus[j] >= n - i
+            ok_ii = q * dminus[i] >= lo or 2 * dminus[i] >= n or j >= 1 and dplus[j] >= n - i
             if not (ok_i and ok_ii):
                 return _fails(
                     rule,
                     {
                         "index": i,
-                        "primary_threshold": str(lo),
+                        "primary_threshold": str(min(i + beta * n, Fraction(n, 2))),
                         "secondary_index": j,
                         "out": dplus[i],
                         "in": dminus[i],

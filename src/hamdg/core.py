@@ -270,8 +270,8 @@ class CycleFactor:
 
 def semidegrees(g: Digraph) -> tuple[int, int, int]:
     """(min outdegree, min indegree, min semidegree)."""
-    dplus = min((g.out_deg(v) for v in range(g.n)), default=0)
-    dminus = min((g.in_deg(v) for v in range(g.n)), default=0)
+    dplus = min(map(int.bit_count, g.out), default=0)
+    dminus = min(map(int.bit_count, g.inn), default=0)
     return dplus, dminus, min(dplus, dminus)
 
 
@@ -284,22 +284,16 @@ class DegreeSequencePair:
 def degree_sequences(g: Digraph) -> DegreeSequencePair:
     """Out- and in-degree sequences, each sorted ascending (decoupled)."""
     return DegreeSequencePair(
-        tuple(sorted(g.out_deg(v) for v in range(g.n))),
-        tuple(sorted(g.in_deg(v) for v in range(g.n))),
+        tuple(sorted(map(int.bit_count, g.out))),
+        tuple(sorted(map(int.bit_count, g.inn))),
     )
 
 
 def classify(g: Digraph) -> str:
     """One of 'undirected', 'tournament', 'oriented', 'digraph'."""
-    if g.n >= 2 and g.is_symmetric() and g.m > 0:
-        return "undirected"
-    two_cycles = any(g.out[v] & g.inn[v] for v in range(g.n))
-    if two_cycles:
+    if not is_oriented(g):
         return "undirected" if g.is_symmetric() else "digraph"
-    full = (1 << g.n) - 1
-    if all(g.out[v] | g.inn[v] == full ^ (1 << v) for v in range(g.n)):
-        return "tournament"
-    return "oriented"
+    return "tournament" if is_tournament(g) else "oriented"
 
 
 def is_oriented(g: Digraph) -> bool:
@@ -307,10 +301,8 @@ def is_oriented(g: Digraph) -> bool:
 
 
 def is_tournament(g: Digraph) -> bool:
-    full = (1 << g.n) - 1
-    return is_oriented(g) and all(
-        g.out[v] | g.inn[v] == full ^ (1 << v) for v in range(g.n)
-    )
+    # no pair carries two arcs, so n(n-1)/2 arcs cover every pair
+    return is_oriented(g) and g.m == g.n * (g.n - 1) // 2
 
 
 # --- connectivity --------------------------------------------------------
@@ -509,15 +501,20 @@ def max_arcfree_set(g: Digraph, *, cap: int = INDEPENDENCE_CAP) -> set[int]:
     return set(bits(mask))
 
 
+def dominated_row(g: Digraph, x: int) -> int:
+    """The vertices that share an in-neighbour with ``x``: the union of the
+    out-rows of its in-neighbours (``x`` itself included if it has one)."""
+    row = 0
+    for w in bits(g.inn[x]):
+        row |= g.out[w]
+    return row
+
+
 def dominated_pairs(g: Digraph) -> list[tuple[int, int]]:
     """Unordered pairs with a common in-neighbour, ascending order."""
-    found: set[tuple[int, int]] = set()
-    for v in range(g.n):
-        outs = list(bits(g.out[v]))
-        for i, x in enumerate(outs):
-            for y in outs[i + 1 :]:
-                found.add((x, y))
-    return sorted(found)
+    return [
+        (x, y) for x in range(g.n) for y in bits(dominated_row(g, x) & (-2 << x))
+    ]
 
 
 # --- transformations -----------------------------------------------------

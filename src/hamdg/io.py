@@ -49,8 +49,7 @@ def parse(text: str) -> Digraph:
     if len(lines) - 1 != m:
         raise FormatError(f"header promises {m} lines, found {len(lines) - 1}")
     undirected = head[0] == "GRAPH"
-    seen: set[tuple[int, int]] = set()
-    arcs: list[tuple[int, int]] = []
+    out = [0] * n
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
@@ -65,13 +64,12 @@ def parse(text: str) -> Digraph:
             raise FormatError(f"self-loop in {ln!r}")
         if undirected and u > v:
             raise FormatError(f"GRAPH edges need u < v, got {ln!r}")
-        if (u, v) in seen:
+        if out[u] >> v & 1:
             raise FormatError(f"duplicate arc {ln!r}")
-        seen.add((u, v))
-        arcs.append((u, v))
+        out[u] |= 1 << v
         if undirected:
-            arcs.append((v, u))
-    return Digraph(n, arcs)
+            out[v] |= 1 << u
+    return Digraph.from_out_masks(out)
 
 
 def load(f: TextIO | str) -> Digraph:

@@ -5,11 +5,15 @@ the expander pipeline, the recursive Hamilton search, the Hamilton counting
 DP, max-flow connectivity, the exact robust-expansion scan and the six
 recursive sequence searches (fixed-length cycles, cycle powers, k-ordered
 cycles, oriented patterns, cycle factors, tree embedding), the two cover
-pipelines, each with its own restart loop, the per-arc in-row derivation
-and the arc-list builds of the dense constructions.  The library's fast
-paths must return exactly what these return: the same matching, the same
-host digraph, the same cycle order, the same counts, the same verdict and
-witness, the same cover or the same failing matching, the same rows.
+pipelines, each with its own restart loop, the per-arc in-row derivation,
+the arc-list builds of the dense constructions, the pair-at-a-time degree
+rules (Woodall, Meyniel, Bang-Jensen-Gutin-Li, the oriented Ore bound) with
+the set-of-tuples dominated pairs, the ``Fraction`` CKKO rule, the
+per-vertex degree helpers, the arc-tuple parser and the class test.  The
+library's fast paths must return exactly what these return: the same
+matching, the same host digraph, the same cycle order, the same counts, the
+same verdict and witness, the same cover or the same failing matching, the
+same rows, the same parse error.
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from hamdg.conditions import Verdict, _frac
+from hamdg.conditions import Verdict, _frac, _needs_strong, _require_oriented
 from hamdg.core import (
     CycleFactor,
+    DegreeSequencePair,
     Digraph,
     HamiltonCycle,
     Matching,
@@ -42,7 +47,7 @@ from hamdg.decomp import (
     split_matching,
     vizing_color,
 )
-from hamdg.errors import BadParams, BudgetExceeded, CoverFailure
+from hamdg.errors import BadParams, BudgetExceeded, CoverFailure, FormatError
 from hamdg.expander import ClusterBlowup, ReducedDigraph, robust_threshold
 from hamdg.solvers import DEFAULT_BUDGET, hamilton_cycle_through
 
@@ -824,3 +829,180 @@ def random_digraph(n: int, arc_prob: float, seed: int) -> Digraph:
         (u, v) for u in range(n) for v in range(n) if u != v and sample[u, v] < arc_prob
     ]
     return Digraph(n, arcs)
+
+
+# --- the pair-based degree rules, the degree helpers and the parser -------
+
+
+def semidegrees(g: Digraph) -> tuple[int, int, int]:
+    dplus = min((g.out_deg(v) for v in range(g.n)), default=0)
+    dminus = min((g.in_deg(v) for v in range(g.n)), default=0)
+    return dplus, dminus, min(dplus, dminus)
+
+
+def degree_sequences(g: Digraph) -> DegreeSequencePair:
+    return DegreeSequencePair(
+        tuple(sorted(g.out_deg(v) for v in range(g.n))),
+        tuple(sorted(g.in_deg(v) for v in range(g.n))),
+    )
+
+
+def dominated_pairs(g: Digraph) -> list[tuple[int, int]]:
+    """Unordered pairs with a common in-neighbour, from a set of tuples."""
+    found: set[tuple[int, int]] = set()
+    for v in range(g.n):
+        outs = list(bits(g.out[v]))
+        for i, x in enumerate(outs):
+            for y in outs[i + 1 :]:
+                found.add((x, y))
+    return sorted(found)
+
+
+def pair_rule(g: Digraph, rule: str, **params) -> Verdict:
+    """``woodall``, ``meyniel``, ``bgl`` and ``ore_oriented``, one pair at a
+    time in ascending order."""
+    n = g.n
+    if rule == "woodall":
+        if n < 2:
+            return Verdict(rule, False, reason="needs n >= 2")
+        bad = _needs_strong(g, rule)
+        if bad:
+            return bad
+        for x in range(n):
+            for y in range(n):
+                if x != y and not g.has_arc(x, y):
+                    if g.out_deg(x) + g.in_deg(y) < n:
+                        return Verdict(
+                            rule,
+                            False,
+                            {
+                                "pair": (x, y),
+                                "sum": g.out_deg(x) + g.in_deg(y),
+                                "needed": n,
+                            },
+                        )
+        return Verdict(rule, True)
+
+    if rule in ("meyniel", "bgl"):
+        if n < 2:
+            return Verdict(rule, False, reason="needs n >= 2")
+        bad = _needs_strong(g, rule)
+        if bad:
+            return bad
+        if rule == "bgl":
+            candidates = dominated_pairs(g)
+        else:
+            candidates = [(x, y) for x in range(n) for y in range(x + 1, n)]
+        for x, y in candidates:
+            if g.has_arc(x, y) or g.has_arc(y, x):
+                continue
+            s = g.total_deg(x) + g.total_deg(y)
+            if s < 2 * n - 1:
+                return Verdict(
+                    rule, False, {"pair": (x, y), "sum": s, "needed": 2 * n - 1}
+                )
+        return Verdict(rule, True)
+
+    if rule == "ore_oriented":
+        _require_oriented(g, rule)
+        alpha = _frac(params.get("alpha", 0))
+        thr = (Fraction(3, 4) + alpha) * n
+        for x in range(n):
+            for y in range(n):
+                if x != y and not g.has_arc(x, y):
+                    s = g.out_deg(x) + g.in_deg(y)
+                    if s < thr:
+                        return Verdict(
+                            rule, False, {"pair": (x, y), "sum": s, "threshold": str(thr)}
+                        )
+        return Verdict(rule, True)
+
+    raise BadParams(f"not a pair rule: {rule!r}")
+
+
+def ckko(g: Digraph, **params) -> Verdict:
+    """The CKKO degree-sequence rule in ``Fraction`` arithmetic."""
+    rule = "ckko"
+    n = g.n
+    seqs = degree_sequences(g)
+    dplus = (None,) + seqs.out_seq
+    dminus = (None,) + seqs.in_seq
+    beta = _frac(params.get("beta", 0))
+    if beta <= 0:
+        raise BadParams("ckko needs beta > 0")
+    half = Fraction(n, 2)
+    for i in range(1, n):
+        if 2 * i >= n:
+            break
+        lo = min(i + beta * n, half)
+        j = int(n - i - beta * n)
+        ok_i = dplus[i] >= lo or (1 <= j <= n and dminus[j] >= n - i)
+        ok_ii = dminus[i] >= lo or (1 <= j <= n and dplus[j] >= n - i)
+        if not (ok_i and ok_ii):
+            return Verdict(
+                rule,
+                False,
+                {
+                    "index": i,
+                    "primary_threshold": str(lo),
+                    "secondary_index": j,
+                    "out": dplus[i],
+                    "in": dminus[i],
+                },
+            )
+    return Verdict(rule, True)
+
+
+def parse(text: str) -> Digraph:
+    """The exchange-format parser that collects arc tuples and a seen set,
+    then builds through ``Digraph(n, arcs)``."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise FormatError("empty input")
+    head = lines[0].split()
+    if len(head) != 4 or head[0] not in ("DIGRAPH", "GRAPH") or head[1] != "1":
+        raise FormatError(f"bad header {lines[0]!r}")
+    try:
+        n, m = int(head[2]), int(head[3])
+    except ValueError:
+        raise FormatError(f"bad header {lines[0]!r}") from None
+    if n < 0 or m < 0:
+        raise FormatError("negative counts in header")
+    if len(lines) - 1 != m:
+        raise FormatError(f"header promises {m} lines, found {len(lines) - 1}")
+    undirected = head[0] == "GRAPH"
+    seen: set[tuple[int, int]] = set()
+    arcs: list[tuple[int, int]] = []
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise FormatError(f"bad arc line {ln!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise FormatError(f"bad arc line {ln!r}") from None
+        if not (0 <= u < n and 0 <= v < n):
+            raise FormatError(f"vertex out of range in {ln!r}")
+        if u == v:
+            raise FormatError(f"self-loop in {ln!r}")
+        if undirected and u > v:
+            raise FormatError(f"GRAPH edges need u < v, got {ln!r}")
+        if (u, v) in seen:
+            raise FormatError(f"duplicate arc {ln!r}")
+        seen.add((u, v))
+        arcs.append((u, v))
+        if undirected:
+            arcs.append((v, u))
+    return Digraph(n, arcs)
+
+
+def classify(g: Digraph) -> str:
+    """Graph class from an explicit every-pair-adjacent scan."""
+    if g.n >= 2 and g.is_symmetric() and g.m > 0:
+        return "undirected"
+    if any(g.out[v] & g.inn[v] for v in range(g.n)):
+        return "undirected" if g.is_symmetric() else "digraph"
+    full = (1 << g.n) - 1
+    if all(g.out[v] | g.inn[v] == full ^ (1 << v) for v in range(g.n)):
+        return "tournament"
+    return "oriented"

@@ -7,6 +7,7 @@ import pytest
 from hamdg import cli
 from hamdg import io as hio
 from hamdg.cli import main
+from hamdg.conditions import DEGREE_RULES, SEQUENCE_RULES
 from hamdg.constructions import circulant_tournament
 from hamdg.errors import CoverFailure
 from hamdg.solvers import OrientationPattern, validate_oriented
@@ -226,6 +227,36 @@ class TestGolden:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of "<rule> <exit code> <stdout>" for every degree and sequence
+    # rule in turn, with the parameters the parametrised rules need
+    @pytest.mark.parametrize(
+        "gen,digest",
+        [
+            (("--family", "random_tournament", "--n", "40"),
+             "c4210e5bd7cf7375edaff2ea8759158a22da11975e541366ed176b40826f2283"),
+            (("--family", "nw_extremal", "--param", "n=22", "--param", "k=2"),
+             "6333277dac6f8ea3bb2d63240fd0565bb36c311d51ff96c97b75996300385c99"),
+            (("--family", "random_regular_graph", "--n", "24", "--param", "d=5",
+              "--graph"),
+             "49568ba9c3a24f93d3b05c5bac3e50b9f7367b16ed92785a85d6eb6ef1c0568b"),
+        ],
+    )
+    def test_check_golden(self, capsys, tmp_path, gen, digest):
+        params = {"kordered_semidegree": "k=2", "short_cycle": "ell=5",
+                  "ckko": "beta=1/10"}
+        path = str(tmp_path / "g.dg")
+        assert run(capsys, "gen", *gen, "--output", path)[0] == 0
+        transcript = []
+        for rule in DEGREE_RULES + SEQUENCE_RULES:
+            argv = ["check", "--rule", rule, "--input", path]
+            if rule in params:
+                argv += ["--param", params[rule]]
+            code, out, _ = run(capsys, *argv)
+            transcript.append(f"{rule} {code} {out}")
+        assert len(transcript) == 14
+        digest_got = hashlib.sha256("".join(transcript).encode()).hexdigest()
+        assert digest_got == digest
+
 
 class TestExpander:
     def test_check_holds(self, capsys, tmp_path):
@@ -320,6 +351,14 @@ class TestUsage:
     def test_bad_parameter_is_usage_error(self, capsys, argv, flag):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and flag in err
+
+    def test_check_on_the_empty_digraph(self, capsys, tmp_path):
+        path = tmp_path / "empty.dg"
+        path.write_text("DIGRAPH 1 0 0\n")
+        code, out, err = run(
+            capsys, "check", "--rule", "haggkvist_star", "--input", str(path)
+        )
+        assert (code, out, err) == (0, '{"rule": "haggkvist_star", "holds": true}\n', "")
 
     def test_internal_error_exit_4(self, capsys, tmp_path, monkeypatch):
         path = str(tmp_path / "t.dg")

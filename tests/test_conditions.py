@@ -17,7 +17,7 @@ from hamdg.constructions import (
     transitive_tournament,
 )
 from hamdg.core import Digraph
-from hamdg.errors import BadParams, ClassMismatch
+from hamdg.errors import BadParams, ClassMismatch, HamdgError
 from hamdg.solvers import find_hamilton_cycle
 
 
@@ -127,6 +127,30 @@ class TestSequenceRules:
 
     def test_ckko_holds_on_complete(self):
         assert check_sequence_condition(complete_digraph(8), "ckko", beta="1/8").holds
+
+
+class TestTinyOrders:
+    # every degree and sequence rule answers on n = 0, 1, 2, with and
+    # without parameters: a verdict, or a library error, never a crash
+    PARAMS = {"k": 2, "ell": 5, "beta": "1/10", "alpha": "1/10", "eps": "1/10"}
+
+    @pytest.mark.parametrize(
+        "rule", conditions.DEGREE_RULES + conditions.SEQUENCE_RULES
+    )
+    def test_verdict_or_library_error(self, rule):
+        graphs = [Digraph(0), Digraph(1), Digraph(2), Digraph(2, [(0, 1)]),
+                  Digraph(2, [(0, 1), (1, 0)])]
+        for g in graphs:
+            for params in ({}, self.PARAMS):
+                try:
+                    v = conditions.check(rule, g, **params)
+                except HamdgError:
+                    continue
+                assert isinstance(v, conditions.Verdict) and v.rule == rule
+
+    def test_haggkvist_star_on_the_empty_digraph(self):
+        # 2 * delta* = 0 > 3n - 3 = -3
+        assert check_degree_condition(Digraph(0), "haggkvist_star").holds
 
 
 class TestConnectivityRules:

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 import oracles
 from hamdg import core, solvers
+from hamdg import io as hio
+from hamdg.conditions import check_degree_condition, check_sequence_condition
 from hamdg.constructions import (
     circulant_tournament,
     complete_bipartite_digraph,
@@ -40,7 +42,7 @@ from hamdg.core import (
     vertex_connectivity,
 )
 from hamdg.decomp import cover_regular_graph, cover_tournament
-from hamdg.errors import BadParams, BudgetExceeded, CoverFailure
+from hamdg.errors import BadParams, BudgetExceeded, CoverFailure, FormatError, HamdgError
 from hamdg.expander import (
     ReducedDigraph,
     _restrict,
@@ -962,3 +964,187 @@ class TestCoverLoop:
             m = Matching(tuple(arcs))
             doubled = g.without_arcs([(v, u) for u, v in arcs])
             assert contract_matching(g, m)[0] == contract_matching(doubled, m)[0]
+
+
+# --- the pair-based degree rules, the degree helpers and the parser -------
+
+ALPHAS = (Fraction(0), Fraction(1, 10), Fraction(-1, 3), Fraction(1, 4))
+# 5/4 puts n - i - beta*n below -1 at i = 1, where the witness shows its
+# truncation toward zero
+BETAS = (Fraction(1, 10), Fraction(1, 3), Fraction(3, 5), Fraction(5, 4))
+
+
+def _record(fn, *args, **params):
+    """The verdict's record, or the class and message of a library error."""
+    try:
+        return fn(*args, **params).to_record()
+    except HamdgError as e:
+        return type(e).__name__, str(e)
+
+
+def _rule_inputs(n, seed):
+    """Digraphs of every class at order n: random at several densities,
+    dense enough for late witnesses, a tournament, two oriented graphs and
+    a symmetric digraph."""
+    rng = random.Random(seed)
+    for p in (0.1, 0.5, 0.85, 0.97):
+        yield random_digraph(n, p, seed)
+    t = random_tournament(n, seed)
+    yield t
+    arcs = t.arcs()
+    for k in (rng.randrange(3), len(arcs) // 3):
+        yield t.without_arcs(rng.sample(arcs, min(k, len(arcs))))
+    yield random_digraph(n, 0.7, seed + 1).symmetrize()
+
+
+def _rule_records(g, rules):
+    """(record, oracle record) for every rule, α and β on ``g``."""
+    for rule in rules:
+        if rule == "ore_oriented":
+            for alpha in ALPHAS:
+                yield (
+                    _record(check_degree_condition, g, rule, alpha=alpha),
+                    _record(oracles.pair_rule, g, rule, alpha=alpha),
+                )
+        elif rule == "ckko":
+            for beta in BETAS:
+                yield (
+                    _record(check_sequence_condition, g, rule, beta=beta),
+                    _record(oracles.ckko, g, beta=beta),
+                )
+        else:
+            yield (
+                _record(check_degree_condition, g, rule),
+                _record(oracles.pair_rule, g, rule),
+            )
+
+
+class TestPairRules:
+    """Bit-row scans for Woodall, Meyniel, Bang-Jensen-Gutin-Li and the
+    oriented Ore bound, and the integer CKKO rule, against the
+    pair-at-a-time and ``Fraction`` rules."""
+
+    RULES = ("woodall", "meyniel", "bgl", "ore_oriented", "ckko")
+
+    def test_equal_records_to_70(self):
+        seen = {rule: set() for rule in self.RULES}
+        negative_j = 0
+        for n in range(71):
+            for g in _rule_inputs(n, 1000 + n):
+                for got, want in _rule_records(g, self.RULES):
+                    assert got == want, (n, oracles.classify(g), got, want)
+                    if isinstance(got, dict):
+                        kind = ("witness" if "witness" in got else
+                                "reason" if "reason" in got else "holds")
+                        seen[got["rule"]].add(kind)
+                        j = got.get("witness", {}).get("secondary_index", 0)
+                        negative_j += j < 0
+                    else:
+                        seen[got[1].split()[0]].add(got[0])
+        # every outcome of every rule was compared, not just the cheap ones
+        for rule in ("woodall", "meyniel", "bgl"):
+            assert seen[rule] == {"holds", "witness", "reason"}, rule
+        assert seen["ore_oriented"] == {"holds", "witness", "ClassMismatch"}
+        assert seen["ckko"] == {"holds", "witness"}
+        assert negative_j
+
+    def test_late_witnesses(self):
+        # complete digraphs and tournaments with a few arcs taken out, so
+        # the first violating pair sits anywhere in the scan
+        rng = random.Random(4)
+        for n in range(2, 41):
+            for k in (1, 2, 5):
+                full = complete_digraph(n)
+                g = full.without_arcs(rng.sample(full.arcs(), min(k, full.m)))
+                t = circulant_tournament(n)
+                h = t.without_arcs(rng.sample(t.arcs(), min(k, t.m)))
+                for got, want in itertools.chain(
+                    _rule_records(g, ("woodall", "meyniel", "bgl")),
+                    _rule_records(h, self.RULES),
+                ):
+                    assert got == want, (n, k, got, want)
+
+    def test_degree_helpers(self):
+        for n in range(0, 71, 7):
+            for g in _rule_inputs(n, n):
+                assert core.semidegrees(g) == oracles.semidegrees(g)
+                assert core.degree_sequences(g) == oracles.degree_sequences(g)
+                assert core.classify(g) == oracles.classify(g)
+
+    def test_classify_every_digraph_on_four_vertices(self):
+        pairs = [(u, v) for u in range(4) for v in range(4) if u != v]
+        for n in range(5):
+            for mask in range(1 << len(pairs)):
+                arcs = [a for i, a in enumerate(pairs) if mask >> i & 1]
+                if all(u < n and v < n for u, v in arcs):
+                    g = Digraph(n, arcs)
+                    assert core.classify(g) == oracles.classify(g), (n, arcs)
+                    assert core.is_tournament(g) == (oracles.classify(g) == "tournament")
+
+    def test_dominated_pairs_to_40(self):
+        rng = random.Random(6)
+        for n in range(41):
+            for p in (0, 0.05, 0.2, 0.6, 1):
+                out = [
+                    sum(1 << v for v in range(n) if v != u and rng.random() < p)
+                    for u in range(n)
+                ]
+                g = Digraph.from_out_masks(out)
+                assert core.dominated_pairs(g) == oracles.dominated_pairs(g), (n, p)
+
+
+PARSE_ERRORS = [
+    "",
+    " \n\n",
+    "DIGRAPH 2 3 1\n0 1\n",
+    "DIGRAPH 1 3\n",
+    "TREE 1 3 0\n",
+    "DIGRAPH 1 x 0\n",
+    "DIGRAPH 1 -1 0\n",
+    "GRAPH 1 3 -2\n",
+    "DIGRAPH 1 3 2\n0 1\n",
+    "DIGRAPH 1 3 0\n0 1\n",
+    "DIGRAPH 1 3 1\n0 1 2\n",
+    "DIGRAPH 1 3 1\n0\n",
+    "DIGRAPH 1 3 1\n0 x\n",
+    "DIGRAPH 1 3 1\n0 3\n",
+    "DIGRAPH 1 3 1\n-1 0\n",
+    "DIGRAPH 1 3 1\n1 1\n",
+    "GRAPH 1 3 1\n2 1\n",
+    "DIGRAPH 1 3 3\n0 1\n1 2\n1 2\n",
+    # two faults on one line: the first check in the parser's order wins
+    "DIGRAPH 1 3 1\n5 5\n",  # out of range and a self-loop
+    "GRAPH 1 3 1\n4 1\n",  # out of range and u > v
+    "GRAPH 1 3 2\n0 1\n0 1\n",  # a repeated edge
+    "GRAPH 1 3 2\n0 1\n1 0\n",  # the reverse of an edge is u > v, not a repeat
+    "GRAPH 1 0 1\n0 0\n",
+]
+
+
+class TestParse:
+    """The row-building parser against the arc-tuple parser."""
+
+    @pytest.mark.parametrize("text", PARSE_ERRORS)
+    def test_same_error(self, text):
+        with pytest.raises(FormatError) as want:
+            oracles.parse(text)
+        with pytest.raises(FormatError) as got:
+            hio.parse(text)
+        assert str(got.value) == str(want.value)
+
+    def test_equal_digraphs(self):
+        # orders on both sides of the in-row transpose gate, in both formats
+        graphs = [Digraph(0), Digraph(1), Digraph(2, [(0, 1), (1, 0)])]
+        for n in (5, 12, 31, 32, 33, 48, 64):
+            graphs += [random_tournament(n, n), circulant_tournament(n),
+                       random_digraph(n, 0.3, n)]
+        graphs += [random_regular_graph(n, 3, n) for n in (12, 24, 32)]
+        graphs += [fig1(2)[0], fig2(9)[0]]
+        for g in graphs:
+            texts = [hio.serialize(g)]
+            if g.is_symmetric():
+                texts.append(hio.serialize(g, as_graph=True))
+            for text in texts:
+                got, want = hio.parse(text), oracles.parse(text)
+                assert (got.n, got.out, got.inn) == (want.n, want.out, want.inn)
+                assert got == g
