@@ -7,6 +7,7 @@ so structural claims can be asserted without recomputation.  Identical
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -16,6 +17,10 @@ from .core import Digraph, int_rows
 from .errors import BadParams
 
 PartMap = dict[str, list[int]]
+
+# Steps per numpy draw in the seeded switching generators: one call draws
+# the same stream as one call per step, and a block bounds its memory.
+_DRAW_BLOCK = 1 << 14
 
 
 # --- classic graphs ------------------------------------------------------
@@ -87,36 +92,86 @@ def transitive_tournament(n: int) -> Digraph:
 
 
 def random_tournament(n: int, seed: int) -> Digraph:
-    """Each pair oriented by an independent fair coin (counter-based RNG)."""
+    """Each pair oriented by an independent fair coin (counter-based RNG).
+
+    The coins are one ``integers(0, 2, size=n(n-1)/2)`` call on a Philox
+    stream, one coin per pair i < j in row order, 1 orienting i -> j.  That
+    call draws the stream of one ``integers(0, 2)`` call per pair, so the
+    tournament is the same for every (n, seed) as the per-pair draws made.
+    """
+    if n < 0:
+        raise BadParams(f"need n >= 0, got n={n}")
     rng = np.random.Generator(np.random.Philox(seed))
-    arcs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.integers(0, 2):
-                arcs.append((i, j))
-            else:
-                arcs.append((j, i))
-    return Digraph(n, arcs)
+    coins = rng.integers(0, 2, size=n * (n - 1) // 2).astype(bool)
+    i, j = np.triu_indices(n, 1)
+    keep = np.zeros((n, n), bool)
+    keep[i[coins], j[coins]] = True
+    keep[j[~coins], i[~coins]] = True
+    return Digraph.from_out_masks(
+        int_rows(np.packbits(keep, axis=1, bitorder="little"))
+    )
+
+
+def _draw_blocks(steps: int):
+    """Sizes of the consecutive blocks of at most ``_DRAW_BLOCK`` steps that
+    make up ``steps`` steps."""
+    for start in range(0, steps, _DRAW_BLOCK):
+        yield min(_DRAW_BLOCK, steps - start)
+
+
+def _swap_columns(s: np.ndarray, i: int, j: np.ndarray) -> None:
+    """Swap column ``i`` of each row r with its column ``j[r]``."""
+    rows = np.arange(len(s))
+    held = s[rows, j]
+    s[rows, j] = s[:, i]
+    s[:, i] = held
+
+
+def _triples(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+    """The next k rows of ``rng.choice(n, 3, replace=False)``, one numpy draw.
+
+    That call is Floyd's sample (bounded draws below n-2, n-1, n, a repeat
+    replaced by its bound's top value) and then a Fisher-Yates shuffle
+    (bounds 3, 2): five bounded 32-bit draws in that order.  One
+    ``integers`` call over the 5k bounds consumes the same stream, Lemire
+    rejections included; a draw with bound 1 (the first one at n = 3)
+    consumes nothing in either form.
+    """
+    d = rng.integers(0, np.tile([n - 2, n - 1, n, 3, 2], k)).reshape(k, 5)
+    s = d[:, :3].copy()
+    s[:, 1] = np.where(d[:, 1] == s[:, 0], n - 2, d[:, 1])
+    seen = (d[:, 2] == s[:, 0]) | (d[:, 2] == s[:, 1])
+    s[:, 2] = np.where(seen, n - 1, d[:, 2])
+    _swap_columns(s, 2, d[:, 3])
+    _swap_columns(s, 1, d[:, 4])
+    return s
 
 
 def random_regular_tournament(n: int, seed: int) -> Digraph:
     """Seeded regular tournament: circulant start, then triangle-reversal
-    switchings (reverse a directed 3-cycle), which preserve all semidegrees."""
+    switchings (reverse a directed 3-cycle), which preserve all semidegrees.
+
+    Each of the 50n^2 steps tries the vertex triple of one
+    ``rng.choice(n, 3, replace=False)`` on a Philox stream; the triples are
+    drawn in blocks (``_triples``) from the same stream, so the tournament
+    is the same for every (n, seed) as one ``choice`` call per step made.
+    Below n = 3 there is no 3-cycle, and the circulant is returned.
+    """
     if n % 2 == 0:
         raise BadParams("regular tournaments need odd n")
     g = circulant_tournament(n)
+    if n < 3:
+        return g
     out = list(g.out)
     rng = np.random.Generator(np.random.Philox(seed))
-    for _ in range(50 * n * n):
-        a, b, c = rng.choice(n, size=3, replace=False)
-        a, b, c = int(a), int(b), int(c)
-        if out[a] >> b & 1 and out[b] >> c & 1 and out[c] >> a & 1:
-            out[a] &= ~(1 << b)
-            out[b] &= ~(1 << c)
-            out[c] &= ~(1 << a)
-            out[b] |= 1 << a
-            out[c] |= 1 << b
-            out[a] |= 1 << c
+    for k in _draw_blocks(50 * n * n):
+        for a, b, c in _triples(rng, n, k).tolist():
+            if out[a] >> b & 1 and out[b] >> c & 1 and out[c] >> a & 1:
+                # in a tournament a -> b -> c -> a leaves a -/-> c, so each
+                # row flips one bit off and one on: the 3-cycle reversed
+                out[a] ^= 1 << b | 1 << c
+                out[b] ^= 1 << c | 1 << a
+                out[c] ^= 1 << a | 1 << b
     return Digraph.from_out_masks(out)
 
 
@@ -133,8 +188,15 @@ def random_digraph(n: int, arc_prob: float, seed: int) -> Digraph:
 def random_regular_graph(n: int, d: int, seed: int) -> Digraph:
     """Seeded d-regular undirected graph (as symmetric digraph).
 
-    Starts from a circulant base and applies double-edge switchings.
+    Starts from a circulant base and applies double-edge switchings.  Each
+    of the 30nd steps tries the two edges at the indices of one
+    ``rng.integers(0, E, size=2)`` on a Philox stream (E edges, sorted);
+    the indices are drawn in blocks of ``size=(k, 2)`` from the same
+    stream, so the graph is the same for every (n, d, seed) as one call
+    per step made.
     """
+    if d < 0:
+        raise BadParams(f"need d >= 0, got d={d}")
     if n * d % 2 or d >= n:
         raise BadParams("need d < n and n*d even")
     edges: set[tuple[int, int]] = set()
@@ -147,27 +209,28 @@ def random_regular_graph(n: int, d: int, seed: int) -> Digraph:
         for i in range(n):
             add(i, (i + s) % n)
     if d % 2:
-        if n % 2:
-            raise BadParams("odd degree needs even n")
         for i in range(n // 2):
             add(i, i + n // 2)
     rng = np.random.Generator(np.random.Philox(seed))
     elist = sorted(edges)
-    for _ in range(30 * n * d):
-        i, j = rng.integers(0, len(elist), size=2)
-        (a, b), (c, e) = elist[int(i)], elist[int(j)]
-        if len({a, b, c, e}) < 4:
-            continue
-        # swap to (a,c),(b,e) keeping degrees
-        n1, n2 = (min(a, c), max(a, c)), (min(b, e), max(b, e))
-        if n1 in edges or n2 in edges:
-            continue
-        edges.remove((a, b))
-        edges.remove((c, e))
-        edges.add(n1)
-        edges.add(n2)
-        elist = sorted(edges)
-    return Digraph(n, [(u, v) for u, v in edges] + [(v, u) for u, v in edges])
+    for block in _draw_blocks(30 * n * d):
+        for i, j in rng.integers(0, len(elist), size=(block, 2)).tolist():
+            (a, b), (c, e) = elist[i], elist[j]
+            # a < b and c < e, so the four are distinct unless these meet
+            if a == c or a == e or b == c or b == e:
+                continue
+            # swap to (a,c),(b,e) keeping degrees
+            n1 = (a, c) if a < c else (c, a)
+            n2 = (b, e) if b < e else (e, b)
+            if n1 in edges or n2 in edges:
+                continue
+            for old in ((a, b), (c, e)):
+                edges.remove(old)
+                del elist[bisect_left(elist, old)]
+            for new in (n1, n2):
+                edges.add(new)
+                insort(elist, new)
+    return Digraph(n, elist + [(v, u) for u, v in elist])
 
 
 # --- balanced bipartite orientation --------------------------------------

@@ -6,9 +6,10 @@ DP, max-flow connectivity, the exact robust-expansion scan and the six
 recursive sequence searches (fixed-length cycles, cycle powers, k-ordered
 cycles, oriented patterns, cycle factors, tree embedding), the two cover
 pipelines, each with its own restart loop, the per-arc in-row derivation,
-the arc-list builds of the dense constructions, the pair-at-a-time degree
-rules (Woodall, Meyniel, Bang-Jensen-Gutin-Li, the oriented Ore bound) with
-the set-of-tuples dominated pairs, the ``Fraction`` CKKO rule, the
+the arc-list builds of the dense constructions, the seeded random
+generators with one numpy call per step, the pair-at-a-time degree rules
+(Woodall, Meyniel, Bang-Jensen-Gutin-Li, the oriented Ore bound) with the
+set-of-tuples dominated pairs, the ``Fraction`` CKKO rule, the
 per-vertex degree helpers, the arc-tuple parser and the class test.  The
 library's fast paths must return exactly what these return: the same
 matching, the same host digraph, the same cycle order, the same counts, the
@@ -829,6 +830,71 @@ def random_digraph(n: int, arc_prob: float, seed: int) -> Digraph:
         (u, v) for u in range(n) for v in range(n) if u != v and sample[u, v] < arc_prob
     ]
     return Digraph(n, arcs)
+
+
+# --- the per-draw random generators -------------------------------------
+
+
+def random_tournament(n: int, seed: int) -> Digraph:
+    """One ``integers(0, 2)`` call per pair."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    arcs = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.integers(0, 2):
+                arcs.append((i, j))
+            else:
+                arcs.append((j, i))
+    return Digraph(n, arcs)
+
+
+def random_regular_tournament(n: int, seed: int) -> Digraph:
+    """One ``choice(n, 3, replace=False)`` call per switching step."""
+    out = list(circulant_tournament(n).out)
+    rng = np.random.Generator(np.random.Philox(seed))
+    for _ in range(50 * n * n):
+        a, b, c = rng.choice(n, size=3, replace=False)
+        a, b, c = int(a), int(b), int(c)
+        if out[a] >> b & 1 and out[b] >> c & 1 and out[c] >> a & 1:
+            out[a] &= ~(1 << b)
+            out[b] &= ~(1 << c)
+            out[c] &= ~(1 << a)
+            out[b] |= 1 << a
+            out[c] |= 1 << b
+            out[a] |= 1 << c
+    return Digraph.from_out_masks(out)
+
+
+def random_regular_graph(n: int, d: int, seed: int) -> Digraph:
+    """One ``integers(0, E, size=2)`` call per switching step, and the edge
+    list sorted afresh after each switch."""
+    edges: set[tuple[int, int]] = set()
+
+    def add(u, v):
+        edges.add((min(u, v), max(u, v)))
+
+    for s in range(1, d // 2 + 1):
+        for i in range(n):
+            add(i, (i + s) % n)
+    if d % 2:
+        for i in range(n // 2):
+            add(i, i + n // 2)
+    rng = np.random.Generator(np.random.Philox(seed))
+    elist = sorted(edges)
+    for _ in range(30 * n * d):
+        i, j = rng.integers(0, len(elist), size=2)
+        (a, b), (c, e) = elist[int(i)], elist[int(j)]
+        if len({a, b, c, e}) < 4:
+            continue
+        n1, n2 = (min(a, c), max(a, c)), (min(b, e), max(b, e))
+        if n1 in edges or n2 in edges:
+            continue
+        edges.remove((a, b))
+        edges.remove((c, e))
+        edges.add(n1)
+        edges.add(n2)
+        elist = sorted(edges)
+    return Digraph(n, [(u, v) for u, v in edges] + [(v, u) for u, v in edges])
 
 
 # --- the pair-based degree rules, the degree helpers and the parser -------

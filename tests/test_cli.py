@@ -89,6 +89,21 @@ class TestGen:
         code, out, err = run(capsys, "gen", "--family", family, "--n", "99", *argv)
         assert code == 2 and out == "" and "--n" in err
 
+    def test_regular_tournament_of_order_one(self, capsys):
+        code, out, _ = run(
+            capsys, "gen", "--family", "random_regular_tournament", "--n", "1"
+        )
+        assert code == 0
+        assert hio.parse(out) == circulant_tournament(1)
+
+    @pytest.mark.parametrize("d", ["-1", "-2"])
+    def test_negative_degree_is_usage_error(self, capsys, d):
+        code, out, err = run(
+            capsys, "gen", "--family", "random_regular_graph", "--n", "6",
+            "--param", f"d={d}", "--graph",
+        )
+        assert code == 2 and out == "" and f"d={d}" in err
+
 
 class TestCheck:
     def test_negative_verdict_exit_1(self, capsys, tmp_path):
@@ -224,6 +239,24 @@ class TestGolden:
         path = str(tmp_path / "g.dg")
         assert run(capsys, "gen", *gen, "--output", path)[0] == 0
         code, out, _ = run(capsys, *cmd, "--input", path)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # sha256 of the generator's stdout: the seeded generators' streams
+    @pytest.mark.parametrize(
+        "gen,digest",
+        [
+            (("--family", "random_tournament", "--n", "40"),
+             "731bf44c1ee2f78ad75cf71b7ffafd8327a8f6e7f13516312bd6dbd8b69c88fb"),
+            (("--family", "random_regular_tournament", "--n", "25"),
+             "836ea1a17d8ee9437d727746c8ad05bd2bfa58f8490dc9d6811db8d195f556f9"),
+            (("--family", "random_regular_graph", "--n", "24", "--param", "d=5",
+              "--graph"),
+             "b346c399ac643437ed74529525256224bf4383718ad4879da6db0057051e435b"),
+        ],
+    )
+    def test_gen_golden(self, capsys, gen, digest):
+        code, out, _ = run(capsys, "gen", *gen)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

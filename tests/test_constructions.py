@@ -72,6 +72,14 @@ class TestTournaments:
         r = (n - 1) // 2
         assert semidegrees(g) == (r, r, r)
 
+    def test_random_regular_tournament_of_order_one(self):
+        # no 3-cycle to reverse, so the circulant comes back unchanged
+        assert random_regular_tournament(1, seed=0) == circulant_tournament(1)
+
+    def test_random_tournament_negative_order(self):
+        with pytest.raises(BadParams, match="n=-1"):
+            random_tournament(-1, seed=0)
+
     def test_switching_leaves_circulant_class(self):
         # different seeds give different regular tournaments
         a = random_regular_tournament(9, seed=1)
@@ -93,6 +101,14 @@ class TestRandomGraphs:
     def test_odd_degree_needs_even_order(self):
         with pytest.raises(BadParams):
             random_regular_graph(9, 3, seed=0)
+
+    @pytest.mark.parametrize("d", [-1, -2])
+    def test_negative_degree(self, d):
+        with pytest.raises(BadParams, match=f"d={d}"):
+            random_regular_graph(6, d, seed=0)
+
+    def test_degree_zero_is_empty(self):
+        assert random_regular_graph(6, 0, seed=0).m == 0
 
 
 class TestExtremal:

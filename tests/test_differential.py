@@ -11,12 +11,13 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hamdg import core, solvers
+from hamdg import constructions, core, solvers
 from hamdg import io as hio
 from hamdg.conditions import check_degree_condition, check_sequence_condition
 from hamdg.constructions import (
@@ -616,6 +617,67 @@ class TestDenseConstructions:
         for seed in range(20):
             n = 5 + 3 * seed
             _same_rows(random_digraph(n, p, seed), oracles.random_digraph(n, p, seed))
+
+
+SEEDS = [0, 1, 1054104823, 2**31 - 1]
+
+
+class TestRandomGenerators:
+    """Block-drawn seeded generators against one numpy call per step: the
+    same Philox stream, so the same rows."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_tournament(self, seed):
+        for n in (0, 1, 2, 3, 40, 64):
+            _same_rows(random_tournament(n, seed), oracles.random_tournament(n, seed))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_regular_tournament(self, seed):
+        # 50 * 19^2 steps cross the first block boundary, 50 * 23^2 end
+        # inside the second block; at n = 3 the first draw has bound 1
+        assert 50 * 19**2 > constructions._DRAW_BLOCK
+        for n in (3, 19, 23):
+            _same_rows(
+                random_regular_tournament(n, seed),
+                oracles.random_regular_tournament(n, seed),
+            )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_regular_graph(self, seed):
+        # (24, 23) takes 30 * 24 * 23 steps, past the first block boundary
+        for n, d in [(8, 0), (8, 1), (24, 1), (8, 3), (24, 3), (8, 7), (24, 23)]:
+            _same_rows(
+                random_regular_graph(n, d, seed),
+                oracles.random_regular_graph(n, d, seed),
+            )
+
+    def test_many_short_blocks(self, monkeypatch):
+        # blocks of 7 steps: hundreds of boundaries, most orders ending in a
+        # partial block and n = 7 (2,450 steps) filling its last one
+        monkeypatch.setattr(constructions, "_DRAW_BLOCK", 7)
+        for seed in SEEDS:
+            for n in (3, 5, 7, 9):
+                _same_rows(
+                    random_regular_tournament(n, seed),
+                    oracles.random_regular_tournament(n, seed),
+                )
+            for n, d in [(6, 2), (9, 4), (10, 3)]:
+                _same_rows(
+                    random_regular_graph(n, d, seed),
+                    oracles.random_regular_graph(n, d, seed),
+                )
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 25, 3 * 2**30])
+    def test_triples_are_choice(self, n):
+        # at n = 3 * 2^30 each of Floyd's draws is rejected and redrawn a
+        # quarter of the time, which the block must repeat draw for draw
+        for seed in SEEDS:
+            rng = np.random.Generator(np.random.Philox(seed))
+            ref = np.random.Generator(np.random.Philox(seed))
+            got = constructions._triples(rng, n, 200)
+            want = [ref.choice(n, size=3, replace=False) for _ in range(200)]
+            assert got.tolist() == np.array(want).tolist()
+            assert rng.integers(0, 2**62) == ref.integers(0, 2**62)
 
 
 class TestCountHamilton:
