@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Digraph, int_rows
+from .core import Digraph, int_rows, seeded_rng
 from .errors import BadParams
 
 PartMap = dict[str, list[int]]
@@ -101,7 +101,7 @@ def random_tournament(n: int, seed: int) -> Digraph:
     """
     if n < 0:
         raise BadParams(f"need n >= 0, got n={n}")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = seeded_rng(seed)
     coins = rng.integers(0, 2, size=n * (n - 1) // 2).astype(bool)
     i, j = np.triu_indices(n, 1)
     keep = np.zeros((n, n), bool)
@@ -160,10 +160,10 @@ def random_regular_tournament(n: int, seed: int) -> Digraph:
     if n % 2 == 0:
         raise BadParams("regular tournaments need odd n")
     g = circulant_tournament(n)
+    rng = seeded_rng(seed)
     if n < 3:
         return g
     out = list(g.out)
-    rng = np.random.Generator(np.random.Philox(seed))
     for k in _draw_blocks(50 * n * n):
         for a, b, c in _triples(rng, n, k).tolist():
             if out[a] >> b & 1 and out[b] >> c & 1 and out[c] >> a & 1:
@@ -177,7 +177,9 @@ def random_regular_tournament(n: int, seed: int) -> Digraph:
 
 def random_digraph(n: int, arc_prob: float, seed: int) -> Digraph:
     """Each ordered pair gets an arc independently with probability arc_prob."""
-    rng = np.random.Generator(np.random.Philox(seed))
+    if n < 0:
+        raise BadParams(f"need n >= 0, got n={n}")
+    rng = seeded_rng(seed)
     keep = rng.random((n, n)) < arc_prob
     np.fill_diagonal(keep, False)
     return Digraph.from_out_masks(
@@ -211,7 +213,7 @@ def random_regular_graph(n: int, d: int, seed: int) -> Digraph:
     if d % 2:
         for i in range(n // 2):
             add(i, i + n // 2)
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = seeded_rng(seed)
     elist = sorted(edges)
     for block in _draw_blocks(30 * n * d):
         for i, j in rng.integers(0, len(elist), size=(block, 2)).tolist():

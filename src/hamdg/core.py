@@ -29,6 +29,14 @@ TRANSPOSE_MIN_N = 32
 _TRANSPOSE_BLOCK_BYTES = 8 << 20
 
 
+def seeded_rng(seed: int) -> np.random.Generator:
+    """The Philox generator that every seeded routine draws from.  Philox
+    takes no negative seed, so one is a bad parameter."""
+    if seed < 0:
+        raise BadParams(f"need seed >= 0, got seed={seed}")
+    return np.random.Generator(np.random.Philox(seed))
+
+
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in ascending order."""
     while mask:

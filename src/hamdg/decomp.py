@@ -14,10 +14,16 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .conditions import Verdict
-from .core import Digraph, HamiltonCycle, Matching, bits, is_tournament, popcount
+from .core import (
+    Digraph,
+    HamiltonCycle,
+    Matching,
+    bits,
+    is_tournament,
+    popcount,
+    seeded_rng,
+)
 from .errors import BadParams, CoverFailure
 from .solvers import (
     DEFAULT_BUDGET,
@@ -125,7 +131,7 @@ def _extract(
 
     ``order_seed`` relabels the vertices before each extraction so restarts
     explore different greedy decompositions; output is mapped back."""
-    rng = np.random.Generator(np.random.Philox(order_seed)) if order_seed is not None else None
+    rng = seeded_rng(order_seed) if order_seed is not None else None
     rest = g
     cycles: list[HamiltonCycle] = []
     while True:

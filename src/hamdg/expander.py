@@ -17,7 +17,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .conditions import Verdict, _frac
-from .core import CycleFactor, Digraph, HamiltonCycle, bits, int_rows, popcount
+from .core import (
+    CycleFactor,
+    Digraph,
+    HamiltonCycle,
+    bits,
+    int_rows,
+    popcount,
+    seeded_rng,
+)
 from .errors import (
     BadParams,
     BudgetExceeded,
@@ -138,7 +146,7 @@ def is_robust_outexpander(
     if mode == "sampled":
         if not sizes:
             return Verdict("robust_outexpander", True, reason="no qualifying sizes")
-        rng = np.random.Generator(np.random.Philox(seed))
+        rng = seeded_rng(seed)
         for _ in range(trials):
             size = int(rng.choice(sizes))
             chosen = rng.choice(n, size=size, replace=False)
@@ -261,7 +269,7 @@ def epsilon_regular_pair(
                     return Verdict("eps_regular", False, wit), d
         return Verdict("eps_regular", True), d
     if mode == "sampled":
-        rng = np.random.Generator(np.random.Philox(seed))
+        rng = seeded_rng(seed)
         for _ in range(trials):
             xsize = int(rng.integers(xmin, na + 1))
             chosen = rng.choice(na, size=xsize, replace=False)
@@ -522,7 +530,7 @@ def make_cluster_blowup(
     """
     r, m = red.r, red.m
     k = r.n
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = seeded_rng(seed)
     clusters = tuple(tuple(range(c * m, (c + 1) * m)) for c in range(k))
     n_core = k * m
     exc = tuple(range(n_core, n_core + exceptional))

@@ -80,14 +80,34 @@ class _Budget:
 
 
 def _augment(
-    match_l: list[int], match_r: list[int], root: int, adj: Sequence[int], seen: int
-) -> bool:
-    """One augmenting path (Kuhn) from the free left ``root`` over the
-    left->right bit rows ``adj``, never entering the rights in ``seen``.
+    match_l: list[int],
+    match_r: list[int],
+    root: int,
+    adj: Sequence[int],
+    seen: int,
+    free: int,
+) -> int:
+    """One augmenting path from the free left ``root`` over the left->right
+    bit rows ``adj``, never entering the rights in ``seen``; returns the
+    free right it ends at, or -1, leaving the matching as it was, if there
+    is none.
 
-    Depth first with an explicit stack; right vertices are tried in
-    ascending order, each at most once (``seen`` grows as a bitmask).
-    Returns False, leaving the matching as it was, if there is none."""
+    ``free`` holds rights the caller knows to be unmatched.  When the
+    root's unseen row meets it, the lowest of them ends the path at once.
+    Otherwise, and when that right is matched after all, this is Kuhn's
+    depth-first search on an explicit stack, rights tried in ascending
+    order, each entered at most once (``seen`` grows as a bitmask); so
+    with ``free`` = 0 it is Kuhn's search in its plain order.  Whether an
+    augmenting path exists does not depend on the route; only which path
+    is taken does.  The lookahead is the root's alone: checked at every
+    left, it would cost each step of the plain search."""
+    hit = adj[root] & free & ~seen
+    if hit:
+        r = (hit & -hit).bit_length() - 1
+        if match_r[r] < 0:
+            match_l[root] = r
+            match_r[r] = root
+            return r
     lefts = [root]  # the alternating path: lefts[i] -> rights[i]
     rights: list[int] = []
     while True:
@@ -95,7 +115,7 @@ def _augment(
         if not cand:
             lefts.pop()
             if not lefts:
-                return False
+                return -1
             rights.pop()
             continue
         low = cand & -cand
@@ -104,23 +124,30 @@ def _augment(
         rights.append(r)
         owner = match_r[r]
         if owner < 0:
-            for l, r in zip(lefts, rights):
-                match_l[l] = r
-                match_r[r] = l
-            return True
+            for l, x in zip(lefts, rights):
+                match_l[l] = x
+                match_r[x] = l
+            return r
         lefts.append(owner)
 
 
-def _bipartite_matching(n_left: int, adj: Sequence[int]) -> Optional[list[int]]:
+def _bipartite_matching(
+    n_left: int, adj: Sequence[int], free: int = 0
+) -> Optional[list[int]]:
     """Perfect matching in a bipartite graph given as left->right bit rows.
 
     Returns ``match[l] = r`` or ``None`` if no perfect matching exists.
-    One ``_augment`` per left vertex, in ascending order."""
+    One ``_augment`` per left vertex, in ascending order, whose lookahead
+    takes the rights of ``free`` not matched yet.  With the default 0 this
+    is Kuhn's algorithm in its plain order, whose matchings are outputs
+    (``one_factor``, the expander's per-cluster matchings)."""
     match_l = [-1] * n_left
     match_r = [-1] * max((row.bit_length() for row in adj), default=0)
     for root in range(n_left):
-        if not _augment(match_l, match_r, root, adj, 0):
+        r = _augment(match_l, match_r, root, adj, 0, free)
+        if r < 0:
             return None
+        free &= ~(1 << r)
     return match_l
 
 
@@ -155,12 +182,36 @@ def _hamilton_orders(
       every other left u has row ``out[u] & (un | 1)``; and
     * every unvisited vertex is reachable from ``end`` inside ``un``.
 
-    Both only cut subtrees without a Hamilton cycle, so the orders come out
-    as an unpruned search would give them.  ``succ`` is a perfect matching
-    of the whole double cover (at the root P is vertex 0 alone).  Each
-    child copies its parent's matching, drops left v, right v and P's edge
-    if ``out[v]`` lacks it, and re-augments the at most two lefts left
-    free, so the matching is never rebuilt from scratch.
+    ``succ`` is a perfect matching of the whole double cover (at the root
+    P is vertex 0 alone).  The matching is only a witness that one exists,
+    so any perfect matching will do: each child copies its parent's, drops
+    left v, right v and P's edge if ``out[v]`` lacks it, and re-augments the
+    at most two lefts left free.  A perfect matching of the child's cover
+    exists exactly when each of those augmenting paths does (Berge), so the
+    prune does not depend on which matching the parent held, and each
+    ``_augment`` may take the shortest route: the rights just freed (v's
+    old partner, and P's if dropped) are its lookahead.
+
+    On a symmetric host of n >= 3 vertices, a graph, a Hamilton cycle uses
+    two distinct edges at every vertex, and 0 and ``end`` each have one
+    edge left to use.  With usable = ``un | end | 1``:
+
+    * a vertex with fewer than two usable neighbours refutes;
+    * an unvisited vertex with exactly two usable neighbours, one of them
+      ``end``, must come next: it is the child's only candidate, and two
+      such vertices refute;
+    * two unvisited vertices with exactly two usable neighbours, each
+      including 0, refute.
+
+    Going one deeper only takes the old ``end`` out of the usable set, so
+    the mask of unvisited vertices with two usable neighbours is kept per
+    depth and rescanned only at the old end's neighbours.  None of them
+    drops below two: one that had two, the old end among them, was its
+    parent's only candidate.  So the first rule is checked at the root
+    only.
+
+    Every rule only cuts subtrees without a Hamilton cycle, so the orders
+    come out as an unpruned search would give them.
     """
     n = g.n
     out = g.out
@@ -168,20 +219,28 @@ def _hamilton_orders(
     b.tick()
     if _reach(out, 1) != full:
         return
+    graph = n > 2 and out == g.inn
+    two = 0
+    if graph:
+        degrees = [popcount(row) for row in out]
+        if min(degrees) < 2:
+            return
+        two = sum(1 << u for u in range(1, n) if degrees[u] == 2)
     match_r = [-1] * n
     for l, r in enumerate(succ):
         match_r[r] = l
     rows = list(out)  # left rows; rows[0] is P's, set per node
     path = [0]
     visited = 1
-    # per depth: the candidates left to try and the node's perfect matching
+    # per depth: the candidates left to try, the node's perfect matching
+    # and, on a graph, its unvisited vertices with two usable neighbours
     cands = [out[0]]
-    matches = [(list(succ), match_r)]
+    frames = [(list(succ), match_r, two)]
     while cands:
         cand = cands[-1]
         if not cand:
             cands.pop()
-            matches.pop()
+            frames.pop()
             visited ^= 1 << path.pop()
             continue
         low = cand & -cand
@@ -193,26 +252,44 @@ def _hamilton_orders(
             if out[v] & 1:
                 yield (*path, v)
             continue
-        parent_l, parent_r = matches[-1]
+        parent_l, parent_r, two = frames[-1]
+        p_row = out[v] & un
+        nxt = 0
+        if graph:
+            two &= ~low
+            end = path[-1]
+            if end:  # the old end leaves the usable set
+                usable = un | low | 1
+                for w in bits(out[end] & un):
+                    if popcount(out[w] & usable) == 2:
+                        two |= 1 << w
+            nxt = two & out[v]
+            by0 = two & out[0]
+            if nxt & (nxt - 1) or by0 & (by0 - 1):
+                continue
         match_l, match_r = parent_l[:], parent_r[:]
         rv, lv = match_l[v], match_r[v]
         match_r[rv] = match_l[lv] = match_r[v] = -1
-        p_row = out[v] & un
+        free = 1 << rv  # the rights just freed
         r0 = match_l[0]
         if r0 >= 0 and not p_row >> r0 & 1:
             match_l[0] = match_r[r0] = -1
+            free |= 1 << r0
         rows[0] = p_row
         done = visited ^ low ^ 1  # no right of the path but "into P"
-        if lv and not _augment(match_l, match_r, lv, rows, done):
-            continue
-        if match_l[0] < 0 and not _augment(match_l, match_r, 0, rows, done):
+        if lv:
+            r = _augment(match_l, match_r, lv, rows, done, free)
+            if r < 0:
+                continue
+            free ^= 1 << r
+        if match_l[0] < 0 and _augment(match_l, match_r, 0, rows, done, free) < 0:
             continue
         if _reach(out, low, un) & un != un:
             continue
         path.append(v)
         visited |= low
-        cands.append(p_row)
-        matches.append((match_l, match_r))
+        cands.append(nxt or p_row)
+        frames.append((match_l, match_r, two))
 
 
 def _forced_arcs(
@@ -331,7 +408,7 @@ def enumerate_hamilton_cycles(
     out, inn = rows
     if out is not g.out:
         g = Digraph.from_out_masks(out)
-    succ = _bipartite_matching(n, out)
+    succ = _bipartite_matching(n, out, (1 << n) - 1)  # any witness will do
     if succ is None:
         return
     b = _Budget(budget)

@@ -1,8 +1,10 @@
 """Straightforward reference implementations kept as differential oracles.
 
 These are the original, unoptimised versions of the library's hot layers:
-the expander pipeline, the recursive Hamilton search, the Hamilton counting
-DP, max-flow connectivity, the exact robust-expansion scan and the six
+the expander pipeline, the recursive Hamilton search, the iterative search
+kernel before its lookahead matching repair and degree-2 forcing, the
+Hamilton counting DP, max-flow connectivity, the exact robust-expansion
+scan and the six
 recursive sequence searches (fixed-length cycles, cycle powers, k-ordered
 cycles, oriented patterns, cycle factors, tree embedding), the two cover
 pipelines, each with its own restart loop, the per-arc in-row derivation,
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +34,7 @@ from hamdg.core import (
     Digraph,
     HamiltonCycle,
     Matching,
+    _reach,
     bits,
     is_oriented,
     is_strongly_connected,
@@ -292,6 +295,92 @@ def hamilton_search(
 
     extend(1, 0)
     return found, nodes
+
+
+def augment(
+    match_l: list[int], match_r: list[int], root: int, adj: Sequence[int], seen: int
+) -> bool:
+    """Kuhn's augmenting path from the free left ``root``, rights tried in
+    ascending order on an explicit stack, as the kernel first repaired its
+    matching; False, leaving the matching as it was, if there is none."""
+    lefts = [root]  # the alternating path: lefts[i] -> rights[i]
+    rights: list[int] = []
+    while True:
+        cand = adj[lefts[-1]] & ~seen
+        if not cand:
+            lefts.pop()
+            if not lefts:
+                return False
+            rights.pop()
+            continue
+        low = cand & -cand
+        seen |= low
+        r = low.bit_length() - 1
+        rights.append(r)
+        owner = match_r[r]
+        if owner < 0:
+            for l, r in zip(lefts, rights):
+                match_l[l] = r
+                match_r[r] = l
+            return True
+        lefts.append(owner)
+
+
+def hamilton_orders(g: Digraph, succ: Sequence[int], b) -> Iterator[tuple[int, ...]]:
+    """The iterative kernel with the 1-factor and reach prunes only: Kuhn's
+    ascending order repairs the matching (``augment``) and there is no
+    degree-2 forcing.  ``b`` is ticked once per node, as the library's
+    ``_Budget`` is."""
+    n = g.n
+    out = g.out
+    full = (1 << n) - 1
+    b.tick()
+    if _reach(out, 1) != full:
+        return
+    match_r = [-1] * n
+    for l, r in enumerate(succ):
+        match_r[r] = l
+    rows = list(out)
+    path = [0]
+    visited = 1
+    cands = [out[0]]
+    matches = [(list(succ), match_r)]
+    while cands:
+        cand = cands[-1]
+        if not cand:
+            cands.pop()
+            matches.pop()
+            visited ^= 1 << path.pop()
+            continue
+        low = cand & -cand
+        cands[-1] = cand ^ low
+        b.tick()
+        v = low.bit_length() - 1
+        un = full ^ visited ^ low
+        if not un:
+            if out[v] & 1:
+                yield (*path, v)
+            continue
+        parent_l, parent_r = matches[-1]
+        match_l, match_r = parent_l[:], parent_r[:]
+        rv, lv = match_l[v], match_r[v]
+        match_r[rv] = match_l[lv] = match_r[v] = -1
+        p_row = out[v] & un
+        r0 = match_l[0]
+        if r0 >= 0 and not p_row >> r0 & 1:
+            match_l[0] = match_r[r0] = -1
+        rows[0] = p_row
+        done = visited ^ low ^ 1
+        if lv and not augment(match_l, match_r, lv, rows, done):
+            continue
+        if match_l[0] < 0 and not augment(match_l, match_r, 0, rows, done):
+            continue
+        if _reach(out, low, un) & un != un:
+            continue
+        path.append(v)
+        visited |= low
+        cands.append(p_row)
+        matches.append((match_l, match_r))
 
 
 def find_hamilton_cycle(g: Digraph) -> tuple[Optional[HamiltonCycle], int]:

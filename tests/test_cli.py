@@ -385,6 +385,24 @@ class TestUsage:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and flag in err
 
+    @pytest.mark.parametrize(
+        "argv,want",
+        [
+            (("gen", "--family", "random_tournament", "--n", "5", "--seed", "-1"), "seed=-1"),
+            (("gen", "--family", "random_regular_tournament", "--n", "1", "--seed", "-1"),
+             "seed=-1"),
+            (("gen", "--family", "random_digraph", "--n", "4", "--seed", "-3"), "seed=-3"),
+            (("gen", "--family", "random_regular_graph", "--n", "6", "--param", "d=3",
+              "--seed", "-1"), "seed=-1"),
+            (("gen", "--family", "random_digraph", "--n", "-1"), "n=-1"),
+            (("expander", "--pipeline", "--seed", "-1"), "seed=-1"),
+        ],
+    )
+    def test_negative_seed_or_size_is_usage_error(self, capsys, argv, want):
+        # Philox and numpy's shapes take no negative value; these exited 4
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and want in err and "Traceback" not in err
+
     def test_check_on_the_empty_digraph(self, capsys, tmp_path):
         path = tmp_path / "empty.dg"
         path.write_text("DIGRAPH 1 0 0\n")

@@ -10,6 +10,7 @@ reported as they are.
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from hamdg.constructions import (
     complete_bipartite_digraph,
     fig1,
     fig2,
+    fig4_square,
+    nw_extremal,
     complete_digraph,
     complete_graph,
     directed_cycle,
@@ -54,6 +57,7 @@ from hamdg.expander import (
 from hamdg.solvers import (
     OrientationPattern,
     _Budget,
+    _augment,
     _bipartite_matching,
     _forced_arcs,
     _hamilton_orders,
@@ -255,13 +259,50 @@ def _planted(rng, n, p):
     return Digraph(n, sorted(arcs))
 
 
-def _kernel(g, first=False):
-    """The kernel's cycle orders (only the first when ``first``) and the
-    nodes it expanded; the root matching as ``find_hamilton_cycle`` gets it."""
+def _digraph_view(g):
+    """``g`` as the kernel sees a digraph that is not symmetric.  The kernel
+    reads only ``n``, ``out`` and ``inn``, and forces degree-2 vertices only
+    when ``inn`` equals ``out``, so on this view the forcing stays off."""
+    return SimpleNamespace(n=g.n, out=g.out, inn=None)
+
+
+def _run_kernel(kernel, g, succ, first):
+    if succ is None or g.n < 2:  # the callers' own pre-checks
+        return [], 0
     b = _Budget(10**9)
-    orders = _hamilton_orders(g, _bipartite_matching(g.n, g.out), b)
+    orders = kernel(g, succ, b)
     found = [o for o in [next(orders, None)] if o] if first else list(orders)
     return found, 10**9 - b.left
+
+
+def _kernel(g, first=False, forcing=True):
+    """The kernel's cycle orders (only the first when ``first``) and the
+    nodes it expanded, from the root matching ``enumerate_hamilton_cycles``
+    builds; ``forcing=False`` runs it with the degree-2 forcing off."""
+    succ = _bipartite_matching(g.n, g.out, (1 << g.n) - 1)
+    return _run_kernel(_hamilton_orders, g if forcing else _digraph_view(g), succ, first)
+
+
+def _oracle_kernel(g, first=False):
+    """The same from the kernel before the lookahead repair and the forcing,
+    with Kuhn's root matching."""
+    succ = oracles.bipartite_matching(g.n, g.out)
+    return _run_kernel(oracles.hamilton_orders, g, succ, first)
+
+
+def _check_kernel(g, first=False):
+    """The kernel against ``oracles.hamilton_orders``.  With the forcing
+    off the orders and the node counts are equal: any perfect matching
+    witnesses the 1-factor prune, so the shortest repair moves no node.
+    With it on, the orders are equal and the nodes no more, and a digraph
+    that is not symmetric sees no change at all.  Returns both results."""
+    want = _oracle_kernel(g, first)
+    assert _kernel(g, first, forcing=False) == want
+    got = _kernel(g, first)
+    assert got[0] == want[0] and got[1] <= want[1]
+    if g.out != g.inn:
+        assert got == want
+    return got, want
 
 
 class TestHamiltonSearch:
@@ -273,6 +314,7 @@ class TestHamiltonSearch:
         if nodes:
             assert _kernel(g, first=True)[1] <= nodes
         assert list(enumerate_hamilton_cycles(g)) == oracles.enumerate_hamilton_cycles(g)[0]
+        _check_kernel(g)
 
     def test_first_cycle_and_fewer_nodes(self):
         rng = random.Random(29)
@@ -284,6 +326,7 @@ class TestHamiltonSearch:
             if nodes:
                 assert _kernel(g, first=True)[1] <= nodes
                 outcomes.add(want is None)
+            _check_kernel(g, first=True)
         assert outcomes == {True, False}
 
     def test_equal_enumerations(self):
@@ -292,14 +335,19 @@ class TestHamiltonSearch:
             g = random_digraph(rng.randint(2, 10), rng.choice((0.2, 0.35, 0.5)), seed=i)
             want, _ = oracles.enumerate_hamilton_cycles(g)
             assert list(enumerate_hamilton_cycles(g)) == want
+            _check_kernel(g)
 
     def test_repair_equals_rebuild(self):
         # the incremental matching repair keeps exactly the nodes that a
         # matching built from scratch at every node keeps
         rng = random.Random(37)
+        symmetric = 0
         for _ in range(400):
             g = _planted(rng, rng.randint(2, 11), rng.choice((0.1, 0.2, 0.3)))
-            assert _kernel(g) == oracles.hamilton_search(g, oracles.residual_feasible)
+            _, unforced = _check_kernel(g)
+            assert unforced == oracles.hamilton_search(g, oracles.residual_feasible)
+            symmetric += g.out == g.inn
+        assert symmetric > 0
 
 
 # --- the root refutations against brute force ------------------------------
@@ -502,14 +550,224 @@ class TestRootRefutations:
         assert calls == []
 
     def test_budget_unchanged_when_the_scan_finds_nothing(self):
-        # the Petersen graph has no Hamilton cycle and no cut; the held-back
-        # nodes come back after the scan, so the budget is the kernel's
-        g = _petersen()
+        # the Petersen digraph less the arc 0 -> 1 has no Hamilton cycle, no
+        # cut and no forced arc, and it is not symmetric, so the kernel
+        # needs more than n^2 nodes; the held-back nodes come back after the
+        # scan, so the budget is the kernel's
+        g = _petersen().without_arcs([(0, 1)])
+        assert _forced_arcs(g.out, g.inn) == (g.out, g.inn)
+        assert _tough_cut(_underlying(g)) is None
         _, nodes = _kernel(g)
         assert nodes > g.n * g.n
         assert find_hamilton_cycle(g, budget=nodes) is None
         with pytest.raises(BudgetExceeded):
             find_hamilton_cycle(g, budget=nodes - 1)
+
+    def test_degree_one_refutes_at_the_root(self):
+        # K3 and K4, each with a pendant vertex, have a 1-factor; on the
+        # way through the library ``_forced_arcs`` refutes them first
+        for n in (3, 4):
+            edges = list(itertools.combinations(range(n), 2)) + [(n - 1, n)]
+            g = Digraph(n + 1, edges + [(v, u) for u, v in edges])
+            assert _kernel(g) == ([], 1)
+            assert _kernel(g, forcing=False)[1] > 1
+
+    def test_symmetric_petersen_within_n_squared_nodes(self):
+        # on the graph itself the degree-2 forcing refutes it before the
+        # scan's checkpoint, which the digraph above passes
+        g = _petersen()
+        _, nodes = _kernel(g)
+        assert nodes < g.n * g.n < _kernel(g, forcing=False)[1]
+        assert find_hamilton_cycle(g, budget=nodes) is None
+
+
+@pytest.fixture(scope="module")
+def symmetric_hosts():
+    """Graphs as symmetric digraphs: rrg(n, d) for n = 6..30 and d = 2..6,
+    three seeds each, complete graphs on 3..8 vertices, the Petersen graph
+    and sparse random graphs on 5..12 vertices."""
+    hosts = [
+        (f"rrg({n},{d},{seed})", random_regular_graph(n, d, seed))
+        for n in range(6, 31)
+        for d in range(2, 7)
+        if d < n and n * d % 2 == 0
+        for seed in range(3)
+    ]
+    hosts += [(f"K{n}", complete_graph(n)) for n in range(3, 9)]
+    hosts.append(("petersen", _petersen()))
+    hosts += [(f"gnp{i}", _symmetric_digraph(5 + i % 8, 0.45, i)) for i in range(40)]
+    return hosts
+
+
+class TestSymmetricHosts:
+    """The lookahead repair and the degree-2 forcing on graphs, against the
+    kernel before them (``_check_kernel``).  Enumerations run up to 10
+    vertices, first cycles on all."""
+
+    def test_enough_inputs(self, symmetric_hosts):
+        assert len(symmetric_hosts) >= 300
+        assert all(g.out == g.inn for _, g in symmetric_hosts)
+
+    def test_forcing_keeps_every_cycle(self, symmetric_hosts):
+        fewer = 0
+        for name, g in symmetric_hosts:
+            first = g.n > 10
+            (got, nodes), (want, parent) = _check_kernel(g, first)
+            fewer += nodes < parent
+            cycle = find_hamilton_cycle(g)
+            assert (cycle and cycle.order) == (want[0] if want else None), name
+            if not first:
+                assert [c.order for c in enumerate_hamilton_cycles(g)] == want, name
+        assert fewer >= len(symmetric_hosts) // 2
+
+    def test_degree_rules_each_cut(self):
+        # the node counts summed over the decide deck's graph sizes, seeds
+        # 0-19: each rule, weakened, expands more nodes, and strengthened,
+        # cuts a cycle that the oracles above then miss
+        want = {(30, 3): (1523, 9397), (32, 3): (1409, 9649),
+                (24, 4): (646, 5815), (26, 4): (712, 6463)}
+        for (n, d), (nodes, parent) in want.items():
+            runs = [_check_kernel(random_regular_graph(n, d, s), first=True)
+                    for s in range(20)]
+            assert sum(got[1] for got, _ in runs) == nodes
+            assert sum(old[1] for _, old in runs) == parent
+
+
+@pytest.fixture
+def ticks(monkeypatch):
+    """Runs ``find_hamilton_cycle(g)`` and returns its cycle and the search
+    nodes it ticked, root refutations included."""
+    count = [0]
+
+    class Ticked(_Budget):
+        def tick(self):
+            count[0] += 1
+            super().tick()
+
+    monkeypatch.setattr(solvers, "_Budget", Ticked)
+
+    def run(g):
+        count[0] = 0
+        return find_hamilton_cycle(g, budget=10**6), count[0]
+
+    return run
+
+
+class TestWorkCounters:
+    """Search nodes per answer, a count that does not depend on the host."""
+
+    # digraphs that are not symmetric keep the counts they had before the
+    # lookahead repair and the forcing; fig1(2) is a graph the cut scan
+    # refutes at n^2 + 1 nodes, and nw_extremal(10, 2) is a graph that the
+    # forcing refutes in 7 nodes (21 before it)
+    PINNED = {
+        "random_tournament(40, 0)": (lambda: random_tournament(40, 0), 44),
+        "random_regular_tournament(21, 0)": (lambda: random_regular_tournament(21, 0), 28),
+        "circulant_tournament(21)": (lambda: circulant_tournament(21), 21),
+        "fig4_square(2)": (lambda: fig4_square(2)[0], 16),
+        "random_digraph(30, 0.16, 2)": (lambda: random_digraph(30, 0.16, 2), 87),
+        "fig1(2)": (lambda: fig1(2)[0], 401),
+        "nw_extremal(10, 2)": (lambda: nw_extremal(10, 2)[0], 7),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_counts(self, ticks, name):
+        make, nodes = self.PINNED[name]
+        g = make()
+        cycle, got = ticks(g)
+        assert got == nodes
+        if name.startswith(("fig1", "nw_")):
+            assert cycle is None
+        else:
+            assert cycle.is_valid(g)
+
+    def test_cubic_graphs_on_60_vertices(self, ticks):
+        # seed 3 ran out of 2 * 10^6 nodes before the forcing
+        for seed, nodes in enumerate((337, 245, 1697, 824, 1913)):
+            g = random_regular_graph(60, 3, seed)
+            cycle, got = ticks(g)
+            assert got == nodes <= 10**4
+            assert cycle.is_valid(g)
+
+
+def _valid_matching(adj, match_l, match_r):
+    return all(
+        (r < 0 or (adj[l] >> r & 1 and match_r[r] == l)) for l, r in enumerate(match_l)
+    ) and all(l < 0 or match_l[l] == r for r, l in enumerate(match_r))
+
+
+class TestAugment:
+    def test_lookahead_ends_at_the_lowest_free_right(self):
+        # left 0 sees rights 0 (matched to left 1) and 2, 3 (free): the
+        # lookahead takes 2 at once and leaves left 1 as it was
+        adj = [0b1101, 0b0011]
+        match_l, match_r = [-1, 0], [1, -1, -1, -1]
+        assert _augment(match_l, match_r, 0, adj, 0, 0b1100) == 2
+        assert (match_l, match_r) == ([2, 0], [1, -1, 0, -1])
+        # without it Kuhn enters right 0 first and moves left 1 to right 1
+        match_l, match_r = [-1, 0], [1, -1, -1, -1]
+        assert _augment(match_l, match_r, 0, adj, 0, 0) == 1
+        assert (match_l, match_r) == ([0, 1], [0, 1, -1, -1])
+
+    @pytest.mark.parametrize("p", [0.1, 0.2, 0.4])
+    def test_random_repairs(self, p):
+        # matchings grown one left at a time with the exact free set as the
+        # lookahead stay valid, end where the lookahead says when the row
+        # meets it, and fail exactly when Kuhn's plain search fails
+        rng = random.Random(int(p * 100))
+        failed = 0
+        for _ in range(150):
+            n_left = rng.randint(1, 16)
+            n_right = rng.randint(n_left, n_left + 3)
+            adj = _random_rows(rng, n_left, n_right, p)
+            match_l, match_r = [-1] * n_left, [-1] * n_right
+            plain_l, plain_r = [-1] * n_left, [-1] * n_right
+            free = (1 << n_right) - 1
+            for root in rng.sample(range(n_left), n_left):
+                seen = rng.getrandbits(n_right) & ~free if rng.random() < 0.3 else 0
+                r = _augment(match_l, match_r, root, adj, seen, free)
+                plain = oracles.augment(plain_l, plain_r, root, adj, seen)
+                if adj[root] & free & ~seen:
+                    low = adj[root] & free & ~seen
+                    assert r == (low & -low).bit_length() - 1
+                assert (r >= 0) == plain
+                assert _valid_matching(adj, match_l, match_r)
+                if r < 0:
+                    failed += 1
+                    break
+                assert free >> r & 1 and match_l[root] >= 0
+                free ^= 1 << r
+                plain_l, plain_r = match_l[:], match_r[:]
+        assert failed > 0
+
+    def test_matched_rights_in_the_hint_are_entered(self):
+        # a right of ``free`` that is matched after all is not taken: Kuhn's
+        # plain search runs instead, so a wrong hint breaks nothing
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(1, 14)
+            adj = _random_rows(rng, n, n, rng.choice((0.15, 0.3)))
+            match_l, match_r = [-1] * n, [-1] * n
+            for root in range(n):
+                plain = oracles.augment(match_l[:], match_r[:], root, adj, 0)
+                r = _augment(match_l, match_r, root, adj, 0, rng.getrandbits(n))
+                assert (r >= 0) == plain
+                assert _valid_matching(adj, match_l, match_r)
+                if r < 0:
+                    break
+                assert match_l[root] >= 0 and match_r[r] >= 0
+
+    def test_root_matchings(self):
+        rng = random.Random(17)
+        for _ in range(200):
+            n = rng.randint(1, 20)
+            adj = _random_rows(rng, n, n, rng.choice((0.1, 0.2, 0.5)))
+            got = _bipartite_matching(n, adj, (1 << n) - 1)
+            want = oracles.bipartite_matching(n, adj)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert sorted(got) == list(range(n))
+                assert all(adj[l] >> r & 1 for l, r in enumerate(got))
 
 
 def _same_rows(g, want):
