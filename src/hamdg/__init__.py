@@ -76,7 +76,6 @@ from .expander import (
     BipartitePair,
     ClosedWalk,
     ClusterBlowup,
-    ExpanderParams,
     OneFactorF,
     ReducedDigraph,
     ShiftedWalk,

@@ -15,7 +15,7 @@ import sys
 import time
 import traceback
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import constructions as cons
 from . import io as hio
@@ -306,6 +306,15 @@ def _emit_table(rows: list[dict], jsonl: bool) -> None:
     writer.writerows(rows)
 
 
+def _tournaments(n: int) -> Iterator[Digraph]:
+    """Every labeled tournament on n vertices, one per orientation mask."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for mask in range(1 << len(pairs)):
+        yield Digraph(
+            n, [(i, j) if mask >> t & 1 else (j, i) for t, (i, j) in enumerate(pairs)]
+        )
+
+
 def _exp_kelly(ns: list[int]) -> tuple[list[dict], bool]:
     """Every labeled regular tournament on n decomposes into (n-1)/2
     Hamilton cycles."""
@@ -318,13 +327,7 @@ def _exp_kelly(ns: list[int]) -> tuple[list[dict], bool]:
             raise HamdgError("regular tournaments need odd n")
         target = (n - 1) // 2
         total = checked = 0
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        for mask in range(1 << len(pairs)):
-            arcs = [
-                (i, j) if mask >> t & 1 else (j, i)
-                for t, (i, j) in enumerate(pairs)
-            ]
-            g = Digraph(n, arcs)
+        for g in _tournaments(n):
             if semidegrees(g)[2] != target:
                 continue
             total += 1
@@ -352,15 +355,9 @@ def _exp_camion(ns: list[int]) -> tuple[list[dict], bool]:
     rows = []
     all_ok = True
     for n in ns:
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         strong = ham = pan = 0
         ok = True
-        for mask in range(1 << len(pairs)):
-            arcs = [
-                (i, j) if mask >> t & 1 else (j, i)
-                for t, (i, j) in enumerate(pairs)
-            ]
-            g = Digraph(n, arcs)
+        for g in _tournaments(n):
             s = is_strongly_connected(g)
             h = find_hamilton_cycle(g) is not None
             if s != h:
@@ -375,7 +372,7 @@ def _exp_camion(ns: list[int]) -> tuple[list[dict], bool]:
             {
                 "instance": f"camion-n{n}",
                 "n": n,
-                "tournaments": 1 << len(pairs),
+                "tournaments": 1 << (n * (n - 1) // 2),
                 "strong": strong,
                 "hamiltonian": ham,
                 "pancyclic": pan,

@@ -8,7 +8,6 @@ immutable after construction; operations are pure functions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -338,16 +337,6 @@ def is_strongly_connected(g: Digraph) -> bool:
     return _reach(g.out, 1) == full and _reach(g.inn, 1) == full
 
 
-def strongly_connected_within(g: Digraph, mask: int) -> bool:
-    """Is the sub-digraph induced on ``mask`` strongly connected?"""
-    if mask == 0:
-        return True
-    start = mask & -mask
-    adj = [g.out[v] & mask for v in range(g.n)]
-    radj = [g.inn[v] & mask for v in range(g.n)]
-    return _reach(adj, start) == mask and _reach(radj, start) == mask
-
-
 def _vertex_disjoint_paths(g: Digraph, s: int, t: int, limit: int) -> int:
     """min(limit, the number of internally vertex-disjoint s->t paths), for
     s, t with no arc s->t.
@@ -413,14 +402,13 @@ def _vertex_disjoint_paths(g: Digraph, s: int, t: int, limit: int) -> int:
     return flow
 
 
-def vertex_connectivity(g: Digraph, *, brute_cap: int = 10) -> int:
+def vertex_connectivity(g: Digraph) -> int:
     """Size of the smallest vertex set whose removal leaves a non-strongly
     connected digraph or a single vertex.
 
-    Up to ``brute_cap`` vertices this tries every vertex set.  Above it, kappa
-    is n - 1 for a complete digraph and otherwise the least s,t max flow over
-    ordered pairs with no arc s->t (Menger).  Only pairs with s or t below
-    best are run, best being the least flow so far (Even & Tarjan's
+    Kappa is n - 1 for a complete digraph and otherwise the least s,t max
+    flow over ordered pairs with no arc s->t (Menger).  Only pairs with s or
+    t below best are run, best being the least flow so far (Even & Tarjan's
     source-set reduction), and each flow stops once it reaches best.
     This is exact: a minimum separator X has kappa vertices, so one vertex v
     of 0..kappa lies outside X; G - X is not strongly connected, so some u
@@ -430,8 +418,6 @@ def vertex_connectivity(g: Digraph, *, brute_cap: int = 10) -> int:
     already come down to kappa."""
     if g.n < 2:
         raise BadParams("need n >= 2")
-    if g.n <= brute_cap:
-        return _vertex_connectivity_brute(g)
     best = g.n - 1
     for i in range(g.n):
         if i >= best:
@@ -443,49 +429,33 @@ def vertex_connectivity(g: Digraph, *, brute_cap: int = 10) -> int:
     return best
 
 
-def _vertex_connectivity_brute(g: Digraph) -> int:
-    full = (1 << g.n) - 1
-    for k in range(g.n):
-        for removed in itertools.combinations(range(g.n), k):
-            mask = full
-            for v in removed:
-                mask &= ~(1 << v)
-            if popcount(mask) == 1 or not strongly_connected_within(g, mask):
-                return k
-    return g.n - 1
-
-
 # --- independence --------------------------------------------------------
 
 
-def _max_independent_set(n: int, adj: Sequence[int]) -> tuple[int, int]:
-    """(size, mask) of a maximum independent set; branch and bound."""
+def _max_independent_set(n: int, adj: Sequence[int]) -> int:
+    """Size of a maximum independent set; branch and bound."""
     best = 0
-    best_mask = 0
 
-    def grow(mask: int, chosen: int, size: int) -> None:
-        nonlocal best, best_mask
+    def grow(mask: int, size: int) -> None:
+        nonlocal best
         if size + popcount(mask) <= best:
             return
         if mask == 0:
-            if size > best:
-                best, best_mask = size, chosen
+            best = size
             return
         # pivot on the max-degree vertex inside mask
         v = max(bits(mask), key=lambda x: popcount(adj[x] & mask))
-        grow(mask & ~(1 << v) & ~adj[v], chosen | (1 << v), size + 1)
-        grow(mask & ~(1 << v), chosen, size)
+        grow(mask & ~(1 << v) & ~adj[v], size + 1)
+        grow(mask & ~(1 << v), size)
 
     # greedy initial bound
     mask = (1 << n) - 1
-    greedy = 0
     while mask:
         v = min(bits(mask), key=lambda x: popcount(adj[x] & mask))
-        greedy |= 1 << v
+        best += 1
         mask &= ~(1 << v) & ~adj[v]
-    best, best_mask = popcount(greedy), greedy
-    grow((1 << n) - 1, 0, 0)
-    return best, best_mask
+    grow((1 << n) - 1, 0)
+    return best
 
 
 def independence_numbers(
@@ -496,17 +466,7 @@ def independence_numbers(
         raise BudgetExceeded(f"n={g.n} above independence cap {cap}")
     any_adj = [g.out[v] | g.inn[v] for v in range(g.n)]
     two_adj = [g.out[v] & g.inn[v] for v in range(g.n)]
-    a0, _ = _max_independent_set(g.n, any_adj)
-    a2, _ = _max_independent_set(g.n, two_adj)
-    return a0, a2
-
-
-def max_arcfree_set(g: Digraph, *, cap: int = INDEPENDENCE_CAP) -> set[int]:
-    if g.n > cap:
-        raise BudgetExceeded(f"n={g.n} above independence cap {cap}")
-    any_adj = [g.out[v] | g.inn[v] for v in range(g.n)]
-    _, mask = _max_independent_set(g.n, any_adj)
-    return set(bits(mask))
+    return _max_independent_set(g.n, any_adj), _max_independent_set(g.n, two_adj)
 
 
 def dominated_row(g: Digraph, x: int) -> int:

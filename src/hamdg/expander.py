@@ -37,23 +37,6 @@ from .errors import (
 from .solvers import _bipartite_matching, find_hamilton_cycle, rotation_extension
 
 
-@dataclass(frozen=True)
-class ExpanderParams:
-    nu: Fraction
-    tau: Fraction
-    eps: Fraction = Fraction(1, 4)
-    d: Fraction = Fraction(1, 2)
-    eta: Fraction = Fraction(3, 10)
-
-    def __post_init__(self):
-        for name in ("nu", "tau", "eps", "d", "eta"):
-            v = getattr(self, name)
-            if not 0 < v < 1:
-                raise BadParams(f"{name} must lie in (0,1)")
-        if self.nu > self.tau:
-            raise BadParams("need nu <= tau")
-
-
 # --- robust outneighbourhoods --------------------------------------------
 
 
@@ -162,23 +145,6 @@ def is_robust_outexpander(
     raise BadParams(f"unknown mode {mode!r}")
 
 
-def is_outexpander(g: Digraph, nu, tau) -> bool:
-    """Plain (non-robust) outexpansion: |N+(S)| >= |S| + nu*n."""
-    nu, tau = _frac(nu), _frac(tau)
-    n = g.n
-    lo, hi = tau * n, (1 - tau) * n
-    for mask in range(1, 1 << n):
-        size = popcount(mask)
-        if not lo < size < hi:
-            continue
-        nplus = 0
-        for v in bits(mask):
-            nplus |= g.out[v]
-        if Fraction(popcount(nplus) - size) < nu * n:
-            return False
-    return True
-
-
 # --- epsilon-regular pairs -----------------------------------------------
 
 
@@ -200,9 +166,6 @@ class BipartitePair:
 
     def density(self) -> Fraction:
         return Fraction(self.edges, self.na * self.nb)
-
-    def col_degrees(self) -> list[int]:
-        return [sum(r >> j & 1 for r in self.rows) for j in range(self.nb)]
 
 
 # Largest side the exact regular-pair scan accepts; it tries every X.
@@ -284,21 +247,6 @@ def epsilon_regular_pair(
             d,
         )
     raise BadParams(f"unknown mode {mode!r}")
-
-
-def is_super_regular(
-    pair: BipartitePair, eps, d, *, mode: str = "sampled", trials: int = 200, seed: int = 0
-) -> Verdict:
-    """eps-regular plus minimum degree d*|other side| on both sides."""
-    dd = _frac(d)
-    for a, row in enumerate(pair.rows):
-        if Fraction(popcount(row)) < dd * pair.nb:
-            return Verdict("super_regular", False, {"side": "A", "vertex": a})
-    for b, deg in enumerate(pair.col_degrees()):
-        if Fraction(deg) < dd * pair.na:
-            return Verdict("super_regular", False, {"side": "B", "vertex": b})
-    verdict, _ = epsilon_regular_pair(pair, eps, mode=mode, trials=trials, seed=seed)
-    return Verdict("super_regular", verdict.holds, verdict.witness, verdict.reason)
 
 
 # --- reduced digraphs, 1-factors, shifted walks --------------------------
@@ -518,15 +466,14 @@ def make_cluster_blowup(
     red: ReducedDigraph,
     *,
     exceptional: int = 0,
-    demands: Optional[Sequence[tuple[int, int]]] = None,
     pair_density: float = 1.0,
-    min_pair_degree: Optional[int] = None,
     seed: int = 0,
 ) -> tuple[ClusterBlowup, list[tuple[int, int]]]:
     """Synthetic blow-up of a reduced digraph: each cluster becomes m
     vertices; every reduced arc becomes a (possibly thinned) one-way
-    bipartite arc set; exceptional vertices are wired to all of their
-    demand clusters.  Returns the blow-up plus the demand list.
+    bipartite arc set whose rows below ceil(m/2) arcs become complete;
+    exceptional vertex i is wired to all of its demand clusters
+    (2i mod k, 2i+1 mod k).  Returns the blow-up plus the demand list.
     """
     r, m = red.r, red.m
     k = r.n
@@ -534,13 +481,8 @@ def make_cluster_blowup(
     clusters = tuple(tuple(range(c * m, (c + 1) * m)) for c in range(k))
     n_core = k * m
     exc = tuple(range(n_core, n_core + exceptional))
-    if demands is None:
-        demands = [((2 * i) % k, (2 * i + 1) % k) for i in range(exceptional)]
-    demands = list(demands)
-    if len(demands) != exceptional:
-        raise BadParams("one (T,U) demand pair per exceptional vertex")
-    if min_pair_degree is None:
-        min_pair_degree = max(1, (m + 1) // 2)
+    demands = [((2 * i) % k, (2 * i + 1) % k) for i in range(exceptional)]
+    min_pair_degree = max(1, (m + 1) // 2)
     full = (1 << m) - 1
     out = [0] * (n_core + exceptional)
     for ci, cj in r.arcs():

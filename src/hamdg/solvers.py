@@ -8,6 +8,7 @@ certificate found is reproducible.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -30,8 +31,6 @@ from .core import (
 )
 from .errors import BadParams, BudgetExceeded
 
-import os
-
 DEFAULT_BUDGET = int(os.environ.get("HAMDG_BUDGET", 10**8))
 
 
@@ -47,7 +46,8 @@ class _Budget:
     and if it returns true the tick raises ``_Refuted``.  The nodes past the
     checkpoint are held back until then, so ``tick`` stays one decrement
     and one compare, the total stays the budget, and the checkpoint's own
-    work is not counted as nodes."""
+    work is not counted as nodes.  They come back before ``refutes()`` runs,
+    so after a refutation the budget less ``left`` is the nodes expanded."""
 
     __slots__ = ("left", "held", "refutes")
 
@@ -68,10 +68,10 @@ class _Budget:
     def _overrun(self) -> None:
         refutes, self.refutes = self.refutes, None
         if refutes is not None:
-            if refutes():
-                raise _Refuted
             self.left += self.held
             self.held = 0
+            if refutes():
+                raise _Refuted
         if self.left < 0:
             raise BudgetExceeded("search node budget exhausted")
 
@@ -490,7 +490,7 @@ def _end_counts(adj: np.ndarray, start: np.ndarray) -> np.ndarray:
     return table[0]
 
 
-def count_hamilton(g: Digraph, *, cap: int = COUNT_CAP) -> CountReport:
+def count_hamilton(g: Digraph) -> CountReport:
     """Exact Hamilton path and cycle counts by a layered subset DP over
     (visited set, endpoint) in numpy int64 (see ``_end_counts``).
 
@@ -499,13 +499,10 @@ def count_hamilton(g: Digraph, *, cap: int = COUNT_CAP) -> CountReport:
     exactly once.  Costs O(2^n n^2) integer operations and two layers of at
     most C(n, n/2) x n int64 entries.  Table entries are exact for
     n <= COUNT_CAP = 21 ((n-1)! < 2**63); the final sums, which reach n!,
-    are taken in Python ints.  Raises ``BudgetExceeded`` above ``cap`` or
-    above 21 at once."""
+    are taken in Python ints.  Raises ``BudgetExceeded`` above 21 at once."""
     n = g.n
-    if n > min(cap, COUNT_CAP):
-        raise BudgetExceeded(
-            f"counting capped at n <= cap={min(cap, COUNT_CAP)}, got n={n}"
-        )
+    if n > COUNT_CAP:
+        raise BudgetExceeded(f"counting capped at n <= cap={COUNT_CAP}, got n={n}")
     if n == 0:
         return CountReport(0, 0, Fraction(0), Fraction(0))
     adj = (np.array(g.out, dtype=np.int64)[:, None] >> np.arange(n)) & 1
@@ -520,21 +517,6 @@ def count_hamilton(g: Digraph, *, cap: int = COUNT_CAP) -> CountReport:
         Fraction(factorial(n), 2 ** (n - 1)),
         Fraction(factorial(n - 1), 2**n),
     )
-
-
-def count_hamilton_naive(g: Digraph) -> tuple[int, int]:
-    """Permutation-enumeration oracle for small n (independent of the DP)."""
-    import itertools
-
-    n = g.n
-    paths = 0
-    cycles = 0
-    for perm in itertools.permutations(range(n)):
-        if all(g.has_arc(perm[i], perm[i + 1]) for i in range(n - 1)):
-            paths += 1
-            if n >= 2 and perm[0] == 0 and g.has_arc(perm[-1], perm[0]):
-                cycles += 1
-    return paths, cycles
 
 
 # --- sequence searches ---------------------------------------------------
@@ -927,20 +909,8 @@ def rotation_extension(
         if steps & (steps - 1) == 0:
             mark_path, mark_cycles = path, list(cycles)
         steps += 1
-        if not cycles:
-            if g.has_arc(path[-1], path[0]):
-                return HamiltonCycle(tuple(path))
-            # re-split: chord from the endpoint back into the path
-            moved = False
-            for i in range(len(path) - 2, 0, -1):
-                if g.has_arc(path[-1], path[i]):
-                    cycles.append(path[i:])
-                    path = path[:i]
-                    moved = True
-                    break
-            if not moved:
-                return None
-            continue
+        if not cycles and g.has_arc(path[-1], path[0]):
+            return HamiltonCycle(tuple(path))
         # extend forward: endpoint out-neighbour on another cycle
         extended = False
         for ci, cyc in enumerate(cycles):
@@ -964,14 +934,13 @@ def rotation_extension(
                 break
         if extended:
             continue
-        # rotate: close a suffix of the path into a cycle and retry
-        moved = False
+        # rotate (or, with no cycle left, re-split): close a suffix of the
+        # path into a cycle and retry
         for i in range(len(path) - 2, 0, -1):
             if g.has_arc(path[-1], path[i]):
                 cycles.append(path[i:])
                 path = path[:i]
-                moved = True
                 break
-        if not moved:
+        else:
             return None
     return None

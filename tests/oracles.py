@@ -17,10 +17,15 @@ library's fast paths must return exactly what these return: the same
 matching, the same host digraph, the same cycle order, the same counts, the
 same verdict and witness, the same cover or the same failing matching, the
 same rows, the same parse error.
+
+Two oracles were never fast paths: ``count_hamilton_naive`` counts Hamilton
+paths and cycles over every permutation, and ``vertex_connectivity_brute``
+(with its helper ``strongly_connected_within``) tries every vertex set.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -103,9 +108,7 @@ def make_cluster_blowup(
     red: ReducedDigraph,
     *,
     exceptional: int = 0,
-    demands=None,
     pair_density: float = 1.0,
-    min_pair_degree: Optional[int] = None,
     seed: int = 0,
 ) -> tuple[ClusterBlowup, list[tuple[int, int]]]:
     """Blow-up drawn one random double per host pair, built from an arc list."""
@@ -115,13 +118,8 @@ def make_cluster_blowup(
     clusters = tuple(tuple(range(c * m, (c + 1) * m)) for c in range(k))
     n_core = k * m
     exc = tuple(range(n_core, n_core + exceptional))
-    if demands is None:
-        demands = [((2 * i) % k, (2 * i + 1) % k) for i in range(exceptional)]
-    demands = list(demands)
-    if len(demands) != exceptional:
-        raise BadParams("one (T,U) demand pair per exceptional vertex")
-    if min_pair_degree is None:
-        min_pair_degree = max(1, (m + 1) // 2)
+    demands = [((2 * i) % k, (2 * i + 1) % k) for i in range(exceptional)]
+    min_pair_degree = max(1, (m + 1) // 2)
     arcs: list[tuple[int, int]] = []
     for ci, cj in r.arcs():
         for a in clusters[ci]:
@@ -433,6 +431,19 @@ def count_hamilton(g: Digraph) -> tuple[int, int]:
     return paths, cycles
 
 
+def count_hamilton_naive(g: Digraph) -> tuple[int, int]:
+    """Permutation-enumeration oracle for small n (independent of the DP)."""
+    n = g.n
+    paths = 0
+    cycles = 0
+    for perm in itertools.permutations(range(n)):
+        if all(g.has_arc(perm[i], perm[i + 1]) for i in range(n - 1)):
+            paths += 1
+            if n >= 2 and perm[0] == 0 and g.has_arc(perm[-1], perm[0]):
+                cycles += 1
+    return paths, cycles
+
+
 def max_vertex_disjoint_paths(g: Digraph, s: int, t: int) -> int:
     """Edmonds-Karp on the vertex-split network, capacities in a dict."""
     n = g.n
@@ -473,6 +484,30 @@ def vertex_connectivity(g: Digraph) -> int:
             if s != t and not g.has_arc(s, t):
                 best = min(best, max_vertex_disjoint_paths(g, s, t))
     return best
+
+
+def strongly_connected_within(g: Digraph, mask: int) -> bool:
+    """Is the sub-digraph induced on ``mask`` strongly connected?"""
+    if mask == 0:
+        return True
+    start = mask & -mask
+    adj = [g.out[v] & mask for v in range(g.n)]
+    radj = [g.inn[v] & mask for v in range(g.n)]
+    return _reach(adj, start) == mask and _reach(radj, start) == mask
+
+
+def vertex_connectivity_brute(g: Digraph) -> int:
+    """The least k such that removing some k vertices leaves one vertex or
+    a digraph that is not strongly connected, over every vertex set."""
+    full = (1 << g.n) - 1
+    for k in range(g.n):
+        for removed in itertools.combinations(range(g.n), k):
+            mask = full
+            for v in removed:
+                mask &= ~(1 << v)
+            if popcount(mask) == 1 or not strongly_connected_within(g, mask):
+                return k
+    return g.n - 1
 
 
 def is_robust_outexpander_exact(g: Digraph, nu, tau) -> Verdict:

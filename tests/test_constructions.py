@@ -116,7 +116,7 @@ class TestExtremal:
         g, parts = generate_extremal("fig1", 2)
         assert g.n == 20 and g.is_symmetric()
         assert all(g.out_deg(v) == 5 for v in range(g.n))
-        assert vertex_connectivity(g, brute_cap=0) == 2
+        assert vertex_connectivity(g) == 2
 
     def test_fig2_dominated_pair_structure(self):
         g, parts = generate_extremal("fig2", 7)

@@ -17,6 +17,7 @@ from hamdg.core import (
     Digraph,
     HamiltonCycle,
     Matching,
+    bits,
     blow_up,
     classify,
     contract_matching,
@@ -26,11 +27,11 @@ from hamdg.core import (
     is_oriented,
     is_strongly_connected,
     is_tournament,
-    max_arcfree_set,
     semidegrees,
     vertex_connectivity,
 )
 from hamdg.errors import ArcMissing, BadParams, NotAMatching
+from oracles import vertex_connectivity_brute
 
 
 def digraphs(max_n=8):
@@ -113,9 +114,7 @@ class TestConnectivity:
     def test_flow_matches_brute_force(self):
         for seed in range(8):
             g = random_digraph(8, 0.45, seed=seed)
-            assert vertex_connectivity(g, brute_cap=10) == vertex_connectivity(
-                g, brute_cap=0
-            )
+            assert vertex_connectivity(g) == vertex_connectivity_brute(g)
 
 
 class TestIndependence:
@@ -127,10 +126,16 @@ class TestIndependence:
         assert independence_numbers(circulant_tournament(7))[1] == 7
 
     def test_max_arcfree_is_arcfree(self):
-        g = random_digraph(9, 0.3, seed=2)
-        s = max_arcfree_set(g)
-        assert all(not g.has_arc(u, v) for u in s for v in s if u != v)
-        assert len(s) == independence_numbers(g)[0]
+        # alpha_0 is the largest vertex set spanning no arc, over every subset
+        for seed in range(4):
+            g = random_digraph(9, 0.3, seed=seed)
+            adj = [g.out[v] | g.inn[v] for v in range(g.n)]
+            want = max(
+                s.bit_count()
+                for s in range(1 << g.n)
+                if not any(adj[v] & s for v in bits(s))
+            )
+            assert independence_numbers(g)[0] == want
 
 
 class TestDominatedPairs:

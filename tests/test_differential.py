@@ -63,7 +63,6 @@ from hamdg.solvers import (
     _hamilton_orders,
     _tough_cut,
     count_hamilton,
-    count_hamilton_naive,
     disjoint_cycle_factor,
     embed_tree,
     enumerate_hamilton_cycles,
@@ -474,7 +473,7 @@ class TestRootRefutations:
         fired = set()
         for mask in range(1 << len(pairs)):
             g = Digraph(4, [a for i, a in enumerate(pairs) if mask >> i & 1])
-            fired |= _check_refutations(g, count_hamilton_naive(g)[1])
+            fired |= _check_refutations(g, oracles.count_hamilton_naive(g)[1])
         # two vertices out of four leave at most two components
         assert fired == {"forced", "reduced", "cut1"}
 
@@ -548,6 +547,12 @@ class TestRootRefutations:
         for g in (random_tournament(30, 0), directed_cycle(30)):
             assert find_hamilton_cycle(g, budget=g.n * g.n) is not None
         assert calls == []
+
+    def test_refuted_search_charges_its_nodes(self, counted):
+        # the held-back nodes come back before the scan, so a refutation
+        # leaves the budget charged with the n^2 + 1 nodes expanded
+        g, _ = fig1(2)
+        assert counted(find_hamilton_cycle, g, budget=10**8) == (None, g.n * g.n + 1)
 
     def test_budget_unchanged_when_the_scan_finds_nothing(self):
         # the Petersen digraph less the arc 0 -> 1 has no Hamilton cycle, no
@@ -1010,11 +1015,21 @@ class TestVertexConnectivity:
                 assert vertex_connectivity(g) == oracles.vertex_connectivity(g)
 
     def test_flow_equals_brute_force(self):
+        # every digraph on 2 to 4 vertices, then random ones on 5 to 10
+        for n in (2, 3, 4):
+            pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+            for mask in range(1 << len(pairs)):
+                g = Digraph(n, [a for i, a in enumerate(pairs) if mask >> i & 1])
+                assert vertex_connectivity(g) == oracles.vertex_connectivity_brute(g)
         rng = random.Random(17)
-        for i in range(120):
-            n = rng.randint(2, 10)
+        values = set()
+        for i in range(300):
+            n = rng.randint(5, 10)
             g = random_digraph(n, rng.choice((0.2, 0.4, 0.6, 0.8, 1.0)), seed=i)
-            assert vertex_connectivity(g, brute_cap=0) == vertex_connectivity(g)
+            want = oracles.vertex_connectivity_brute(g)
+            assert vertex_connectivity(g) == want
+            values.add(want)
+        assert len(values) >= 6
 
     def test_complete_digraph(self):
         assert vertex_connectivity(complete_digraph(13)) == 12
