@@ -1,7 +1,7 @@
 """Build a Hamilton cycle of a cluster blow-up from a closed walk.
 
 Start from a reduced digraph (a triangle) carrying a 1-factor, blow each
-cluster up to six vertices with dense regular pairs, add two exceptional
+cluster up to six vertices with dense bipartite pairs, add two exceptional
 vertices, route a closed walk that visits every cluster the same number
 of times, and assemble a genuine Hamilton cycle of the 20-vertex host.
 The trace records the initial cycle factor and every merge step.

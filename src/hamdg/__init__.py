@@ -73,7 +73,6 @@ from .errors import (
     NotAMatching,
 )
 from .expander import (
-    BipartitePair,
     ClosedWalk,
     ClusterBlowup,
     OneFactorF,
@@ -81,7 +80,6 @@ from .expander import (
     ShiftedWalk,
     assemble_hamilton,
     build_closed_walk,
-    epsilon_regular_pair,
     is_robust_outexpander,
     make_cluster_blowup,
     robust_out_nbhd,

@@ -69,6 +69,12 @@ def _pair(text) -> tuple[int, int]:
     return u, v
 
 
+def _nodes(n: int) -> int:
+    if n < 0:
+        raise ValueError(n)
+    return n
+
+
 def _signs(text: str) -> tuple[int, ...]:
     if set(text) - {"+", "-"}:
         raise ValueError(text)
@@ -166,7 +172,7 @@ def cmd_check(args) -> int:
 
 def cmd_solve(args) -> int:
     g = _load(args.input)
-    budget = args.budget
+    budget = _value("--budget", args.budget, _nodes, "a node count >= 0")
     if args.length is not None:
         cyc = find_cycle_of_length(g, args.length, budget=budget)
         if cyc is None:
@@ -221,7 +227,9 @@ def cmd_decompose(args) -> int:
         dec = walecki(args.walecki)
     else:
         g = _load(args.input)
-        dec = decompose_exact(g, budget=args.budget)
+        dec = decompose_exact(
+            g, budget=_value("--budget", args.budget, _nodes, "a node count >= 0")
+        )
         if dec is None:
             print("NONE")
             return EXIT_NEGATIVE

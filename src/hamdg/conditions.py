@@ -14,7 +14,6 @@ from math import ceil, factorial
 from typing import Any, Optional
 
 from .core import (
-    INDEPENDENCE_CAP,
     Digraph,
     degree_sequences,
     dominated_row,
@@ -60,8 +59,15 @@ class Verdict:
         return rec
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(str(x))
+def _frac(x, name: str) -> Fraction:
+    """``x`` as an exact fraction; a value that is not one is a
+    ``BadParams`` naming the parameter."""
+    if isinstance(x, Fraction):
+        return x
+    try:
+        return Fraction(str(x))
+    except (ValueError, ZeroDivisionError):
+        raise BadParams(f"{name} wants a fraction, got {x!r}") from None
 
 
 def _fails(rule, witness=None, reason=None) -> Verdict:
@@ -171,7 +177,7 @@ def check_degree_condition(g: Digraph, rule: str, **params) -> Verdict:
 
     if rule == "ore_oriented":
         _require_oriented(g, rule)
-        alpha = _frac(params.get("alpha", 0))
+        alpha = _frac(params.get("alpha", 0), "alpha")
         thr = (Fraction(3, 4) + alpha) * n
         # an integer s is below thr exactly when it is below ceil(thr)
         found = _out_in_pair(g, ceil(thr))
@@ -198,7 +204,7 @@ def check_degree_condition(g: Digraph, rule: str, **params) -> Verdict:
     if rule == "power_tournament":
         if not is_tournament(g):
             raise ClassMismatch("power_tournament applies to tournaments")
-        eps = _frac(params.get("eps", 0))
+        eps = _frac(params.get("eps", 0), "eps")
         _, _, d0 = semidegrees(g)
         thr = (Fraction(1, 4) + eps) * n
         if d0 >= thr:
@@ -278,7 +284,7 @@ def check_sequence_condition(g: Digraph, rule: str, **params) -> Verdict:
         return Verdict(rule, True)
 
     if rule == "ckko":
-        beta = _frac(params.get("beta", 0))
+        beta = _frac(params.get("beta", 0), "beta")
         if beta <= 0:
             raise BadParams("ckko needs beta > 0")
         p, q = beta.numerator, beta.denominator
@@ -315,7 +321,7 @@ def check_connectivity_condition(g: Digraph, rule: str, **params) -> Verdict:
     if rule not in CONNECTIVITY_RULES:
         raise BadParams(f"unknown connectivity rule {rule!r}")
     kappa = vertex_connectivity(g)
-    _, alpha2 = independence_numbers(g, cap=params.get("cap", INDEPENDENCE_CAP))
+    _, alpha2 = independence_numbers(g)
     if rule == "jackson_factorial":
         needed = 2**alpha2 * factorial(alpha2 + 2)
     else:

@@ -458,12 +458,10 @@ def _max_independent_set(n: int, adj: Sequence[int]) -> int:
     return best
 
 
-def independence_numbers(
-    g: Digraph, *, cap: int = INDEPENDENCE_CAP
-) -> tuple[int, int]:
+def independence_numbers(g: Digraph) -> tuple[int, int]:
     """(alpha_0, alpha_2): largest arc-free set / largest 2-cycle-free set."""
-    if g.n > cap:
-        raise BudgetExceeded(f"n={g.n} above independence cap {cap}")
+    if g.n > INDEPENDENCE_CAP:
+        raise BudgetExceeded(f"n={g.n} above independence cap {INDEPENDENCE_CAP}")
     any_adj = [g.out[v] | g.inn[v] for v in range(g.n)]
     two_adj = [g.out[v] & g.inn[v] for v in range(g.n)]
     return _max_independent_set(g.n, any_adj), _max_independent_set(g.n, two_adj)
@@ -528,17 +526,10 @@ def contract_matching(
     return contracted, lift
 
 
-def blow_up(
-    g: Digraph,
-    sizes: Sequence[int],
-    rule: str | Callable[[int, int, int, int], bool] = "complete",
-) -> tuple[Digraph, list[list[int]]]:
-    """Replace each vertex by an independent set; insert one-way bipartite
-    arc sets along every original arc.
-
-    ``rule`` is either ``'complete'`` or a predicate
-    ``rule(u, i, v, j)`` deciding whether copy i of u sends to copy j of v.
-    Returns the blow-up and the per-original-vertex part map.
+def blow_up(g: Digraph, sizes: Sequence[int]) -> tuple[Digraph, list[list[int]]]:
+    """Replace each vertex by an independent set; insert a complete
+    one-way bipartite arc set along every original arc.  Returns the
+    blow-up and the per-original-vertex part map.
     """
     if len(sizes) != g.n or any(s <= 0 for s in sizes):
         raise BadParams("sizes must be positive, one per vertex")
@@ -549,8 +540,7 @@ def blow_up(
         nxt += s
     arcs = []
     for u, v in g.arcs():
-        for i, a in enumerate(parts[u]):
-            for j, b in enumerate(parts[v]):
-                if rule == "complete" or (callable(rule) and rule(u, i, v, j)):
-                    arcs.append((a, b))
+        for a in parts[u]:
+            for b in parts[v]:
+                arcs.append((a, b))
     return Digraph(nxt, arcs), parts

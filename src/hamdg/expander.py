@@ -2,9 +2,9 @@
 
 Cluster inputs are synthetic (generated or hand-built); no regularity
 lemma is run.  The pipeline pieces: robust outneighbourhood checks,
-epsilon-regular pair verification, shifted walks over a 1-factor of a
-reduced digraph, a closed walk with balanced winding, and the final
-matching-and-merge assembly of a Hamilton cycle in a cluster blow-up.
+shifted walks over a 1-factor of a reduced digraph, a closed walk with
+balanced winding, and the final matching-and-merge assembly of a Hamilton
+cycle in a cluster blow-up.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .solvers import _bipartite_matching, find_hamilton_cycle, rotation_extensio
 
 def robust_threshold(n: int, nu) -> int:
     """ceil(nu * n): the in-neighbour count making a vertex robustly reached."""
-    f = _frac(nu) * n
+    f = _frac(nu, "nu") * n
     return -(-f.numerator // f.denominator)
 
 
@@ -105,7 +105,9 @@ def is_robust_outexpander(
     a holding verdict only says no violation was found in the given number
     of trials).
     """
-    nu, tau = _frac(nu), _frac(tau)
+    nu, tau = _frac(nu, "nu"), _frac(tau, "tau")
+    if trials < 1:
+        raise BadParams(f"trials must be at least 1, got {trials}")
     n = g.n
     lo, hi = tau * n, (1 - tau) * n
     sizes = [s for s in range(1, n) if lo < s < hi]
@@ -141,110 +143,6 @@ def is_robust_outexpander(
                 return Verdict("robust_outexpander", False, w)
         return Verdict(
             "robust_outexpander", True, reason=f"no violation in {trials} samples"
-        )
-    raise BadParams(f"unknown mode {mode!r}")
-
-
-# --- epsilon-regular pairs -----------------------------------------------
-
-
-@dataclass(frozen=True)
-class BipartitePair:
-    """One-way bipartite arc set from A (rows) to B (columns)."""
-
-    na: int
-    nb: int
-    rows: tuple[int, ...]  # per-A-vertex bitmask over B
-
-    def __post_init__(self):
-        if len(self.rows) != self.na:
-            raise BadParams("row count must equal |A|")
-
-    @property
-    def edges(self) -> int:
-        return sum(popcount(r) for r in self.rows)
-
-    def density(self) -> Fraction:
-        return Fraction(self.edges, self.na * self.nb)
-
-
-# Largest side the exact regular-pair scan accepts; it tries every X.
-PAIR_EXACT_CAP = 14
-
-
-def epsilon_regular_pair(
-    pair: BipartitePair,
-    eps,
-    *,
-    mode: str = "exact",
-    trials: int = 10_000,
-    seed: int = 0,
-) -> tuple[Verdict, Fraction]:
-    """Is |d(X,Y) - d(A,B)| < eps for all X,Y with |X| >= eps|A|,
-    |Y| >= eps|B|?  Returns (verdict, overall density as exact rational).
-
-    Exact mode scans every qualifying X and, per X, only the extreme Y of
-    each size (largest / smallest column-weight prefixes), which is
-    sufficient since the density in Y is linear for fixed X.
-    """
-    eps = _frac(eps)
-    na, nb = pair.na, pair.nb
-    d = pair.density()
-    xmin = -(-(eps * na).numerator // (eps * na).denominator)
-    ymin = -(-(eps * nb).numerator // (eps * nb).denominator)
-    xmin, ymin = max(xmin, 1), max(ymin, 1)
-
-    def check_x(xmask: int) -> Optional[dict]:
-        xsize = popcount(xmask)
-        w = [0] * nb
-        for a in bits(xmask):
-            r = pair.rows[a]
-            for j in bits(r):
-                w[j] += 1
-        cols = sorted(range(nb), key=lambda j: (w[j], j))
-        weights = [w[j] for j in cols]
-        prefix = [0]
-        for x in weights:
-            prefix.append(prefix[-1] + x)
-        total = prefix[-1]
-        for ysize in range(ymin, nb + 1):
-            denom = xsize * ysize
-            emin = prefix[ysize]
-            emax = total - prefix[nb - ysize]
-            for e, which in ((emin, "low"), (emax, "high")):
-                if abs(Fraction(e, denom) - d) >= eps:
-                    ycols = cols[:ysize] if which == "low" else cols[nb - ysize :]
-                    return {
-                        "X": sorted(bits(xmask)),
-                        "Y": sorted(ycols),
-                        "density": str(Fraction(e, denom)),
-                        "overall": str(d),
-                    }
-        return None
-
-    if mode == "exact":
-        if na > PAIR_EXACT_CAP or nb > PAIR_EXACT_CAP:
-            raise BudgetExceeded(f"exact mode capped at sides <= {PAIR_EXACT_CAP}")
-        for xmask in range(1, 1 << na):
-            if popcount(xmask) >= xmin:
-                wit = check_x(xmask)
-                if wit is not None:
-                    return Verdict("eps_regular", False, wit), d
-        return Verdict("eps_regular", True), d
-    if mode == "sampled":
-        rng = seeded_rng(seed)
-        for _ in range(trials):
-            xsize = int(rng.integers(xmin, na + 1))
-            chosen = rng.choice(na, size=xsize, replace=False)
-            xmask = 0
-            for a in chosen:
-                xmask |= 1 << int(a)
-            wit = check_x(xmask)
-            if wit is not None:
-                return Verdict("eps_regular", False, wit), d
-        return (
-            Verdict("eps_regular", True, reason=f"no violation in {trials} samples"),
-            d,
         )
     raise BadParams(f"unknown mode {mode!r}")
 
@@ -296,14 +194,6 @@ class ShiftedWalk:
 
     clusters: tuple[int, ...]  # X1 .. X_{t+1}
     t: int
-
-    @property
-    def start(self) -> int:
-        return self.clusters[0]
-
-    @property
-    def end(self) -> int:
-        return self.clusters[-1]
 
     def entries(self) -> tuple[int, ...]:
         return self.clusters[1:]
@@ -457,10 +347,6 @@ class ClusterBlowup:
     clusters: tuple[tuple[int, ...], ...]
     exceptional: tuple[int, ...]
 
-    @property
-    def m(self) -> int:
-        return len(self.clusters[0])
-
 
 def make_cluster_blowup(
     red: ReducedDigraph,
@@ -537,6 +423,16 @@ def _restrict(row: int, runs: list[tuple[int, int, int]]) -> int:
     return out
 
 
+def _lowest(mask: int, cluster: int) -> int:
+    """The lowest vertex in ``mask``: the free vertices of ``cluster`` that
+    have the arc a walk link needs."""
+    if not mask:
+        raise MatchingFailure(
+            f"no free vertex in cluster {cluster} for a connecting arc"
+        )
+    return (mask & -mask).bit_length() - 1
+
+
 def assemble_hamilton(
     blowup: ClusterBlowup,
     red: ReducedDigraph,
@@ -546,69 +442,44 @@ def assemble_hamilton(
     """Thread the closed walk through the blow-up: fix one host arc per
     walk link, perfectly match each cluster to its F-successor, then merge
     the resulting 1-factor into a single Hamilton cycle cluster by cluster
-    via the auxiliary digraph construction."""
-    host = blowup.host
-    clusters = blowup.clusters
-    k = len(clusters)
-    entry_sets: list[set[int]] = [set() for _ in range(k)]
-    exit_sets: list[set[int]] = [set() for _ in range(k)]
-    cluster_of: dict[int, int] = {}
-    for ci, cl in enumerate(clusters):
-        for v in cl:
-            cluster_of[v] = ci
-    fixed_succ: dict[int, int] = {}
+    via the auxiliary digraph construction.
 
-    def pick(cluster: int, *, sending_to: Optional[int] = None,
-             receiving_from: Optional[int] = None) -> int:
-        used = entry_sets[cluster] | exit_sets[cluster]
-        for v in clusters[cluster]:
-            if v in used or v in fixed_succ:
-                continue
-            if sending_to is not None and not host.has_arc(v, sending_to):
-                continue
-            if receiving_from is not None and not host.has_arc(receiving_from, v):
-                continue
-            return v
-        raise MatchingFailure(
-            f"no free vertex in cluster {cluster} for a connecting arc"
-        )
+    Links are fixed on bit masks: ``cmask[c]`` holds cluster c, and a
+    vertex is free while it is in neither ``entered`` nor ``exited``.  An
+    ``exc_out`` or ``exc_in`` link takes the lowest free vertex with the
+    arc it needs; a ``jump`` takes the lowest free exit with an arc to a
+    free entry, then the lowest such entry.  Clusters list their vertices
+    in ascending order, as ``make_cluster_blowup`` builds them."""
+    host = blowup.host
+    cmask = [sum(1 << v for v in cl) for cl in blowup.clusters]
+    k = len(cmask)
+    entered = exited = 0
+    fixed_succ: dict[int, int] = {}
 
     # 1. fix host arcs for the walk links
     for link in walk.links:
-        kind = link[0]
+        kind, free = link[0], ~(entered | exited)
         if kind == "jump":
             _, ca, cb = link
-            # choose the exit vertex first, then an entry it can reach
-            used_b = entry_sets[cb] | exit_sets[cb]
-            chosen = None
-            for x in clusters[ca]:
-                if x in entry_sets[ca] | exit_sets[ca]:
-                    continue
-                for y in clusters[cb]:
-                    if y in used_b:
-                        continue
-                    if host.has_arc(x, y):
-                        chosen = (x, y)
-                        break
-                if chosen:
-                    break
-            if not chosen:
+            into = cmask[cb] & free
+            x = next((x for x in bits(cmask[ca] & free) if host.out[x] & into), None)
+            if x is None:
                 raise MatchingFailure(f"no free arc from cluster {ca} to {cb}")
-            x, y = chosen
-            exit_sets[ca].add(x)
-            entry_sets[cb].add(y)
+            y = _lowest(host.out[x] & into, cb)
+            exited |= 1 << x
+            entered |= 1 << y
             fixed_succ[x] = y
         elif kind == "exc_out":
             _, i, t_c = link
             a = blowup.exceptional[i]
-            x = pick(t_c, receiving_from=a)
-            entry_sets[t_c].add(x)
+            x = _lowest(host.out[a] & cmask[t_c] & free, t_c)
+            entered |= 1 << x
             fixed_succ[a] = x
         elif kind == "exc_in":
             _, u_c, i = link
             a = blowup.exceptional[i]
-            y = pick(u_c, sending_to=a)
-            exit_sets[u_c].add(y)
+            y = _lowest(host.inn[a] & cmask[u_c] & free, u_c)
+            exited |= 1 << y
             fixed_succ[y] = a
         else:
             raise BadParams(f"unknown link kind {kind!r}")
@@ -617,8 +488,8 @@ def assemble_hamilton(
     matchings: dict[int, dict[int, int]] = {}
     for ca in range(k):
         cb = f.succ[ca]
-        left = [v for v in clusters[ca] if v not in exit_sets[ca]]
-        right = [v for v in clusters[cb] if v not in entry_sets[cb]]
+        left = list(bits(cmask[ca] & ~exited))
+        right = list(bits(cmask[cb] & ~entered))
         if len(left) != len(right):
             raise MatchingFailure(
                 f"cluster {ca}: unbalanced matching classes "
@@ -643,7 +514,6 @@ def assemble_hamilton(
     merges = []
     methods = []
     for ca in range(k):
-        cb = f.succ[ca]
         left_set = set(matchings[ca].keys())
         right = sorted(matchings[ca].values())
         if len(right) <= 1:

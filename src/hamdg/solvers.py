@@ -8,7 +8,6 @@ certificate found is reproducible.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -31,7 +30,7 @@ from .core import (
 )
 from .errors import BadParams, BudgetExceeded
 
-DEFAULT_BUDGET = int(os.environ.get("HAMDG_BUDGET", 10**8))
+DEFAULT_BUDGET = 10**8
 
 
 class _Refuted(Exception):
@@ -52,6 +51,8 @@ class _Budget:
     __slots__ = ("left", "held", "refutes")
 
     def __init__(self, nodes: int):
+        if nodes < 0:
+            raise BadParams(f"budget must be at least 0, got {nodes}")
         self.left = nodes
         self.held = 0
         self.refutes: Optional[Callable[[], bool]] = None

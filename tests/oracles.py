@@ -1,8 +1,9 @@
 """Straightforward reference implementations kept as differential oracles.
 
 These are the original, unoptimised versions of the library's hot layers:
-the expander pipeline, the recursive Hamilton search, the iterative search
-kernel before its lookahead matching repair and degree-2 forcing, the
+the expander pipeline (the blow-up, and the assembly with per-cluster
+vertex sets), the recursive Hamilton search, the iterative search kernel
+before its lookahead matching repair and degree-2 forcing, the
 Hamilton counting DP, max-flow connectivity, the exact robust-expansion
 scan and the six
 recursive sequence searches (fixed-length cycles, cycle powers, k-ordered
@@ -32,6 +33,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from hamdg import solvers
 from hamdg.conditions import Verdict, _frac, _needs_strong, _require_oriented
 from hamdg.core import (
     CycleFactor,
@@ -56,8 +58,24 @@ from hamdg.decomp import (
     split_matching,
     vizing_color,
 )
-from hamdg.errors import BadParams, BudgetExceeded, CoverFailure, FormatError
-from hamdg.expander import ClusterBlowup, ReducedDigraph, robust_threshold
+from hamdg.errors import (
+    BadParams,
+    BudgetExceeded,
+    CoverFailure,
+    FormatError,
+    MatchingFailure,
+    MergeFailure,
+)
+from hamdg.expander import (
+    AssemblyTrace,
+    ClosedWalk,
+    ClusterBlowup,
+    OneFactorF,
+    ReducedDigraph,
+    _restrict,
+    _runs,
+    robust_threshold,
+)
 from hamdg.solvers import DEFAULT_BUDGET, hamilton_cycle_through
 
 
@@ -137,6 +155,151 @@ def make_cluster_blowup(
             arcs.append((y, a))
     host = Digraph(n_core + exceptional, arcs)
     return ClusterBlowup(host, clusters, exc), demands
+
+
+def assemble_hamilton(
+    blowup: ClusterBlowup,
+    red: ReducedDigraph,
+    f: OneFactorF,
+    walk: ClosedWalk,
+) -> AssemblyTrace:
+    """The assembly with per-cluster entry and exit sets and a ``pick``
+    scan over each cluster's vertex list for the walk links."""
+    host = blowup.host
+    clusters = blowup.clusters
+    k = len(clusters)
+    entry_sets: list[set[int]] = [set() for _ in range(k)]
+    exit_sets: list[set[int]] = [set() for _ in range(k)]
+    fixed_succ: dict[int, int] = {}
+
+    def pick(cluster: int, *, sending_to: Optional[int] = None,
+             receiving_from: Optional[int] = None) -> int:
+        used = entry_sets[cluster] | exit_sets[cluster]
+        for v in clusters[cluster]:
+            if v in used or v in fixed_succ:
+                continue
+            if sending_to is not None and not host.has_arc(v, sending_to):
+                continue
+            if receiving_from is not None and not host.has_arc(receiving_from, v):
+                continue
+            return v
+        raise MatchingFailure(
+            f"no free vertex in cluster {cluster} for a connecting arc"
+        )
+
+    # 1. fix host arcs for the walk links
+    for link in walk.links:
+        kind = link[0]
+        if kind == "jump":
+            _, ca, cb = link
+            # choose the exit vertex first, then an entry it can reach
+            used_b = entry_sets[cb] | exit_sets[cb]
+            chosen = None
+            for x in clusters[ca]:
+                if x in entry_sets[ca] | exit_sets[ca]:
+                    continue
+                for y in clusters[cb]:
+                    if y in used_b:
+                        continue
+                    if host.has_arc(x, y):
+                        chosen = (x, y)
+                        break
+                if chosen:
+                    break
+            if not chosen:
+                raise MatchingFailure(f"no free arc from cluster {ca} to {cb}")
+            x, y = chosen
+            exit_sets[ca].add(x)
+            entry_sets[cb].add(y)
+            fixed_succ[x] = y
+        elif kind == "exc_out":
+            _, i, t_c = link
+            a = blowup.exceptional[i]
+            x = pick(t_c, receiving_from=a)
+            entry_sets[t_c].add(x)
+            fixed_succ[a] = x
+        elif kind == "exc_in":
+            _, u_c, i = link
+            a = blowup.exceptional[i]
+            y = pick(u_c, sending_to=a)
+            exit_sets[u_c].add(y)
+            fixed_succ[y] = a
+        else:
+            raise BadParams(f"unknown link kind {kind!r}")
+
+    # 2. per-cluster perfect matchings A \ A_exit -> A+ \ A+_entry
+    matchings: dict[int, dict[int, int]] = {}
+    for ca in range(k):
+        cb = f.succ[ca]
+        left = [v for v in clusters[ca] if v not in exit_sets[ca]]
+        right = [v for v in clusters[cb] if v not in entry_sets[cb]]
+        if len(left) != len(right):
+            raise MatchingFailure(
+                f"cluster {ca}: unbalanced matching classes "
+                f"({len(left)} vs {len(right)})"
+            )
+        runs = _runs(right)
+        rows = [_restrict(host.out[a], runs) for a in left]
+        match = solvers._bipartite_matching(len(left), rows)
+        if match is None:
+            raise MatchingFailure(f"cluster {ca}: no perfect matching to {cb}")
+        matchings[ca] = {left[i]: right[match[i]] for i in range(len(left))}
+
+    # 3. the 1-factor
+    succ: dict[int, int] = dict(fixed_succ)
+    for ca, mp in matchings.items():
+        succ.update(mp)
+    if len(succ) != host.n:
+        raise MatchingFailure("1-factor construction left vertices unmatched")
+    initial = CycleFactor.from_succ(succ)
+
+    # 4. merge cluster by cluster through the auxiliary digraph J
+    merges = []
+    methods = []
+    for ca in range(k):
+        left_set = set(matchings[ca].keys())
+        right = sorted(matchings[ca].values())
+        if len(right) <= 1:
+            continue
+        fmap: dict[int, int] = {}
+        for a in right:
+            x = a
+            while x not in left_set:
+                x = succ[x]
+            fmap[a] = x
+        runs = _runs(right)
+        rows = [
+            _restrict(host.out[fmap[a]], runs) & ~(1 << i)
+            for i, a in enumerate(right)
+        ]
+        j_digraph = Digraph.from_out_masks(rows)
+        h = solvers.rotation_extension(j_digraph)
+        method = "rotation"
+        if h is None:
+            h = solvers.find_hamilton_cycle(j_digraph)
+            method = "exact"
+        if h is None:
+            raise MergeFailure(f"auxiliary digraph of cluster {ca} not Hamiltonian")
+        new_matching = []
+        order = h.order
+        for i, ja in enumerate(order):
+            a, b = right[ja], right[order[(i + 1) % len(order)]]
+            new_matching.append((fmap[a], b))
+        for x, b in new_matching:
+            succ[x] = b
+        matchings[ca] = dict(new_matching)
+        merges.append((ca, tuple(sorted(new_matching))))
+        methods.append(method)
+
+    final = CycleFactor.from_succ(succ)
+    if len(final.cycles) != 1:
+        raise MergeFailure(
+            f"assembly left {len(final.cycles)} cycles instead of one"
+        )
+    cycle = HamiltonCycle(final.cycles[0]).canonical()
+    if not cycle.is_valid(host):
+        raise MergeFailure("assembled order is not a Hamilton cycle of the host")
+    return AssemblyTrace(cycle, initial, tuple(merges), tuple(methods))
 
 
 def rotation_extension(
@@ -512,7 +675,7 @@ def vertex_connectivity_brute(g: Digraph) -> int:
 
 def is_robust_outexpander_exact(g: Digraph, nu, tau) -> Verdict:
     """The exact robust-outexpansion check, one Python pass per mask."""
-    nu, tau = _frac(nu), _frac(tau)
+    nu, tau = _frac(nu, "nu"), _frac(tau, "tau")
     n = g.n
     lo, hi = tau * n, (1 - tau) * n
     allowed = {s for s in range(1, n) if lo < s < hi}
@@ -1095,7 +1258,7 @@ def pair_rule(g: Digraph, rule: str, **params) -> Verdict:
 
     if rule == "ore_oriented":
         _require_oriented(g, rule)
-        alpha = _frac(params.get("alpha", 0))
+        alpha = _frac(params.get("alpha", 0), "alpha")
         thr = (Fraction(3, 4) + alpha) * n
         for x in range(n):
             for y in range(n):
@@ -1117,7 +1280,7 @@ def ckko(g: Digraph, **params) -> Verdict:
     seqs = degree_sequences(g)
     dplus = (None,) + seqs.out_seq
     dminus = (None,) + seqs.in_seq
-    beta = _frac(params.get("beta", 0))
+    beta = _frac(params.get("beta", 0), "beta")
     if beta <= 0:
         raise BadParams("ckko needs beta > 0")
     half = Fraction(n, 2)

@@ -374,6 +374,25 @@ class TestUsage:
         assert code == 2 and out == "" and flag in err
 
     @pytest.mark.parametrize(
+        "argv,want",
+        [
+            (("check", "--rule", "ore_oriented", "--param", "alpha=abc"), "alpha"),
+            (("check", "--rule", "ckko", "--param", "beta=x"), "beta"),
+            (("check", "--rule", "power_tournament", "--param", "eps=1/0"), "eps"),
+            (("solve", "--budget", "-3"), "--budget"),
+            (("decompose", "--budget", "-3"), "--budget"),
+            (("expander", "--mode", "sampled", "--trials", "-5"), "trials"),
+        ],
+    )
+    def test_out_of_domain_value_is_usage_error(self, capsys, tmp_path, argv, want):
+        # these exited 4 with a traceback, 1 or 2 for another reason, or 0;
+        # the input is not strong, so solve runs no search
+        path = str(tmp_path / "t.dg")
+        run(capsys, "gen", "--family", "transitive", "--n", "3", "--output", path)
+        code, out, err = run(capsys, *argv, "--input", path)
+        assert code == 2 and out == "" and want in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "argv,flag",
         [
             (("experiment", "cover", "--n", "5,x"), "--n"),

@@ -1,0 +1,27 @@
+"""The three demos run to the end, and their stdout is pinned by sha256."""
+
+import hashlib
+import pathlib
+import runpy
+
+import pytest
+
+DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
+
+PINNED = {
+    "cover_pipeline": "c2858b56a927f1f5da2f2eeeb9262725fd7259c5f761b4408651a7997360be1b",
+    # the blow-up assembly: walk links, merges and the Hamilton cycle
+    "expander_assembly": "f70f4e12527151fddeea169465d7497d919f8905c9db41575b7e8ec9f73e6189",
+    "kelly_small_orders": "1d52ff386b30b1a8b11dd57786237fcb8658ed7e763f843554a129caa54f986a",
+}
+
+
+def test_every_demo_is_pinned():
+    assert sorted(p.stem for p in DEMOS.glob("*.py")) == sorted(PINNED)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_demo_output(capsys, name):
+    runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED[name]

@@ -46,11 +46,22 @@ from hamdg.core import (
     vertex_connectivity,
 )
 from hamdg.decomp import cover_regular_graph, cover_tournament
-from hamdg.errors import BadParams, BudgetExceeded, CoverFailure, FormatError, HamdgError
+from hamdg.errors import (
+    BadParams,
+    BudgetExceeded,
+    CoverFailure,
+    DemandOverload,
+    FormatError,
+    HamdgError,
+)
 from hamdg.expander import (
+    ClosedWalk,
+    OneFactorF,
     ReducedDigraph,
     _restrict,
     _runs,
+    assemble_hamilton,
+    build_closed_walk,
     is_robust_outexpander,
     make_cluster_blowup,
 )
@@ -156,6 +167,98 @@ def test_restrict_equals_per_pair_lookup():
         row = rng.getrandbits(width + 5)
         want = sum(1 << j for j, b in enumerate(vertices) if row >> b & 1)
         assert _restrict(row, _runs(vertices)) == want
+
+
+def _assembly_outcome(assemble, blowup, red, f, walk):
+    """Everything an assembly reports: the trace, or its exception's type
+    and message."""
+    try:
+        t = assemble(blowup, red, f, walk)
+    except Exception as e:
+        return type(e).__name__, str(e)
+    return t.cycle.order, t.initial_factor, t.merges, t.merge_methods
+
+
+class TestAssembly:
+    """The link fixing on cluster masks against the per-cluster sets."""
+
+    BASES = (
+        (complete_digraph(3), ((0, 1, 2),)),
+        (circulant_tournament(5, (1, 2)), ((0, 1, 2, 3, 4),)),
+        # two F-cycles, so the walk jumps between them
+        (circulant_tournament(7, (1, 2, 3)), ((0, 3, 6), (1, 2, 4, 5))),
+    )
+
+    @staticmethod
+    def _pipeline(rng):
+        """One random pipeline: a blow-up, sometimes with random arcs cut
+        away, and the links of its closed walk.  One pipeline in ten drops
+        a link, one relabels an ``exc_out`` link, and one swaps the links
+        for random jumps, so the assembly's failures all show up.  The
+        assembly reads only the links, so the walk's sequence is left out."""
+        r, cycles = TestAssembly.BASES[rng.randrange(3)]
+        m = rng.randint(4, 32)
+        red = ReducedDigraph(r, m)
+        f = OneFactorF(CycleFactor(cycles), r)
+        exceptional = rng.randint(0, 6)
+        blowup, demands = make_cluster_blowup(
+            red,
+            exceptional=exceptional,
+            pair_density=rng.choice((0.3, 0.5, 0.7, 0.9, 1.0)),
+            seed=rng.randrange(1 << 16),
+        )
+        if rng.random() < 0.3:
+            arcs = blowup.host.arcs()
+            cut = rng.sample(arcs, int(len(arcs) * rng.choice((0.02, 0.1, 0.3))))
+            blowup = type(blowup)(
+                blowup.host.without_arcs(cut), blowup.clusters, blowup.exceptional
+            )
+        cap = rng.choice((m // 10, m // 2, m, 2 * m))
+        links = list(build_closed_walk(red, f, demands, cap=cap).links)
+        change = rng.random()
+        if change < 0.1 and links:
+            del links[rng.randrange(len(links))]  # unbalances two clusters
+        elif change < 0.2 and exceptional:
+            # one exceptional vertex gets two exc_out links, another none
+            i = rng.choice([i for i, link in enumerate(links) if link[0] == "exc_out"])
+            links[i] = ("exc_out", rng.randrange(exceptional), links[i][2])
+        elif change < 0.3:
+            links = [
+                ("jump", rng.randrange(r.n), rng.randrange(r.n))
+                for _ in range(rng.randint(1, 4))
+            ]
+        return blowup, red, f, ClosedWalk((), tuple(links))
+
+    # every MatchingFailure and MergeFailure message of the assembly
+    FAILURES = (
+        "no free arc from cluster",
+        "no free vertex in cluster",
+        "unbalanced matching classes",
+        "no perfect matching",
+        "left vertices unmatched",
+        "not Hamiltonian",
+        "cycles instead of one",
+    )
+
+    def test_equal_traces_and_failures(self):
+        rng = random.Random(14)
+        kinds, outcomes = set(), set()
+        ran = 0
+        while ran < 320:
+            try:
+                blowup, red, f, walk = self._pipeline(rng)
+            except DemandOverload:
+                continue  # the walk failed; no assembly to compare
+            want = _assembly_outcome(oracles.assemble_hamilton, blowup, red, f, walk)
+            assert _assembly_outcome(assemble_hamilton, blowup, red, f, walk) == want
+            ran += 1
+            kinds.update(link[0] for link in walk.links)
+            if isinstance(want[1], str):
+                outcomes.add(next((m for m in self.FAILURES if m in want[1]), want))
+            else:
+                outcomes.add("cycle")
+        assert kinds == {"jump", "exc_out", "exc_in"}
+        assert outcomes == {"cycle", *self.FAILURES}
 
 
 class TestRotationExtension:

@@ -58,6 +58,9 @@ class TestFindHamilton:
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceeded):
             find_hamilton_cycle(complete_digraph(12), budget=5)
+        # a negative budget is a bad value, not a search that ran out
+        with pytest.raises(BadParams, match="budget"):
+            find_hamilton_cycle(complete_digraph(12), budget=-1)
 
     def test_extremal_decided_within_small_budget(self):
         # the residual 1-factor prune settles nw_extremal(22, 2) in 45 nodes
