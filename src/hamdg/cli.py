@@ -19,7 +19,7 @@ from typing import Iterator, Optional
 
 from . import constructions as cons
 from . import io as hio
-from .conditions import check
+from .conditions import RULE_PARAMS, check
 from .core import CycleFactor, Digraph, HamiltonCycle, Matching, classify, is_strongly_connected
 from .decomp import (
     cover_regular_graph,
@@ -160,8 +160,12 @@ def cmd_gen(args) -> int:
 
 
 def cmd_check(args) -> int:
+    params = _parse_params(args.param)
+    unread = sorted(set(params) - set(RULE_PARAMS.get(args.rule, params)))
+    if unread:  # an unknown rule is left to check()
+        raise HamdgError(f"{args.rule} takes no parameter {', '.join(map(repr, unread))}")
     g = _load(args.input)
-    v = check(args.rule, g, **_parse_params(args.param))
+    v = check(args.rule, g, **params)
     json.dump(v.to_record(), sys.stdout, default=str)
     sys.stdout.write("\n")
     return EXIT_OK if v.holds else EXIT_NEGATIVE

@@ -41,6 +41,14 @@ DEGREE_RULES = (
 )
 SEQUENCE_RULES = ("nash_williams", "posa_digraph", "ckko")
 CONNECTIVITY_RULES = ("jackson_factorial", "jackson_ordaz")
+# the parameters each rule reads
+RULE_PARAMS = dict.fromkeys(DEGREE_RULES + SEQUENCE_RULES + CONNECTIVITY_RULES, ()) | {
+    "ore_oriented": ("alpha",),
+    "kordered_semidegree": ("k",),
+    "power_tournament": ("eps",),
+    "short_cycle": ("ell",),
+    "ckko": ("beta",),
+}
 
 
 @dataclass(frozen=True)

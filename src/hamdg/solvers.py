@@ -97,11 +97,10 @@ def _augment(
     root's unseen row meets it, the lowest of them ends the path at once.
     Otherwise, and when that right is matched after all, this is Kuhn's
     depth-first search on an explicit stack, rights tried in ascending
-    order, each entered at most once (``seen`` grows as a bitmask); so
-    with ``free`` = 0 it is Kuhn's search in its plain order.  Whether an
-    augmenting path exists does not depend on the route; only which path
-    is taken does.  The lookahead is the root's alone: checked at every
-    left, it would cost each step of the plain search."""
+    order, each entered at most once (``seen`` grows as a bitmask).
+    Whether an augmenting path exists does not depend on the route; only
+    which path is taken does.  The lookahead is the root's alone: checked
+    at every left, it would cost each step of the plain search."""
     hit = adj[root] & free & ~seen
     if hit:
         r = (hit & -hit).bit_length() - 1
@@ -132,18 +131,18 @@ def _augment(
         lefts.append(owner)
 
 
-def _bipartite_matching(
-    n_left: int, adj: Sequence[int], free: int = 0
-) -> Optional[list[int]]:
+def _bipartite_matching(n_left: int, adj: Sequence[int]) -> Optional[list[int]]:
     """Perfect matching in a bipartite graph given as left->right bit rows.
 
     Returns ``match[l] = r`` or ``None`` if no perfect matching exists.
     One ``_augment`` per left vertex, in ascending order, whose lookahead
-    takes the rights of ``free`` not matched yet.  With the default 0 this
-    is Kuhn's algorithm in its plain order, whose matchings are outputs
+    is every right not matched yet: a left takes its lowest unmatched
+    right, and only one whose row has none runs Kuhn's search, so dense
+    rows skip its alternating chains.  The matching is an output
     (``one_factor``, the expander's per-cluster matchings)."""
     match_l = [-1] * n_left
     match_r = [-1] * max((row.bit_length() for row in adj), default=0)
+    free = (1 << len(match_r)) - 1
     for root in range(n_left):
         r = _augment(match_l, match_r, root, adj, 0, free)
         if r < 0:
@@ -409,7 +408,7 @@ def enumerate_hamilton_cycles(
     out, inn = rows
     if out is not g.out:
         g = Digraph.from_out_masks(out)
-    succ = _bipartite_matching(n, out, (1 << n) - 1)  # any witness will do
+    succ = _bipartite_matching(n, out)  # any witness will do
     if succ is None:
         return
     b = _Budget(budget)
@@ -867,10 +866,7 @@ def embed_tree(
 
 
 def rotation_extension(
-    g: Digraph,
-    start: Optional[CycleFactor] = None,
-    *,
-    max_restarts: Optional[int] = None,
+    g: Digraph, start: Optional[CycleFactor] = None
 ) -> Optional[HamiltonCycle]:
     """Heuristic Hamilton cycle search for dense digraphs.
 
@@ -880,9 +876,9 @@ def rotation_extension(
 
     Each move is a deterministic function of the state (path, remaining
     cycles), so once a state repeats the search is periodic and can only
-    run into the ``max_restarts * n`` step limit.  The state is recorded at
-    every power-of-two step (Brent's cycle detection) and the search gives
-    up, returning ``None``, as soon as the recorded state comes round again:
+    run into the n^3 step limit.  The state is recorded at every
+    power-of-two step (Brent's cycle detection) and the search gives up,
+    returning ``None``, as soon as the recorded state comes round again:
     the same answer as running to the limit, with one stored state.
     """
     n = g.n
@@ -894,13 +890,11 @@ def rotation_extension(
     if len(factor.cycles) == 1:
         h = HamiltonCycle(factor.cycles[0])
         return h if h.is_valid(g) else None
-    if max_restarts is None:
-        max_restarts = n * n
     cycles = [list(c) for c in factor.cycles]
     # open the first cycle into a path
     path = cycles.pop(0)
     steps = 0
-    limit = max_restarts * n
+    limit = n**3
     # the state at the last power-of-two step; path is never mutated in
     # place, but the cycle list is, so it is copied
     mark_path, mark_cycles = None, None

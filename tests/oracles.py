@@ -19,6 +19,11 @@ matching, the same host digraph, the same cycle order, the same counts, the
 same verdict and witness, the same cover or the same failing matching, the
 same rows, the same parse error.
 
+The library's bipartite matchings take each left's lowest unmatched right
+before any alternating path, so they equal ``seeded_matching``; the
+recursive ``bipartite_matching`` keeps Kuhn's plain order, the matching
+order before that seed, and its verdicts must still agree.
+
 Two oracles were never fast paths: ``count_hamilton_naive`` counts Hamilton
 paths and cycles over every permutation, and ``vertex_connectivity_brute``
 (with its helper ``strongly_connected_within``) tries every vertex set.
@@ -101,10 +106,28 @@ def bipartite_matching(n_left: int, adj: Sequence[int]) -> Optional[list[int]]:
     return match_l
 
 
-def one_factor(g: Digraph) -> Optional[CycleFactor]:
+def seeded_matching(n_left: int, adj: Sequence[int]) -> Optional[list[int]]:
+    """Each left in turn takes its lowest unmatched right when its row has
+    one, and otherwise runs Kuhn's search (``augment``) from an empty seen
+    set: the matching order of the library's ``_bipartite_matching``."""
+    match_l = [-1] * n_left
+    match_r = [-1] * max((row.bit_length() for row in adj), default=0)
+    for l in range(n_left):
+        open_rights = [r for r in bits(adj[l]) if match_r[r] < 0]
+        if open_rights:
+            match_l[l], match_r[open_rights[0]] = open_rights[0], l
+        elif not augment(match_l, match_r, l, adj, 0):
+            return None
+    return match_l
+
+
+def one_factor(g: Digraph, matching=bipartite_matching) -> Optional[CycleFactor]:
+    """The 1-factor from ``matching`` on the double cover; the default,
+    Kuhn's plain order, is the one the library used before it seeded its
+    matchings with the unmatched rights."""
     if g.n == 0:
         return CycleFactor(())
-    succ = bipartite_matching(g.n, g.out)
+    succ = matching(g.n, g.out)
     if succ is None:
         return None
     seen = [False] * g.n
@@ -308,11 +331,12 @@ def rotation_extension(
     *,
     max_restarts: Optional[int] = None,
 ) -> Optional[HamiltonCycle]:
-    """The rotation-extension heuristic without the repeated-state exit."""
+    """The rotation-extension heuristic without the repeated-state exit,
+    from the seeded matching's 1-factor unless ``start`` is given."""
     n = g.n
     if n < 2:
         return None
-    factor = start if start is not None else one_factor(g)
+    factor = start if start is not None else one_factor(g, seeded_matching)
     if factor is None:
         return None
     if len(factor.cycles) == 1:

@@ -310,24 +310,51 @@ class TestExpander:
         assert "# walk length=" in out and "# merge cluster=" in out
         assert "CYCLE 1 17 " in out
 
-    # sha256 of stdout: the walk links, the merge trace and the final cycle
-    @pytest.mark.parametrize(
-        "base,m,seed,digest",
+    # sha256 of stdout: the walk links, the merge trace and the final cycle.
+    # kuhn_digest is the output when every matching takes Kuhn's plain
+    # order, as it did before the matchings were seeded with the unmatched
+    # rights; digest is the output of the seeded matchings.
+    PIPELINES = pytest.mark.parametrize(
+        "base,m,seed,kuhn_digest,digest",
         [
             ("triangle", "40", "3",
-             "53756d18124ea081633e9e5f5b3cf569990d7ad08422c635e3ef7a18bf6abc98"),
+             "53756d18124ea081633e9e5f5b3cf569990d7ad08422c635e3ef7a18bf6abc98",
+             "12f7257c8219a2c1c1a87c6e634918caaffb058542bd310907ebdbfef017c783"),
             ("pentagon", "24", "5",
-             "fb96e8ee6e31750e3dcc51ff8b26f1f0594df9f1394bea2189e2bef83ee26238"),
+             "fb96e8ee6e31750e3dcc51ff8b26f1f0594df9f1394bea2189e2bef83ee26238",
+             "e6400b751af64ab518b4a4b67b64477b4be6eca84fd5bc04f1cc3524acc017d8"),
         ],
     )
-    def test_pipeline_output_golden(self, capsys, base, m, seed, digest):
+
+    @staticmethod
+    def pipeline_digest(capsys, base, m, seed):
         code, out, _ = run(
             capsys,
             "expander", "--pipeline", "--base", base, "--m", m,
             "--exceptional", "4", "--seed", seed,
         )
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        return hashlib.sha256(out.encode()).hexdigest()
+
+    @PIPELINES
+    def test_pipeline_output_golden(self, capsys, base, m, seed, kuhn_digest, digest):
+        assert self.pipeline_digest(capsys, base, m, seed) == digest
+
+    @PIPELINES
+    def test_kuhn_order_gives_the_earlier_output(
+        self, capsys, monkeypatch, base, m, seed, kuhn_digest, digest
+    ):
+        # with Kuhn's plain order put back in the per-cluster matchings and
+        # in rotation_extension's 1-factor, the output is byte for byte the
+        # one pinned before: the matching order is all that changed
+        import oracles
+
+        import hamdg.expander as ex
+        import hamdg.solvers as so
+
+        monkeypatch.setattr(ex, "_bipartite_matching", oracles.bipartite_matching)
+        monkeypatch.setattr(so, "one_factor", oracles.one_factor)
+        assert self.pipeline_digest(capsys, base, m, seed) == kuhn_digest
 
 
 class TestExperiment:
@@ -421,6 +448,26 @@ class TestUsage:
         # Philox and numpy's shapes take no negative value; these exited 4
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and want in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "rule,param",
+        [
+            ("ore_oriented", "alpah=9"),
+            ("jackson_factorial", "cap=5"),
+            ("jackson_ordaz", "cap=5"),
+            ("ghouila_houri", "k=2"),
+        ],
+    )
+    def test_check_refuses_a_parameter_the_rule_does_not_read(
+        self, capsys, tmp_path, rule, param
+    ):
+        # these printed a verdict under the rule's defaults, as if the
+        # parameter had been read
+        path = str(tmp_path / "t.dg")
+        run(capsys, "gen", "--family", "circulant", "--n", "5", "--output", path)
+        code, out, err = run(capsys, "check", "--rule", rule, "--param", param, "--input", path)
+        key = param.split("=")[0]
+        assert code == 2 and out == "" and f"{rule} takes no parameter {key!r}" in err
 
     def test_check_on_the_empty_digraph(self, capsys, tmp_path):
         path = tmp_path / "empty.dg"

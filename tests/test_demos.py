@@ -11,7 +11,7 @@ DEMOS = pathlib.Path(__file__).resolve().parent.parent / "demos"
 PINNED = {
     "cover_pipeline": "c2858b56a927f1f5da2f2eeeb9262725fd7259c5f761b4408651a7997360be1b",
     # the blow-up assembly: walk links, merges and the Hamilton cycle
-    "expander_assembly": "f70f4e12527151fddeea169465d7497d919f8905c9db41575b7e8ec9f73e6189",
+    "expander_assembly": "2b4a23a4df57c4f2f09c0314f7a89c62744227984916712f59abd1ede51de15c",
     "kelly_small_orders": "1d52ff386b30b1a8b11dd57786237fcb8658ed7e763f843554a129caa54f986a",
 }
 
