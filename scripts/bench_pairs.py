@@ -1,17 +1,16 @@
 """Alternating parent/change runs of the benchmark, summarised in one BENCH file.
 
     python3 scripts/bench_pairs.py --workload W --seed S --pairs N --out BENCH_<tag>.json
-        [--parent REV] [--parent-dir DIR] [--seconds 20]
+        [--parent REV]
 
 Run it from the repository root.  The change side is this checkout.  The
 parent side is REV (default ``HEAD~1``), checked out with ``git worktree
-add`` into a temporary directory that is removed afterwards, or an existing
-checkout of REV given as ``--parent-dir``.  Each run is
+add`` into a temporary directory that is removed afterwards.  Each run is
 
     perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-in its own checkout; the last line of its stdout gives the six end-to-end
-values.  Pair i (from 1) runs the parent first when i is odd and the change
+in its own checkout, with T the ``run_seconds`` of ``BENCHMARK.json``; the
+last line of its stdout gives the six end-to-end values.  Pair i (from 1) runs the parent first when i is odd and the change
 first when it is even, so a drift of the host's speed favours neither side.
 
 The output file holds one entry per workload: both commits, the seed, the
@@ -94,11 +93,11 @@ def git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-def run_bench(checkout: Path, args) -> tuple[dict[str, float], str]:
+def run_bench(checkout: Path, args, seconds: float) -> tuple[dict[str, float], str]:
     """One untraced run in ``checkout``: its end-to-end values and machine line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", args.workload,
-         "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],
+         "--seed", str(args.seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True)
     lines = proc.stdout.strip().splitlines()
     last = json.loads(lines[-1])
@@ -108,13 +107,14 @@ def run_bench(checkout: Path, args) -> tuple[dict[str, float], str]:
     return {k: m["value"] for k, m in last["metrics"].items()}, machine
 
 
-def run_pairs(parent_dir: Path, args) -> tuple[list[dict], str]:
+def run_pairs(parent_dir: Path, args, seconds: float) -> tuple[list[dict], str]:
     pairs, machine = [], ""
     for i in range(1, args.pairs + 1):
         order = ("parent", "change") if i % 2 else ("change", "parent")
         pair: dict = {"first": order[0]}
         for side in order:
-            pair[side], machine = run_bench(parent_dir if side == "parent" else ROOT, args)
+            pair[side], machine = run_bench(parent_dir if side == "parent" else ROOT, args,
+                                            seconds)
         pairs.append(pair)
         print(f"pair {i}: " + ", ".join(
             f"{k} {pair['parent'][k]:.4g} -> {pair['change'][k]:.4g}" for k in pair["change"]),
@@ -130,8 +130,6 @@ def main() -> int:
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--out", required=True)
     ap.add_argument("--parent", default="HEAD~1")
-    ap.add_argument("--parent-dir", type=Path)
-    ap.add_argument("--seconds", type=float, default=20)
     args = ap.parse_args()
     if args.pairs < 2:
         ap.error("--pairs needs at least 2 for quartiles")
@@ -140,18 +138,17 @@ def main() -> int:
     if subprocess.run(["git", "diff", "--quiet", "HEAD", "--", "src", "perfbench"],
                       cwd=ROOT).returncode:
         change += "+uncommitted"
-    if args.parent_dir is not None:
-        pairs, machine = run_pairs(args.parent_dir.resolve(), args)
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
-            tree = Path(tmp) / "parent"
-            git("worktree", "add", "--detach", str(tree), parent)
-            try:
-                pairs, machine = run_pairs(tree, args)
-            finally:
-                git("worktree", "remove", "--force", str(tree))
     with open(ROOT / "BENCHMARK.json", encoding="ascii") as fh:
-        spec = {m["name"]: m for m in json.load(fh)["end_to_end"]}
+        bench = json.load(fh)
+    seconds = bench["run_seconds"]
+    spec = {m["name"]: m for m in bench["end_to_end"]}
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "parent"
+        git("worktree", "add", "--detach", str(tree), parent)
+        try:
+            pairs, machine = run_pairs(tree, args, seconds)
+        finally:
+            git("worktree", "remove", "--force", str(tree))
     summary = {
         name: summarise([(p["parent"][name], p["change"][name]) for p in pairs],
                         m["better"], m["bound"])
@@ -160,7 +157,7 @@ def main() -> int:
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {"workloads": {}}
     doc["workloads"][args.workload] = {
-        "parent": parent, "change": change, "seed": args.seed, "seconds": args.seconds,
+        "parent": parent, "change": change, "seed": args.seed, "seconds": seconds,
         "machine": machine, "pairs": pairs, "summary": summary,
     }
     out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")

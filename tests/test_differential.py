@@ -40,6 +40,7 @@ from hamdg.constructions import (
 from hamdg.core import (
     CycleFactor,
     Digraph,
+    HamiltonCycle,
     Matching,
     _vertex_disjoint_paths,
     contract_matching,
@@ -339,6 +340,59 @@ class TestRotationExtension:
         assert rotation_extension(g) is None
         # the n^3 = 64-step limit would take 98 calls
         assert g.calls < 20
+
+    @pytest.mark.parametrize("closes_at", [216, 217])
+    def test_step_limit_is_n_cubed(self, closes_at):
+        # a digraph that says yes only to the next arc of a script, so each
+        # step makes the one move the script names: rotate a suffix off the
+        # path and absorb it back rotated by one, through 108 distinct paths,
+        # then close the path at step closes_at.  No state repeats, so only
+        # the n^3 = 216-step limit can end the search first.
+        class Scripted(Digraph):
+            __slots__ = ("script", "made")
+
+            def has_arc(self, u, v):
+                if self.made < len(self.script) and (u, v) == self.script[self.made]:
+                    self.made += 1
+                    return True
+                return False
+
+        n = 6
+        # each path is the last one with its suffix from i rotated left by
+        # j, for the first (i, j) that gives a path not seen before
+        paths, script = [tuple(range(n))], []
+        while len(paths) < 108:
+            p = paths[-1]
+            i, j, q = next(
+                (i, j, q)
+                for i in range(n - 2, 0, -1)
+                for j in range(1, n - i)
+                if (q := p[:i] + p[i + j :] + p[i : i + j]) not in paths
+            )
+            # rotation at i, then absorption at the cycle's vertex j
+            script += [(p[-1], p[i]), (p[i - 1], p[i + j])]
+            paths.append(q)
+        first = paths[0]
+        if closes_at == 216:
+            # one absorption before the walk: it closes at step 1 + 214 + 1
+            start = CycleFactor((first[:2], first[2:]))
+            script = [(first[1], first[2])] + script
+        else:
+            # two absorptions: it would close at step 2 + 214 + 1
+            start = CycleFactor((first[:2], first[2:4], first[4:]))
+            script = [(first[1], first[2]), (first[3], first[4])] + script
+        script.append((paths[-1][-1], paths[-1][0]))
+        assert len(script) == closes_at
+
+        results = []
+        for search in (rotation_extension, lambda g, s: oracles.rotation_extension(
+                g, s, max_restarts=n * n)):
+            g = Scripted(n)
+            g.script, g.made = script, 0
+            results.append(search(g, start))
+            assert g.made == min(closes_at, n**3)
+        want = HamiltonCycle(paths[-1]) if closes_at <= n**3 else None
+        assert results == [want, want]
 
 
 @st.composite
