@@ -10,13 +10,17 @@ add`` into a temporary directory that is removed afterwards.  Each run is
     perfbench/run.py --workload W --seed S --seconds T --trace 0
 
 in its own checkout, with T the ``run_seconds`` of ``BENCHMARK.json``; the
-last line of its stdout gives the six end-to-end values.  Pair i (from 1) runs the parent first when i is odd and the change
-first when it is even, so a drift of the host's speed favours neither side.
+last line of its stdout gives the run's ``correct``, ``attempted`` and
+``failed`` counts and the six end-to-end values.  A run with a wrong output
+stops the script before it writes anything.  Pair i (from 1) runs the
+parent first when i is odd and the change first when it is even, so a
+drift of the host's speed favours neither side.
 
 The output file holds one entry per workload: both commits, the seed, the
-machine line, every pair's values, and per metric both sides' medians and
-quartiles, the wins of the change (ties count for neither side) and a
-verdict against the metric's bound in ``BENCHMARK.json``.  Running the
+machine line, every pair's two runs (each run's counts beside its
+end-to-end values), and per metric both sides' medians and quartiles, the
+wins of the change (ties count for neither side) and a verdict against the
+metric's bound in ``BENCHMARK.json``.  Running the
 script again for another workload adds or replaces that workload's entry.
 """
 
@@ -93,8 +97,10 @@ def git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-def run_bench(checkout: Path, args, seconds: float) -> tuple[dict[str, float], str]:
-    """One untraced run in ``checkout``: its end-to-end values and machine line."""
+def run_bench(checkout: Path, args, seconds: float) -> tuple[dict, str]:
+    """One untraced run in ``checkout``: its ``correct``, ``attempted`` and
+    ``failed`` counts with its end-to-end values (under ``metrics``), and
+    its machine line."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", args.workload,
          "--seed", str(args.seed), "--seconds", str(seconds), "--trace", "0"],
@@ -104,7 +110,9 @@ def run_bench(checkout: Path, args, seconds: float) -> tuple[dict[str, float], s
     if not last["correct"]:
         raise SystemExit(f"{checkout}: a wrong output on {args.workload}\n{proc.stdout}")
     machine = next((ln.strip() for ln in lines if ln.strip().startswith("machine:")), "")
-    return {k: m["value"] for k, m in last["metrics"].items()}, machine
+    run = {key: last[key] for key in ("correct", "attempted", "failed")}
+    run["metrics"] = {k: m["value"] for k, m in last["metrics"].items()}
+    return run, machine
 
 
 def run_pairs(parent_dir: Path, args, seconds: float) -> tuple[list[dict], str]:
@@ -116,9 +124,9 @@ def run_pairs(parent_dir: Path, args, seconds: float) -> tuple[list[dict], str]:
             pair[side], machine = run_bench(parent_dir if side == "parent" else ROOT, args,
                                             seconds)
         pairs.append(pair)
+        parent, change = pair["parent"]["metrics"], pair["change"]["metrics"]
         print(f"pair {i}: " + ", ".join(
-            f"{k} {pair['parent'][k]:.4g} -> {pair['change'][k]:.4g}" for k in pair["change"]),
-            file=sys.stderr)
+            f"{k} {parent[k]:.4g} -> {change[k]:.4g}" for k in change), file=sys.stderr)
     return pairs, machine
 
 
@@ -150,7 +158,8 @@ def main() -> int:
         finally:
             git("worktree", "remove", "--force", str(tree))
     summary = {
-        name: summarise([(p["parent"][name], p["change"][name]) for p in pairs],
+        name: summarise([(p["parent"]["metrics"][name], p["change"]["metrics"][name])
+                         for p in pairs],
                         m["better"], m["bound"])
         for name, m in spec.items()
     }

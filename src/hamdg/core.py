@@ -59,9 +59,12 @@ def int_rows(packed: np.ndarray) -> list[int]:
 
 
 class Digraph:
-    """A loopless digraph; 2-cycles allowed (opposite arcs between a pair)."""
+    """A loopless digraph; 2-cycles allowed (opposite arcs between a pair).
 
-    __slots__ = ("n", "out", "inn")
+    ``_strong`` memoises ``is_strongly_connected``: ``None`` until its first
+    call on this digraph."""
+
+    __slots__ = ("n", "out", "inn", "_strong")
 
     def __init__(self, n: int, arcs: Sequence[tuple[int, int]] = ()):
         out = [0] * n
@@ -74,6 +77,7 @@ class Digraph:
         self.n = n
         self.out = tuple(out)
         self.inn = self._derive_in(n, self.out)
+        self._strong = None
 
     @staticmethod
     def _derive_in(n: int, out: Sequence[int]) -> tuple[int, ...]:
@@ -106,15 +110,21 @@ class Digraph:
 
     @classmethod
     def from_out_masks(cls, masks: Sequence[int]) -> "Digraph":
-        g = cls.__new__(cls)
-        g.n = len(masks)
+        n = len(masks)
         for v, m in enumerate(masks):
-            if m >> g.n:
+            if m >> n:
                 raise BadParams("mask exceeds vertex range")
             if m & (1 << v):
                 raise BadParams(f"self-loop at {v}")
-        g.out = tuple(masks)
-        g.inn = cls._derive_in(g.n, g.out)
+        out = tuple(masks)
+        return cls._from_rows(out, cls._derive_in(n, out))
+
+    @classmethod
+    def _from_rows(cls, out: tuple[int, ...], inn: tuple[int, ...]) -> "Digraph":
+        """The digraph of out-rows ``out`` and their transpose ``inn``, both
+        already checked to be in range and loopless."""
+        g = cls.__new__(cls)
+        g.n, g.out, g.inn, g._strong = len(out), out, inn, None
         return g
 
     # --- queries ---------------------------------------------------------
@@ -331,10 +341,15 @@ def _reach(adj: Sequence[int], start_mask: int, within: int = -1) -> int:
 
 
 def is_strongly_connected(g: Digraph) -> bool:
-    if g.n == 0:
-        raise BadParams("empty digraph")
-    full = (1 << g.n) - 1
-    return _reach(g.out, 1) == full and _reach(g.inn, 1) == full
+    """One forward and one backward search from vertex 0, run on the first
+    call only: the answer is kept on ``g``, which never changes, so the
+    rules, the search and the CLI share one pair per digraph."""
+    if g._strong is None:
+        if g.n == 0:
+            raise BadParams("empty digraph")
+        full = (1 << g.n) - 1
+        g._strong = _reach(g.out, 1) == full and _reach(g.inn, 1) == full
+    return g._strong
 
 
 def _vertex_disjoint_paths(g: Digraph, s: int, t: int, limit: int) -> int:

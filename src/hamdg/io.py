@@ -2,19 +2,33 @@
 
 ``DIGRAPH 1 <n> <m>`` followed by m lines ``u v`` (arc u -> v, 0-indexed,
 written in ascending lexicographic order).  ``GRAPH 1 <n> <m>`` stores each
-undirected edge once with u < v.  An optional sidecar part map uses a
-``PARTS 1`` header and lines ``<part-name> <v1> <v2> ...``.
+undirected edge once with u < v.  ``gen --parts`` writes a sidecar part map
+with a ``PARTS 1`` header and lines ``<part-name> <v1> <v2> ...``.  A
+Hamilton cycle serializes as one line ``CYCLE 1 <n> v0 ... v_{n-1}``.
 
-Certificates serialize as single lines: ``CYCLE 1 <n> v0 ... v_{n-1}``,
-``FACTOR 1 <cycles> <len> v... [<len> v...]``, ``EMBED 1 <n> i0 ...``.
+``parse`` reads text laid out exactly as ``serialize`` writes it in bulk,
+on the byte buffer; every other text, and every text with a fault, goes to
+the line loop, which alone raises ``FormatError``, so the bulk path changes
+no message and no order of the checks.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Optional, Sequence, TextIO
 
-from .core import CycleFactor, Digraph, HamiltonCycle
+import numpy as np
+
+from .core import Digraph, HamiltonCycle, int_rows
 from .errors import FormatError
+
+# the header as ``serialize`` writes it; n < 10^9 keeps every flat bit
+# index of the packed rows, and every decoded vertex, inside int64
+_CANONICAL_HEADER = re.compile(rb"(DIGRAPH|GRAPH) 1 ([0-9]{1,9}) ([0-9]+)\n")
+# a longer token is left to the line loop; 18 digits fit int64
+_MAX_DIGITS = 18
+_BIT = np.array([1 << k for k in range(8)], np.uint8)
+_SEPARATORS = np.frombuffer(b" \n", np.uint8)
 
 
 def serialize(g: Digraph, *, as_graph: bool = False) -> str:
@@ -34,6 +48,78 @@ def serialize(g: Digraph, *, as_graph: bool = False) -> str:
 
 def parse(text: str) -> Digraph:
     """Parse either format; GRAPH edges come back as 2-cycles."""
+    g = _parse_canonical(text)
+    return g if g is not None else _parse_lines(text)
+
+
+def _decode(digits: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The decimal tokens that end (exclusive) at ``ends`` with ``lengths``
+    digits each, as int64; ``digits`` holds each byte's value minus '0'."""
+    value = digits[ends - 1].astype(np.int64)
+    for k in range(1, int(lengths.max())):
+        longer = np.flatnonzero(lengths > k)
+        value[longer] += digits[ends[longer] - 1 - k].astype(np.int64) * 10**k
+    return value
+
+
+def _packed_rows(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The n bit rows, packed little-endian, that add bit ``cols[i]`` to row
+    ``rows[i]`` for each i.  A repeated pair carries into another bit, so
+    the rows hold fewer set bits than pairs exactly when a pair repeats."""
+    width = (n + 7) // 8
+    packed = np.zeros(n * width, np.uint8)
+    np.add.at(packed, rows * width + (cols >> 3), _BIT[cols & 7])
+    return packed.reshape(n, width)
+
+
+def _parse_canonical(text: str) -> Optional[Digraph]:
+    """The digraph of ``text`` if it is laid out exactly as ``serialize``
+    writes it (leading zeros and any arc order aside) and has no fault;
+    otherwise ``None``.  Apart from the text's bytes and one index per
+    token, the only arrays are the n packed rows of n/8 bytes per side."""
+    if not text.isascii():
+        return None
+    buf = text.encode("ascii")
+    head = _CANONICAL_HEADER.match(buf)
+    if head is None:
+        return None
+    n, m = int(head[2]), int(head[3])
+    body = np.frombuffer(buf, np.uint8, offset=head.end())
+    digits = body - np.uint8(ord("0"))
+    # m lines "<digits> <digits>\n": the non-digits alternate space and
+    # newline, the last byte is the m-th newline, and no token is empty
+    seps = np.flatnonzero(digits >= 10)
+    if len(seps) != 2 * m or (seps[-1] if m else -1) != len(body) - 1:
+        return None
+    if m == 0:
+        return Digraph._from_rows((0,) * n, (0,) * n)
+    if np.any(body[seps].reshape(m, 2) != _SEPARATORS):
+        return None
+    starts = np.empty_like(seps)
+    starts[0], starts[1:] = 0, seps[:-1] + 1
+    lengths = seps - starts
+    if lengths.min() < 1 or lengths.max() > _MAX_DIGITS:
+        return None
+    tokens = _decode(digits, seps, lengths)
+    u, v = tokens[0::2], tokens[1::2]
+    if tokens.max() >= n or np.any(u == v):
+        return None
+    graph = head[1] == b"GRAPH"
+    if graph:
+        if np.any(u > v):
+            return None
+        u, v = np.concatenate((u, v)), np.concatenate((v, u))
+    out = _packed_rows(n, u, v)
+    if int(np.bitwise_count(out).sum()) != len(u):
+        return None  # a repeated arc
+    out_rows = tuple(int_rows(out))
+    in_rows = out_rows if graph else tuple(int_rows(_packed_rows(n, v, u)))
+    return Digraph._from_rows(out_rows, in_rows)
+
+
+def _parse_lines(text: str) -> Digraph:
+    """The line loop: any whitespace layout, and the one path that raises
+    ``FormatError``, for the first fault in line order."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise FormatError("empty input")
@@ -100,25 +186,6 @@ def serialize_parts(parts: dict[str, Sequence[int]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_parts(text: str, n: Optional[int] = None) -> dict[str, list[int]]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].split() != ["PARTS", "1"]:
-        raise FormatError("missing PARTS 1 header")
-    out: dict[str, list[int]] = {}
-    for ln in lines[1:]:
-        name, *rest = ln.split()
-        if name in out:
-            raise FormatError(f"duplicate part {name!r}")
-        try:
-            verts = [int(x) for x in rest]
-        except ValueError:
-            raise FormatError(f"bad part line {ln!r}") from None
-        if n is not None and any(not 0 <= v < n for v in verts):
-            raise FormatError(f"vertex out of range in part {name!r}")
-        out[name] = verts
-    return out
-
-
 # --- certificates --------------------------------------------------------
 
 
@@ -138,52 +205,3 @@ def parse_cycle(line: str) -> HamiltonCycle:
     if len(order) != n:
         raise FormatError(f"cycle record length mismatch in {line!r}")
     return HamiltonCycle(order)
-
-
-def serialize_factor(f: CycleFactor) -> str:
-    parts = ["FACTOR", "1", str(len(f.cycles))]
-    for cyc in f.cycles:
-        parts.append(str(len(cyc)))
-        parts += [str(v) for v in cyc]
-    return " ".join(parts)
-
-
-def parse_factor(line: str) -> CycleFactor:
-    parts = line.split()
-    if len(parts) < 3 or parts[0] != "FACTOR" or parts[1] != "1":
-        raise FormatError(f"bad factor record {line!r}")
-    try:
-        vals = [int(x) for x in parts[2:]]
-    except ValueError:
-        raise FormatError(f"bad factor record {line!r}") from None
-    count, vals = vals[0], vals[1:]
-    cycles = []
-    for _ in range(count):
-        if not vals:
-            raise FormatError(f"truncated factor record {line!r}")
-        ln, vals = vals[0], vals[1:]
-        if len(vals) < ln:
-            raise FormatError(f"truncated factor record {line!r}")
-        cycles.append(tuple(vals[:ln]))
-        vals = vals[ln:]
-    if vals:
-        raise FormatError(f"trailing values in factor record {line!r}")
-    return CycleFactor(tuple(cycles))
-
-
-def serialize_embedding(phi: Sequence[int]) -> str:
-    return " ".join(["EMBED", "1", str(len(phi))] + [str(v) for v in phi])
-
-
-def parse_embedding(line: str) -> tuple[int, ...]:
-    parts = line.split()
-    if len(parts) < 3 or parts[0] != "EMBED" or parts[1] != "1":
-        raise FormatError(f"bad embedding record {line!r}")
-    try:
-        n = int(parts[2])
-        phi = tuple(int(x) for x in parts[3:])
-    except ValueError:
-        raise FormatError(f"bad embedding record {line!r}") from None
-    if len(phi) != n:
-        raise FormatError(f"embedding record length mismatch in {line!r}")
-    return phi

@@ -20,9 +20,9 @@ same verdict and witness, the same cover or the same failing matching, the
 same rows, the same parse error.
 
 The library's bipartite matchings take each left's lowest unmatched right
-before any alternating path, so they equal ``seeded_matching``; the
-recursive ``bipartite_matching`` keeps Kuhn's plain order, the matching
-order before that seed, and its verdicts must still agree.
+before any alternating path, so they equal ``seeded_matching``;
+``bipartite_matching`` keeps Kuhn's plain order, the matching order before
+that seed, and its verdicts must still agree.
 
 Two oracles were never fast paths: ``count_hamilton_naive`` counts Hamilton
 paths and cycles over every permutation, and ``vertex_connectivity_brute``
@@ -85,23 +85,12 @@ from hamdg.solvers import DEFAULT_BUDGET, hamilton_cycle_through
 
 
 def bipartite_matching(n_left: int, adj: Sequence[int]) -> Optional[list[int]]:
-    """Recursive augmenting-path matching with a set of visited right vertices."""
+    """Kuhn's plain order: each left in turn runs Kuhn's search
+    (``augment``) from an empty seen set, with no unmatched-right seed."""
     match_l = [-1] * n_left
-    match_r: dict[int, int] = {}
-
-    def augment(l: int, seen: set[int]) -> bool:
-        for r in bits(adj[l]):
-            if r in seen:
-                continue
-            seen.add(r)
-            if r not in match_r or augment(match_r[r], seen):
-                match_l[l] = r
-                match_r[r] = l
-                return True
-        return False
-
+    match_r = [-1] * max((row.bit_length() for row in adj), default=0)
     for l in range(n_left):
-        if not augment(l, set()):
+        if not augment(match_l, match_r, l, adj, 0):
             return None
     return match_l
 

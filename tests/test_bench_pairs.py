@@ -1,9 +1,13 @@
 """The summary part of ``scripts/bench_pairs.py``: quartiles, wins and the
-verdict against a metric's bound.  Its subprocess part is not tested here."""
+verdict against a metric's bound; and, with ``perfbench/run.py`` stubbed,
+what each run records."""
 
 import importlib.util
+import json
 import pathlib
 import statistics
+import subprocess
+from types import SimpleNamespace
 
 import pytest
 
@@ -66,3 +70,38 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
     # by less than the parent's spread, so it is no gain either
     apart = [(1.0, 2.1), (2.0, 2.1), (1.0, 2.2), (2.0, 2.2)]
     assert bench_pairs.summarise(apart, "higher", 0.24)["verdict"] == "within bound"
+
+
+def test_each_run_records_its_counts_beside_its_metrics(monkeypatch, tmp_path):
+    # a stubbed perfbench/run.py: the counts of its last stdout line must
+    # reach both runs of every pair
+    calls = []
+
+    def fake_run(cmd, cwd, **kwargs):
+        calls.append(cwd)
+        last = {"correct": True, "attempted": 102 + len(calls), "failed": len(calls) % 2,
+                "metrics": {"ops_per_s": {"value": 10.0 * len(calls), "unit": "1/s"}}}
+        out = "machine: stub\n" + json.dumps(last) + "\n"
+        return subprocess.CompletedProcess(cmd, 0, stdout=out, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    args = SimpleNamespace(workload="decide", seed=3, pairs=2)
+    pairs, machine = bench_pairs.run_pairs(tmp_path, args, 20)
+    assert machine == "machine: stub"
+    assert calls == [tmp_path, bench_pairs.ROOT, bench_pairs.ROOT, tmp_path]
+    assert [p["first"] for p in pairs] == ["parent", "change"]
+    runs = [pairs[0]["parent"], pairs[0]["change"], pairs[1]["change"], pairs[1]["parent"]]
+    for i, run in enumerate(runs, 1):
+        assert run == {"correct": True, "attempted": 102 + i, "failed": i % 2,
+                       "metrics": {"ops_per_s": 10.0 * i}}
+
+
+def test_a_wrong_output_stops_the_script(monkeypatch, tmp_path):
+    def fake_run(cmd, cwd, **kwargs):
+        last = {"correct": False, "attempted": 5, "failed": 0, "metrics": {}}
+        return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(last), stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    args = SimpleNamespace(workload="cover", seed=3, pairs=2)
+    with pytest.raises(SystemExit, match="a wrong output on cover"):
+        bench_pairs.run_bench(tmp_path, args, 20)

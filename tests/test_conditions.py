@@ -1,8 +1,10 @@
 """Sufficient-condition checkers: verdicts, witnesses, side conditions."""
 
+from fractions import Fraction
+
 import pytest
 
-from hamdg import conditions
+from hamdg import conditions, core
 from hamdg.conditions import (
     check_connectivity_condition,
     check_degree_condition,
@@ -183,3 +185,42 @@ class TestSoundnessSpot:
                 found += 1
                 assert find_hamilton_cycle(g) is not None
         assert found > 0
+
+
+class TestStrongConnectivityOnce:
+    # the parameters that make the parametrised rules apply
+    PARAMS = {"kordered_semidegree": {"k": 2}, "short_cycle": {"ell": 5},
+              "ckko": {"beta": Fraction(1, 10)}}
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            circulant_tournament(9),
+            complete_digraph(6),
+            generate_extremal("nw_extremal", 6, 2)[0],
+            transitive_tournament(5),  # not strong
+            Digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)]),  # not strong
+        ],
+    )
+    def test_one_search_pair_per_digraph(self, monkeypatch, g):
+        # the 14 rules of a decision and the search share one forward and
+        # one backward search from vertex 0
+        calls = []
+        reach = core._reach
+
+        def counted(adj, start_mask, within=-1):
+            calls.append(adj)
+            return reach(adj, start_mask, within)
+
+        monkeypatch.setattr(core, "_reach", counted)
+        strong = 0
+        for rule in conditions.DEGREE_RULES + conditions.SEQUENCE_RULES:
+            try:
+                v = conditions.check(rule, g, **self.PARAMS.get(rule, {}))
+            except (ClassMismatch, BadParams):
+                continue
+            strong += v.reason == "not strongly connected"
+        find_hamilton_cycle(g)
+        assert core.is_strongly_connected(g) == (strong == 0)
+        # the backward search runs only when the forward one reaches all
+        assert calls in ([g.out, g.inn], [g.out])

@@ -9,6 +9,7 @@ reported as they are.
 
 import itertools
 import random
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -1613,7 +1614,60 @@ PARSE_ERRORS = [
     "GRAPH 1 3 2\n0 1\n0 1\n",  # a repeated edge
     "GRAPH 1 3 2\n0 1\n1 0\n",  # the reverse of an edge is u > v, not a repeat
     "GRAPH 1 0 1\n0 0\n",
+    # canonical but for one byte: an empty token or a digit after the last
+    # newline (at n = 300 a stray byte read as a digit would be in range)
+    "DIGRAPH 1 300 1\n0 \n",
+    "DIGRAPH 1 300 1\n 1\n",
+    "DIGRAPH 1 300 1\n0 1\n2",
+    "DIGRAPH 1 3 0\n7",
 ]
+
+
+def _parse_outcome(parse, text):
+    """``(n, out, inn)`` of the parsed digraph, or the ``FormatError`` text."""
+    try:
+        g = parse(text)
+    except FormatError as exc:
+        return str(exc)
+    return g.n, g.out, g.inn
+
+
+def _parse_graphs():
+    # orders on both sides of the in-row transpose gate and of the 8-byte
+    # rows, in both formats
+    graphs = [Digraph(0), Digraph(1), Digraph(2, [(0, 1), (1, 0)])]
+    for n in (5, 12, 31, 32, 33, 48, 64, 65):
+        graphs += [random_tournament(n, n), circulant_tournament(n),
+                   random_digraph(n, 0.3, n)]
+    graphs += [random_regular_graph(n, 3, n) for n in (12, 24, 32, 66)]
+    graphs += [fig1(2)[0], fig2(9)[0]]
+    return graphs
+
+
+def _texts(g):
+    """``serialize``'s text of ``g`` in each format it can take."""
+    return [hio.serialize(g)] + ([hio.serialize(g, as_graph=True)] if g.is_symmetric() else [])
+
+
+def _single_edit(rng, text):
+    """One random edit of ``text``: a byte replaced by a digit, space, tab,
+    newline, '-' or '+', a byte deleted, a line doubled, or two
+    whitespace-separated tokens swapped."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        i = rng.randrange(len(text))
+        return text[:i] + rng.choice("0123456789 \t\n-+") + text[i + 1 :]
+    if kind == 1:
+        i = rng.randrange(len(text))
+        return text[:i] + text[i + 1 :]
+    if kind == 2:
+        lines = text.splitlines(keepends=True)
+        i = rng.randrange(len(lines))
+        return "".join(lines[: i + 1] + lines[i:])
+    pieces = re.split(r"(\s+)", text)  # tokens at the even indices
+    i, j = rng.sample([k for k in range(0, len(pieces), 2) if pieces[k]], 2)
+    pieces[i], pieces[j] = pieces[j], pieces[i]
+    return "".join(pieces)
 
 
 class TestParse:
@@ -1628,18 +1682,69 @@ class TestParse:
         assert str(got.value) == str(want.value)
 
     def test_equal_digraphs(self):
-        # orders on both sides of the in-row transpose gate, in both formats
-        graphs = [Digraph(0), Digraph(1), Digraph(2, [(0, 1), (1, 0)])]
-        for n in (5, 12, 31, 32, 33, 48, 64):
-            graphs += [random_tournament(n, n), circulant_tournament(n),
-                       random_digraph(n, 0.3, n)]
-        graphs += [random_regular_graph(n, 3, n) for n in (12, 24, 32)]
-        graphs += [fig1(2)[0], fig2(9)[0]]
-        for g in graphs:
-            texts = [hio.serialize(g)]
-            if g.is_symmetric():
-                texts.append(hio.serialize(g, as_graph=True))
-            for text in texts:
+        for g in _parse_graphs():
+            for text in _texts(g):
                 got, want = hio.parse(text), oracles.parse(text)
                 assert (got.n, got.out, got.inn) == (want.n, want.out, want.inn)
                 assert got == g
+
+    def test_canonical_text_takes_the_bulk_path(self, monkeypatch):
+        def no_line_loop(text):
+            raise AssertionError("the line loop read canonical text")
+
+        monkeypatch.setattr(hio, "_parse_lines", no_line_loop)
+        for g in _parse_graphs():
+            for text in _texts(g):
+                got = hio.parse(text)
+                assert (got.n, got.out, got.inn) == (g.n, g.out, g.inn)
+
+    def test_single_edits_match_the_oracle(self, monkeypatch):
+        # every edit gives the same digraph or the same first fault; the
+        # bulk path takes the edits that keep the canonical layout (a
+        # digit for a digit, swapped vertices) and must refuse every one
+        # that breaks it or adds a fault
+        bulk = hio._parse_canonical
+        taken = 0
+
+        def counted(text):
+            nonlocal taken
+            g = bulk(text)
+            taken += g is not None
+            return g
+
+        monkeypatch.setattr(hio, "_parse_canonical", counted)
+        rng = random.Random(1616)
+        texts = [hio.serialize(g) for g in (
+            random_tournament(6, 1), random_digraph(12, 0.3, 2), circulant_tournament(11),
+            directed_cycle(3), Digraph(4),
+        )]
+        texts += [hio.serialize(g, as_graph=True)
+                  for g in (random_regular_graph(10, 3, 1), complete_graph(4))]
+        faults = 0
+        for _ in range(2400):
+            text = _single_edit(rng, rng.choice(texts))
+            got = _parse_outcome(hio.parse, text)
+            assert got == _parse_outcome(oracles.parse, text), text
+            faults += isinstance(got, str)
+        assert faults > 1500 and taken > 200
+        assert taken <= 2400 - faults
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "DIGRAPH 1 4 3\r\n0 1\r\n2 3\r\n3 0\r\n",  # CRLF
+            "DIGRAPH\t1\t4\t3\n0\t1\n2\t3\n3\t0\n",  # tabs
+            "  DIGRAPH 1  4 3 \n 0  1\n2 3   \n3 0\n",  # extra spaces
+            "\nDIGRAPH 1 4 3\n\n0 1\n \n2 3\n3 0\n\n",  # blank lines
+            "DIGRAPH 1 04 003\n00 01\n2 0003\n3 0\n",  # leading zeros
+            "DIGRAPH 1 4 3\n0 1\n2 3\n3 0",  # no final newline
+            "GRAPH 1 4 2\r\n0 1\r\n2 3",
+            "DIGRAPH 1 4 0",
+            "DIGRAPH 1 4 0\n\n",
+            "DIGRAPH 1 4 3\n3 0\n0 1\n2 3\n",  # arcs out of order
+        ],
+    )
+    def test_non_canonical_layouts(self, text):
+        got = _parse_outcome(hio.parse, text)
+        assert not isinstance(got, str)
+        assert got == _parse_outcome(oracles.parse, text)

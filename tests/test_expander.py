@@ -271,7 +271,8 @@ class TestAssembly:
         else:
             assert set(trace.merge_methods) == {"rotation"}
 
-    def test_triangle_m1024_cycle_pinned(self):
+    @staticmethod
+    def m1024_digest():
         # 3,076 host vertices; the cycle order is pinned by sha256
         r = complete_digraph(3)
         red = ReducedDigraph(r, 1024)
@@ -282,6 +283,24 @@ class TestAssembly:
         assert trace.cycle.is_valid(blowup.host)
         assert trace.merge_methods == ("rotation",) * 3
         order = " ".join(map(str, trace.cycle.order)).encode()
-        assert hashlib.sha256(order).hexdigest() == (
+        return hashlib.sha256(order).hexdigest()
+
+    def test_triangle_m1024_cycle_pinned(self):
+        assert self.m1024_digest() == (
             "63aa3be0c6ceb98bb934c5c0170a124fdaf187b971ed1fc4236d34143cc43187"
+        )
+
+    def test_triangle_m1024_kuhn_order_gives_the_earlier_cycle(self, monkeypatch):
+        # with Kuhn's plain order put back in the per-cluster matchings and
+        # in rotation_extension's 1-factor, the cycle is the one pinned
+        # before the matchings were seeded with the unmatched rights
+        import oracles
+
+        import hamdg.expander as ex
+        import hamdg.solvers as so
+
+        monkeypatch.setattr(ex, "_bipartite_matching", oracles.bipartite_matching)
+        monkeypatch.setattr(so, "one_factor", oracles.one_factor)
+        assert self.m1024_digest() == (
+            "f9b53cf2d7890a1ca632bb2d7762efd0fb5f76933a720955d7df9ae0990baad7"
         )
