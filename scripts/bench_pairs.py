@@ -20,8 +20,8 @@ The output file holds one entry per workload: both commits, the seed, the
 machine line, every pair's two runs (each run's counts beside its
 end-to-end values), and per metric both sides' medians and quartiles, the
 wins of the change (ties count for neither side) and a verdict against the
-metric's bound in ``BENCHMARK.json``.  Running the
-script again for another workload adds or replaces that workload's entry.
+metric's bound in ``BENCHMARK.json``.  Running the script again for another
+workload adds or replaces that workload's entry.
 """
 
 from __future__ import annotations

@@ -1633,8 +1633,7 @@ def _parse_outcome(parse, text):
 
 
 def _parse_graphs():
-    # orders on both sides of the in-row transpose gate and of the 8-byte
-    # rows, in both formats
+    # orders on both sides of the in-row transpose gate, in both formats
     graphs = [Digraph(0), Digraph(1), Digraph(2, [(0, 1), (1, 0)])]
     for n in (5, 12, 31, 32, 33, 48, 64, 65):
         graphs += [random_tournament(n, n), circulant_tournament(n),
