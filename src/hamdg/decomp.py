@@ -1,7 +1,7 @@
 """Hamilton decompositions and coverings.
 
-Walecki's classic decomposition of odd complete graphs, exhaustive
-decomposition search at small n, Misra-Gries edge colouring, and the
+Walecki's classic decomposition of odd complete graphs, an exhaustive
+lazy decomposition search, Misra-Gries edge colouring, and the
 covering pipeline for regular tournaments and dense regular graphs:
 extract edge-disjoint Hamilton cycles, colour the leftover into matchings,
 split them small, and finish each matching with a Hamilton cycle through
@@ -28,7 +28,7 @@ from .errors import BadParams, CoverFailure
 from .solvers import (
     DEFAULT_BUDGET,
     _Budget,
-    enumerate_hamilton_cycles,
+    _enumerate,
     find_hamilton_cycle,
     hamilton_cycle_through,
 )
@@ -82,45 +82,36 @@ def decompose_exact(
 ) -> Optional[Decomposition]:
     """Partition of the arc set into Hamilton cycles, or ``None`` after an
     exhaustive search.  Regularity (d+ = d- = m/n everywhere) is necessary
-    and required."""
+    and required.
+
+    Every decomposition of the residual R holds exactly one cycle through
+    (0, v), v the lowest out-neighbour of 0 in R, so each Hamilton cycle of
+    R with 0's out-row cut to {v} is removed in turn and the rest searched
+    alike.  All levels draw on one ``_Budget``, so ``budget`` bounds the
+    whole search, and memory is O(n r) at r arcs per vertex."""
     n = g.n
     if n < 2:
         raise BadParams("n >= 2")
-    m = g.m
-    if m % n:
+    r, rem = divmod(g.m, n)
+    if rem:
         raise BadParams("arc count not divisible by n; no decomposition possible")
-    r = m // n
     if any(g.out_deg(v) != r or g.in_deg(v) != r for v in range(n)):
         raise BadParams("decompose_exact requires a regular digraph")
-    all_cycles = [h.canonical() for h in enumerate_hamilton_cycles(g, budget=budget)]
-    arcsets = [frozenset(h.arcs()) for h in all_cycles]
-    universe = set(g.arcs())
-    chosen: list[int] = []
     b = _Budget(budget)
 
-    def solve(uncovered: frozenset, available: list[int]) -> bool:
-        b.tick()
-        if not uncovered:
-            return True
-        # pick the uncovered arc with the fewest candidate cycles
-        best_arc, best_cands = None, None
-        for arc in uncovered:
-            cands = [i for i in available if arc in arcsets[i]]
-            if best_cands is None or len(cands) < len(best_cands):
-                best_arc, best_cands = arc, cands
-                if not cands:
-                    return False
-        for i in best_cands:
-            chosen.append(i)
-            rest = [j for j in available if arcsets[j].isdisjoint(arcsets[i])]
-            if solve(uncovered - arcsets[i], rest):
-                return True
-            chosen.pop()
-        return False
+    def search(rest: Digraph) -> Optional[tuple[HamiltonCycle, ...]]:
+        first = rest.out[0] & -rest.out[0]
+        if not first:
+            return ()
+        through = Digraph.from_out_masks((first, *rest.out[1:]))
+        for h in _enumerate(through, b):
+            tail = search(rest.without_arcs(h.arcs()))
+            if tail is not None:
+                return (h, *tail)
+        return None
 
-    if solve(frozenset(universe), list(range(len(all_cycles)))):
-        return Decomposition(tuple(all_cycles[i] for i in chosen))
-    return None
+    cycles = search(g)
+    return None if cycles is None else Decomposition(cycles)
 
 
 def _extract(
@@ -239,19 +230,6 @@ def vizing_color(f: Digraph) -> EdgeColoring:
     return EdgeColoring(
         tuple(tuple(sorted(cls)) for cls in classes if cls)
     )
-
-
-def coloring_is_proper(f: Digraph, coloring: EdgeColoring) -> bool:
-    seen = set()
-    for cls in coloring.classes:
-        endpoints = set()
-        for u, v in cls:
-            if u in endpoints or v in endpoints or not f.has_arc(u, v):
-                return False
-            endpoints.add(u)
-            endpoints.add(v)
-            seen.add((min(u, v), max(u, v)))
-    return seen == set(f.undirected_edges())
 
 
 def split_matching(m: Matching, cap: int) -> list[Matching]:
@@ -378,18 +356,12 @@ def validate(obj, g: Digraph, *, directed: bool = True) -> Verdict:
         covered = [
             (min(u, v), max(u, v)) for h in obj.cycles for u, v in h.arcs()
         ]
-    if isinstance(obj, Decomposition):
-        if len(covered) != len(set(covered)):
-            dup = _first_dup(covered)
-            return Verdict(kind, False, {"arc": dup}, "arc used twice")
-        if set(covered) != universe:
-            missing = sorted(universe - set(covered))[0]
-            return Verdict(kind, False, {"arc": missing}, "arc uncovered")
-        return Verdict(kind, True)
-    # cover: every arc covered at least once
+    if isinstance(obj, Decomposition) and len(covered) != len(set(covered)):
+        return Verdict(kind, False, {"arc": _first_dup(covered)}, "arc used twice")
+    # valid cycles cover only arcs of g, so what is left is what is missing
     missing = universe - set(covered)
     if missing:
-        return Verdict(kind, False, {"arc": sorted(missing)[0]}, "arc uncovered")
+        return Verdict(kind, False, {"arc": min(missing)}, "arc uncovered")
     return Verdict(kind, True)
 
 

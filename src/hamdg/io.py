@@ -29,6 +29,7 @@ _CANONICAL_HEADER = re.compile(rb"(DIGRAPH|GRAPH) 1 ([0-9]{1,9}) ([0-9]+)\n")
 _MAX_DIGITS = 18
 _BIT = np.array([1 << k for k in range(8)], np.uint8)
 _SEPARATORS = np.frombuffer(b" \n", np.uint8)
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 def serialize(g: Digraph, *, as_graph: bool = False) -> str:
@@ -127,7 +128,7 @@ def _parse_lines(text: str) -> Digraph:
     if len(head) != 4 or head[0] not in ("DIGRAPH", "GRAPH") or head[1] != "1":
         raise FormatError(f"bad header {lines[0]!r}")
     try:
-        n, m = int(head[2]), int(head[3])
+        n, m = _decimal(head[2]), _decimal(head[3])
     except ValueError:
         raise FormatError(f"bad header {lines[0]!r}") from None
     if n < 0 or m < 0:
@@ -141,7 +142,7 @@ def _parse_lines(text: str) -> Digraph:
         if len(parts) != 2:
             raise FormatError(f"bad arc line {ln!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _decimal(parts[0]), _decimal(parts[1])
         except ValueError:
             raise FormatError(f"bad arc line {ln!r}") from None
         if not (0 <= u < n and 0 <= v < n):
@@ -156,6 +157,14 @@ def _parse_lines(text: str) -> Digraph:
         if undirected:
             out[v] |= 1 << u
     return Digraph.from_out_masks(out)
+
+
+def _decimal(token: str) -> int:
+    """``int(token)`` for ASCII digits after an optional '-' only; ``int``
+    alone also reads '+', '_' and non-ASCII digits."""
+    if not _DECIMAL.fullmatch(token):
+        raise ValueError(token)
+    return int(token)
 
 
 def load(f: TextIO | str) -> Digraph:
@@ -198,8 +207,8 @@ def parse_cycle(line: str) -> HamiltonCycle:
     if len(parts) < 3 or parts[0] != "CYCLE" or parts[1] != "1":
         raise FormatError(f"bad cycle record {line!r}")
     try:
-        n = int(parts[2])
-        order = tuple(int(x) for x in parts[3:])
+        n = _decimal(parts[2])
+        order = tuple(_decimal(x) for x in parts[3:])
     except ValueError:
         raise FormatError(f"bad cycle record {line!r}") from None
     if len(order) != n:

@@ -46,7 +46,14 @@ class _Budget:
     checkpoint are held back until then, so ``tick`` stays one decrement
     and one compare, the total stays the budget, and the checkpoint's own
     work is not counted as nodes.  They come back before ``refutes()`` runs,
-    so after a refutation the budget less ``left`` is the nodes expanded."""
+    so after a refutation the budget less ``left`` is the nodes expanded.
+
+    ``decompose_exact``'s nested searches share one budget and each arm n^2
+    nodes on one n: under a pending checkpoint ``left <= n^2``, so an inner
+    ``arm`` is a no-op and no held node is lost.  A suspended search has
+    yielded a Hamilton cycle, so its checkpoint cannot refute; ``disarm``
+    drops whatever is pending when a search ends, so that a finished
+    digraph refutes no other."""
 
     __slots__ = ("left", "held", "refutes")
 
@@ -60,6 +67,10 @@ class _Budget:
     def arm(self, nodes: int, refutes: Callable[[], bool]) -> None:
         if self.left > nodes:  # else the budget runs out first
             self.held, self.left, self.refutes = self.left - nodes, nodes, refutes
+
+    def disarm(self) -> None:
+        self.left += self.held
+        self.held, self.refutes = 0, None
 
     def tick(self) -> None:
         self.left -= 1
@@ -386,7 +397,12 @@ def enumerate_hamilton_cycles(
     g: Digraph, *, budget: int = DEFAULT_BUDGET
 ) -> Iterator[HamiltonCycle]:
     """All Hamilton cycles, anchored at vertex 0, lexicographic path order
-    (``_hamilton_orders``).  ``budget`` bounds the search nodes.
+    (``_hamilton_orders``).  ``budget`` bounds the search nodes."""
+    yield from _enumerate(g, _Budget(budget))
+
+
+def _enumerate(g: Digraph, b: _Budget) -> Iterator[HamiltonCycle]:
+    """``enumerate_hamilton_cycles`` on the caller's budget ``b``.
 
     Two root refutations cut away digraphs without a Hamilton cycle; they
     never drop a cycle, so the cycles and their order are the unpruned
@@ -411,13 +427,14 @@ def enumerate_hamilton_cycles(
     succ = _bipartite_matching(n, out)  # any witness will do
     if succ is None:
         return
-    b = _Budget(budget)
     b.arm(n * n, lambda: _tough_cut([o | i for o, i in zip(out, inn)]) is not None)
     try:
         for order in _hamilton_orders(g, succ, b):
             yield HamiltonCycle(order)
     except _Refuted:
         return
+    finally:
+        b.disarm()
 
 
 def find_hamilton_cycle(
@@ -428,7 +445,7 @@ def find_hamilton_cycle(
     is no size cap."""
     if g.n < 2 or not is_strongly_connected(g):
         return None
-    return next(enumerate_hamilton_cycles(g, budget=budget), None)
+    return next(_enumerate(g, _Budget(budget)), None)
 
 
 def hamilton_cycle_through(

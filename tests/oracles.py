@@ -5,9 +5,9 @@ the expander pipeline (the blow-up, and the assembly with per-cluster
 vertex sets), the recursive Hamilton search, the iterative search kernel
 before its lookahead matching repair and degree-2 forcing, the
 Hamilton counting DP, max-flow connectivity, the exact robust-expansion
-scan and the six
-recursive sequence searches (fixed-length cycles, cycle powers, k-ordered
-cycles, oriented patterns, cycle factors, tree embedding), the two cover
+scan, the exact-cover decomposition search over every Hamilton cycle, the
+six recursive sequence searches (fixed-length cycles, cycle powers,
+k-ordered cycles, oriented patterns, cycle factors, tree embedding), the two cover
 pipelines, each with its own restart loop, the per-arc in-row derivation,
 the arc-list builds of the dense constructions, the seeded random
 generators with one numpy call per step, the pair-at-a-time degree rules
@@ -24,9 +24,10 @@ before any alternating path, so they equal ``seeded_matching``;
 ``bipartite_matching`` keeps Kuhn's plain order, the matching order before
 that seed, and its verdicts must still agree.
 
-Two oracles were never fast paths: ``count_hamilton_naive`` counts Hamilton
-paths and cycles over every permutation, and ``vertex_connectivity_brute``
-(with its helper ``strongly_connected_within``) tries every vertex set.
+Three oracles were never fast paths: ``count_hamilton_naive`` counts
+Hamilton paths and cycles over every permutation, ``vertex_connectivity_brute``
+(with its helper ``strongly_connected_within``) tries every vertex set, and
+``coloring_is_proper`` checks an edge colouring class by class.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ from hamdg.core import (
 from hamdg.decomp import (
     Cover,
     CoverReport,
+    Decomposition,
+    EdgeColoring,
     _benchmarks,
     decompose_exact,
     greedy_extract,
@@ -977,6 +980,77 @@ def embed_tree(host: Digraph, tree: Digraph, b: Nodes) -> Optional[dict[int, int
     return None
 
 
+# --- the exact cover decomposition ---------------------------------------
+
+
+def decompose_exact_cover(
+    g: Digraph, *, budget: int = DEFAULT_BUDGET
+) -> Optional[Decomposition]:
+    """The decomposition search before the lazy residual one: list every
+    Hamilton cycle, then an exact cover of the arcs over their frozensets,
+    branching on the uncovered arc with the fewest candidate cycles.  The
+    listing and the cover each have a budget of their own."""
+    n = g.n
+    if n < 2:
+        raise BadParams("n >= 2")
+    m = g.m
+    if m % n:
+        raise BadParams("arc count not divisible by n; no decomposition possible")
+    r = m // n
+    if any(g.out_deg(v) != r or g.in_deg(v) != r for v in range(n)):
+        raise BadParams("decompose_exact requires a regular digraph")
+    all_cycles = [
+        h.canonical() for h in solvers.enumerate_hamilton_cycles(g, budget=budget)
+    ]
+    arcsets = [frozenset(h.arcs()) for h in all_cycles]
+    chosen: list[int] = []
+    b = solvers._Budget(budget)
+
+    def solve(uncovered: frozenset, available: list[int]) -> bool:
+        b.tick()
+        if not uncovered:
+            return True
+        best_cands = None
+        for arc in uncovered:
+            cands = [i for i in available if arc in arcsets[i]]
+            if best_cands is None or len(cands) < len(best_cands):
+                best_cands = cands
+                if not cands:
+                    return False
+        for i in best_cands:
+            chosen.append(i)
+            rest = [j for j in available if arcsets[j].isdisjoint(arcsets[i])]
+            if solve(uncovered - arcsets[i], rest):
+                return True
+            chosen.pop()
+        return False
+
+    # frozenset of a set, not of the arc list: the iteration order of the
+    # uncovered arcs, and with it the decomposition found, follows the
+    # table the set built
+    if solve(frozenset(set(g.arcs())), list(range(len(all_cycles)))):
+        return Decomposition(tuple(all_cycles[i] for i in chosen))
+    return None
+
+
+# --- the edge colouring check ----------------------------------------------
+
+
+def coloring_is_proper(f: Digraph, coloring: EdgeColoring) -> bool:
+    """Whether every class is a matching of f and the classes together
+    hold every edge of f."""
+    seen = set()
+    for cls in coloring.classes:
+        endpoints = set()
+        for u, v in cls:
+            if u in endpoints or v in endpoints or not f.has_arc(u, v):
+                return False
+            endpoints.add(u)
+            endpoints.add(v)
+            seen.add((min(u, v), max(u, v)))
+    return seen == set(f.undirected_edges())
+
+
 # --- the two cover pipelines ---------------------------------------------
 
 
@@ -1319,6 +1393,15 @@ def ckko(g: Digraph, **params) -> Verdict:
     return Verdict(rule, True)
 
 
+def _ascii_int(token: str) -> int:
+    """The integer of an optional '-' and ASCII digits; anything else is a
+    ``ValueError``."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(token)
+    return int(token)
+
+
 def parse(text: str) -> Digraph:
     """The exchange-format parser that collects arc tuples and a seen set,
     then builds through ``Digraph(n, arcs)``."""
@@ -1329,7 +1412,7 @@ def parse(text: str) -> Digraph:
     if len(head) != 4 or head[0] not in ("DIGRAPH", "GRAPH") or head[1] != "1":
         raise FormatError(f"bad header {lines[0]!r}")
     try:
-        n, m = int(head[2]), int(head[3])
+        n, m = _ascii_int(head[2]), _ascii_int(head[3])
     except ValueError:
         raise FormatError(f"bad header {lines[0]!r}") from None
     if n < 0 or m < 0:
@@ -1344,7 +1427,7 @@ def parse(text: str) -> Digraph:
         if len(parts) != 2:
             raise FormatError(f"bad arc line {ln!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = _ascii_int(parts[0]), _ascii_int(parts[1])
         except ValueError:
             raise FormatError(f"bad arc line {ln!r}") from None
         if not (0 <= u < n and 0 <= v < n):

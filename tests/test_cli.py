@@ -9,6 +9,7 @@ from hamdg import io as hio
 from hamdg.cli import main
 from hamdg.conditions import DEGREE_RULES, SEQUENCE_RULES
 from hamdg.constructions import circulant_tournament
+from hamdg.decomp import Decomposition, validate
 from hamdg.errors import CoverFailure
 from hamdg.solvers import OrientationPattern, validate_oriented
 
@@ -192,6 +193,23 @@ class TestDecomposeCover:
         run(capsys, "gen", "--family", "complete_digraph", "--n", "4", "--output", path)
         code, out, _ = run(capsys, "decompose", "--input", path)
         assert code == 1 and out.strip() == "NONE"
+
+    def test_decompose_circulant_13(self, capsys, tmp_path):
+        # the exact cover listed all 166k Hamilton cycles first: 7 s
+        path = str(tmp_path / "c13.dg")
+        run(capsys, "gen", "--family", "circulant", "--n", "13", "--output", path)
+        code, out, _ = run(capsys, "decompose", "--input", path)
+        lines = out.splitlines()
+        assert code == 0 and lines[-1] == "# cycles=6" and len(lines) == 7
+        cycles = [hio.parse_cycle(line) for line in lines[:-1]]
+        dec = Decomposition(tuple(cycles))
+        assert validate(dec, circulant_tournament(13)).holds
+
+    def test_decompose_budget_exit_3(self, capsys, tmp_path):
+        path = str(tmp_path / "c13.dg")
+        run(capsys, "gen", "--family", "circulant", "--n", "13", "--output", path)
+        code, out, err = run(capsys, "decompose", "--input", path, "--budget", "5")
+        assert code == 3 and out == "" and "budget exhausted" in err
 
     def test_cover_failure_exit_3(self, capsys, tmp_path, monkeypatch):
         # a valid input whose restarts all fail is not a usage error

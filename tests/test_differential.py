@@ -47,7 +47,12 @@ from hamdg.core import (
     contract_matching,
     vertex_connectivity,
 )
-from hamdg.decomp import cover_regular_graph, cover_tournament
+from hamdg.decomp import (
+    cover_regular_graph,
+    cover_tournament,
+    decompose_exact,
+    validate,
+)
 from hamdg.errors import (
     BadParams,
     BudgetExceeded,
@@ -72,6 +77,7 @@ from hamdg.solvers import (
     _Budget,
     _augment,
     _bipartite_matching,
+    _enumerate,
     _forced_arcs,
     _hamilton_orders,
     _tough_cut,
@@ -1462,6 +1468,111 @@ class TestCoverLoop:
             assert contract_matching(g, m)[0] == contract_matching(doubled, m)[0]
 
 
+# --- the lazy residual decomposition against the exact cover --------------
+
+
+def _regular_tournaments_7():
+    """The 2,640 labelled regular tournaments on 7 vertices: every
+    orientation of K7, filtered for out-degree 3 at once with numpy."""
+    n = 7
+    pairs = list(itertools.combinations(range(n), 2))
+    masks = np.arange(1 << len(pairs), dtype=np.uint32)
+    out_deg = np.zeros((n, masks.size), np.int8)
+    for t, (i, j) in enumerate(pairs):
+        bit = (masks >> t & 1).astype(np.int8)
+        out_deg[i] += bit
+        out_deg[j] += 1 - bit
+    for mask in np.flatnonzero((out_deg == 3).all(axis=0)).tolist():
+        arcs = [(i, j) if mask >> t & 1 else (j, i) for t, (i, j) in enumerate(pairs)]
+        yield Digraph(n, arcs)
+
+
+def _permutation_unions(rng, count):
+    """``count`` r-regular digraphs with n <= 8 and r <= 3, each the union of
+    r arc-disjoint fixed-point-free permutations drawn by rejection."""
+    found = []
+    while len(found) < count:
+        n = rng.randint(3, 8)
+        arcs: set = set()
+        for _ in range(rng.randint(1, min(3, n - 1))):
+            for _ in range(100):
+                p = rng.sample(range(n), n)
+                step = {(u, p[u]) for u in range(n)}
+                if all(u != p[u] for u in range(n)) and not step & arcs:
+                    arcs |= step
+                    break
+            else:
+                break
+        else:
+            found.append(Digraph(n, sorted(arcs)))
+    return found
+
+
+def _same_verdict(g):
+    """Whether ``g`` decomposes, after checking that the lazy search and the
+    exact cover agree and that the lazy search's answer validates."""
+    got = decompose_exact(g)
+    assert (got is None) == (oracles.decompose_exact_cover(g) is None)
+    assert got is None or validate(got, g).holds
+    return got is not None
+
+
+class TestDecomposition:
+    def test_regular_tournaments_on_seven_vertices(self):
+        verdicts = [_same_verdict(g) for g in _regular_tournaments_7()]
+        assert len(verdicts) == 2640 and all(verdicts)
+
+    def test_complete_digraphs(self):
+        # Tillson: K*n decomposes for every n but 4 and 6
+        got = [_same_verdict(complete_digraph(n)) for n in range(2, 8)]
+        assert got == [True, True, False, True, False, True]
+
+    def test_edge_cases(self):
+        for g in (Digraph(3), complete_digraph(2)):
+            assert decompose_exact(g) == oracles.decompose_exact_cover(g)
+        assert decompose_exact(Digraph(3)).cycles == ()
+        assert decompose_exact(complete_digraph(2)).cycles == (HamiltonCycle((0, 1)),)
+
+    def test_permutation_unions(self):
+        verdicts = [_same_verdict(g) for g in _permutation_unions(random.Random(5), 400)]
+        assert (verdicts.count(True), verdicts.count(False)) == (198, 202)
+
+    def test_one_budget_bounds_every_level(self, monkeypatch):
+        # K*6 has no decomposition.  The exact cover listed its 120 cycles
+        # in 326 nodes and refuted in 457 more, each on a budget of its own,
+        # so a budget of 500 never ran out; one budget stops at 501 nodes
+        made, ticks = [], [0]
+        init, tick = _Budget.__init__, _Budget.tick
+
+        def counted_init(self, nodes):
+            made.append(nodes)
+            init(self, nodes)
+
+        def counted_tick(self):
+            ticks[0] += 1
+            tick(self)
+
+        monkeypatch.setattr(_Budget, "__init__", counted_init)
+        monkeypatch.setattr(_Budget, "tick", counted_tick)
+        with pytest.raises(BudgetExceeded):
+            decompose_exact(complete_digraph(6), budget=500)
+        assert made == [500] and ticks[0] == 501
+
+    def test_a_finished_search_leaves_no_checkpoint(self):
+        # two copies of K*4 glued at vertex 0: 0 is a cut vertex, and the
+        # reach prune exhausts the search well inside n^2 = 49 nodes.  Run
+        # on a budget whose checkpoint another search has already spent,
+        # it arms its own; were that left behind, the cut scan would end
+        # the first search n^2 nodes later with cycles still to come
+        bowtie = _glued_cliques((3, 3), 1)
+        b = _Budget(10**6)
+        outer = _enumerate(complete_digraph(7), b)
+        head = list(itertools.islice(outer, 60))
+        assert b.refutes is None
+        assert list(_enumerate(bowtie, b)) == []
+        assert len(head) + len(list(outer)) == 720
+
+
 # --- the pair-based degree rules, the degree helpers and the parser -------
 
 ALPHAS = (Fraction(0), Fraction(1, 10), Fraction(-1, 3), Fraction(1, 4))
@@ -1614,6 +1725,10 @@ PARSE_ERRORS = [
     "GRAPH 1 3 2\n0 1\n0 1\n",  # a repeated edge
     "GRAPH 1 3 2\n0 1\n1 0\n",  # the reverse of an edge is u > v, not a repeat
     "GRAPH 1 0 1\n0 0\n",
+    # int() alone reads these as 0 -> 11, 0 -> 1 and n = 3
+    "DIGRAPH 1 12 1\n0 1_1\n",
+    "DIGRAPH 1 3 1\n+0 \u0661\n",
+    "DIGRAPH 1 0_3 0\n",
     # canonical but for one byte: an empty token or a digit after the last
     # newline (at n = 300 a stray byte read as a digit would be in range)
     "DIGRAPH 1 300 1\n0 \n",

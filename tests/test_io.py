@@ -76,3 +76,11 @@ class TestCertificates:
         line = hio.serialize_cycle(h)
         assert line == "CYCLE 1 4 0 2 1 3"
         assert hio.parse_cycle(line) == h
+
+    @pytest.mark.parametrize(
+        "line", ["CYCLE 1 3 0 1_1 2", "CYCLE 1 3 +0 1 2", "CYCLE 1 \u0663 0 1 2"]
+    )
+    def test_cycle_record_takes_ascii_decimals_only(self, line):
+        # int() alone reads 1_1 as 11, +0 as 0 and an Arabic-Indic three as 3
+        with pytest.raises(FormatError, match="bad cycle record"):
+            hio.parse_cycle(line)
