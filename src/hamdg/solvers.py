@@ -473,9 +473,7 @@ class CountReport:
     random_mean_cycles: Fraction  # (n-1)!/2^n
 
 
-# The DP tables hold int64 counts.  A table entry for a set of k vertices
-# counts paths through that set, at most (k-1)!, so every entry up to the
-# full set is exact while (n-1)! < 2**63, that is for n <= 21.
+# (n-1)! < 2**63 keeps the count DP's int64 entries exact (see _end_counts).
 COUNT_CAP = 21
 
 
@@ -483,28 +481,27 @@ def _end_counts(adj: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Hamilton paths of the digraph ``adj`` (a k x k 0/1 int64 matrix),
     counted by last vertex; a path starting at v carries weight ``start[v]``.
 
-    Layered subset DP (Bellman; Held & Karp): masks are indexed in
-    popcount order, ``rank[mask]`` being a mask's position within its
-    layer, and only two layers are alive.  Each layer costs one int64
-    matmul ``table @ adj`` (``step[i, w]``: paths over mask i, then one arc
-    to w) and one scatter per vertex w into the entries of ``mask | w`` for
-    the masks without w.  The caller keeps k <= COUNT_CAP so no entry
-    can overflow."""
+    Layered subset DP (Bellman; Held & Karp) on transposed layers:
+    ``table[w, i]`` counts the paths ending at w over a layer's i-th mask in
+    numeric order.  Adding w maps the masks without w onto the next layer's
+    masks with w in order (M < M' gives M|w < M'|w), so with ``held[w, i]``
+    = "w in mask i", ``step[~held]`` fills the next ``table[held]`` row by
+    row.  With 0/1 weights no entry passes k * (k-2)!, below 2**63 for
+    k <= COUNT_CAP, so int64 is exact."""
     k = len(start)
-    pc = np.bitwise_count(np.arange(1 << k, dtype=np.int64))
-    order = np.argsort(pc, kind="stable")
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(pc, minlength=k + 1))))
-    rank = np.empty(1 << k, dtype=np.int64)
-    rank[order] = np.arange(1 << k) - offsets[pc[order]]
+    pc = np.bitwise_count(np.arange(1 << k))
+    order = np.argsort(pc, kind="stable")  # by popcount, numeric within a layer
+    ends = np.cumsum(np.bincount(pc))
+    bit = 1 << np.arange(k)[:, None]
     table = np.diag(start)  # layer 1 holds the masks 1, 2, 4, ... in order
+    held = np.eye(k, dtype=bool)
     for p in range(1, k):
-        masks = order[offsets[p] : offsets[p + 1]]
-        step = table @ adj
-        table = np.zeros((offsets[p + 2] - offsets[p + 1], k), dtype=np.int64)
-        for w in range(k):
-            free = (masks >> w) & 1 == 0
-            table[rank[masks[free] | (1 << w)], w] = step[free, w]
-    return table[0]
+        step = adj.T @ table
+        table = np.zeros((k, ends[p + 1] - ends[p]), dtype=np.int64)
+        step = step[~held]  # compacted before the next table is filled
+        held = order[ends[p] : ends[p + 1]] & bit != 0
+        table[held] = step
+    return table[:, 0]
 
 
 def count_hamilton(g: Digraph) -> CountReport:
@@ -513,10 +510,10 @@ def count_hamilton(g: Digraph) -> CountReport:
 
     Paths run the DP from every vertex; cycles run it over the other n-1
     vertices only, anchored at vertex 0, so each cyclic arc set is counted
-    exactly once.  Costs O(2^n n^2) integer operations and two layers of at
-    most C(n, n/2) x n int64 entries.  Table entries are exact for
-    n <= COUNT_CAP = 21 ((n-1)! < 2**63); the final sums, which reach n!,
-    are taken in Python ints.  Raises ``BudgetExceeded`` above 21 at once."""
+    exactly once.  Costs O(2^n n^2) integer operations; memory peaks at one
+    layer and its product, 2 x C(n, n/2) x n int64 entries (113 MiB at n =
+    21).  The final sums, up to n!, are Python ints.  Above COUNT_CAP = 21
+    it raises ``BudgetExceeded`` at once."""
     n = g.n
     if n > COUNT_CAP:
         raise BudgetExceeded(f"counting capped at n <= cap={COUNT_CAP}, got n={n}")

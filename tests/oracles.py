@@ -4,7 +4,8 @@ These are the original, unoptimised versions of the library's hot layers:
 the expander pipeline (the blow-up, and the assembly with per-cluster
 vertex sets), the recursive Hamilton search, the iterative search kernel
 before its lookahead matching repair and degree-2 forcing, the
-Hamilton counting DP, max-flow connectivity, the exact robust-expansion
+Hamilton counting DP (the dict DP, and the numpy DP with a rank table and
+a per-vertex scatter), max-flow connectivity, the exact robust-expansion
 scan, the exact-cover decomposition search over every Hamilton cycle, the
 six recursive sequence searches (fixed-length cycles, cycle powers,
 k-ordered cycles, oriented patterns, cycle factors, tree embedding), the two cover
@@ -575,6 +576,34 @@ def enumerate_hamilton_cycles(g: Digraph) -> tuple[list[HamiltonCycle], int]:
         return [], 0
     found, nodes = hamilton_search(g)
     return [HamiltonCycle(order) for order in found], nodes
+
+
+def end_counts_scatter(adj: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Hamilton paths of the digraph ``adj`` (a k x k 0/1 int64 matrix),
+    counted by last vertex; a path starting at v carries weight ``start[v]``.
+
+    Layered subset DP (Bellman; Held & Karp): masks are indexed in
+    popcount order, ``rank[mask]`` being a mask's position within its
+    layer, and only two layers are alive.  Each layer costs one int64
+    matmul ``table @ adj`` (``step[i, w]``: paths over mask i, then one arc
+    to w) and one scatter per vertex w into the entries of ``mask | w`` for
+    the masks without w.  The caller keeps k <= COUNT_CAP so no entry
+    can overflow."""
+    k = len(start)
+    pc = np.bitwise_count(np.arange(1 << k, dtype=np.int64))
+    order = np.argsort(pc, kind="stable")
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(pc, minlength=k + 1))))
+    rank = np.empty(1 << k, dtype=np.int64)
+    rank[order] = np.arange(1 << k) - offsets[pc[order]]
+    table = np.diag(start)  # layer 1 holds the masks 1, 2, 4, ... in order
+    for p in range(1, k):
+        masks = order[offsets[p] : offsets[p + 1]]
+        step = table @ adj
+        table = np.zeros((offsets[p + 2] - offsets[p + 1], k), dtype=np.int64)
+        for w in range(k):
+            free = (masks >> w) & 1 == 0
+            table[rank[masks[free] | (1 << w)], w] = step[free, w]
+    return table[0]
 
 
 def count_hamilton(g: Digraph) -> tuple[int, int]:

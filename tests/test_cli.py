@@ -176,6 +176,21 @@ class TestSolveCount:
         code, out, _ = run(capsys, "count", "--input", path, "--kind", "paths")
         assert code == 0 and '"count": 15' in out
 
+    def test_count_tournament_16(self, capsys, tmp_path):
+        path = str(tmp_path / "rt16.dg")
+        run(capsys, "gen", "--family", "random_tournament", "--n", "16", "--seed", "1",
+            "--output", path)
+        _, paths, _ = run(capsys, "count", "--input", path, "--kind", "paths")
+        _, cycles, _ = run(capsys, "count", "--input", path, "--kind", "cycles")
+        assert paths == (
+            '{"n": 16, "kind": "paths", "count": 463766899, "classification": '
+            '"tournament", "random_tournament_mean": "638512875"}\n'
+        )
+        assert cycles == (
+            '{"n": 16, "kind": "cycles", "count": 13273639, "classification": '
+            '"tournament", "random_tournament_mean": "638512875/32"}\n'
+        )
+
     def test_count_above_cap_exit_3(self, capsys, tmp_path):
         path = str(tmp_path / "k22.dg")
         run(capsys, "gen", "--family", "complete_digraph", "--n", "22", "--output", path)
@@ -381,6 +396,16 @@ class TestExperiment:
         assert code == 0
         assert out.startswith("# schema=1\n")
         assert "kelly-n5,5,24,24,2,True" in out
+
+    def test_kelly_n7(self, capsys):
+        # only the 2,640 regular ones of the 2^21 tournaments are built
+        code, out, err = run(capsys, "experiment", "kelly", "--n", "7")
+        assert code == 0 and "kelly-n7,7,2640,2640,3,True" in out.splitlines()
+        assert err.startswith("wall-time ")
+
+    def test_kelly_negative_n_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "experiment", "kelly", "--n=-1")
+        assert code == 2 and out == "" and "n >= 2" in err
 
     def test_reruns_byte_identical(self, capsys):
         _, out1, _ = run(capsys, "experiment", "cover", "--n", "5,7")

@@ -1129,6 +1129,34 @@ class TestCountHamilton:
         rep = count_hamilton(g)
         assert (rep.hamilton_paths, rep.hamilton_cycles) == oracles.count_hamilton(g)
 
+    @staticmethod
+    def _same_ends(adj, start):
+        got = solvers._end_counts(adj, start)
+        want = oracles.end_counts_scatter(adj, start)
+        assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_end_counts_equal_scatter(self, k):
+        # 20 seeded matrices per k (240 in all) with start weights 0..3,
+        # then an all-zero start, the arcless and the complete matrix
+        rng = np.random.default_rng(k)
+        off = 1 - np.eye(k, dtype=np.int64)
+        for _ in range(20):
+            adj = (rng.random((k, k)) < rng.random()).astype(np.int64) * off
+            self._same_ends(adj, rng.integers(0, 4, k))
+        start = rng.integers(0, 4, k)
+        self._same_ends(off, np.zeros(k, dtype=np.int64))
+        self._same_ends(0 * off, start)
+        self._same_ends(off, start)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 11, 14])
+    def test_count_calls_equal_scatter(self, n):
+        # the two calls count_hamilton makes: every start, and anchored at 0
+        for g in (random_tournament(n, n), random_digraph(n, 0.3, n), complete_digraph(n)):
+            adj = (np.array(g.out, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+            self._same_ends(adj, np.ones(n, dtype=np.int64))
+            self._same_ends(adj[1:, 1:], adj[0, 1:])
+
 
 class TestVertexConnectivity:
     def test_equal_flow_per_pair(self):
