@@ -498,7 +498,7 @@ def _end_counts(adj: np.ndarray, start: np.ndarray) -> np.ndarray:
     for p in range(1, k):
         step = adj.T @ table
         table = np.zeros((k, ends[p + 1] - ends[p]), dtype=np.int64)
-        step = step[~held]  # compacted before the next table is filled
+        step = step[~held]  # compact first: the full step is freed before table fills
         held = order[ends[p] : ends[p + 1]] & bit != 0
         table[held] = step
     return table[:, 0]
