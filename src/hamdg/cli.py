@@ -370,6 +370,8 @@ def _exp_camion(ns: list[int]) -> tuple[list[dict], bool]:
     rows = []
     all_ok = True
     for n in ns:
+        if n < 2:
+            raise HamdgError("n >= 2")
         strong = ham = pan = 0
         ok = True
         for g in _tournaments(n, n - 1):

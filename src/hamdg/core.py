@@ -151,26 +151,36 @@ class Digraph:
 
     # --- derived graphs --------------------------------------------------
 
+    # Derived digraphs edit the out-rows and the in-rows together, so none
+    # of them pays for a transpose.
+
     def with_arcs(self, arcs: Sequence[tuple[int, int]]) -> "Digraph":
-        out = list(self.out)
+        n = self.n
+        out, inn = list(self.out), list(self.inn)
         for u, v in arcs:
             if u == v:
                 raise BadParams(f"self-loop at {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise BadParams(f"arc ({u},{v}) out of range for n={n}")
             out[u] |= 1 << v
-        return Digraph.from_out_masks(out)
+            inn[v] |= 1 << u
+        return Digraph._from_rows(tuple(out), tuple(inn))
 
     def without_arcs(self, arcs: Sequence[tuple[int, int]]) -> "Digraph":
-        out = list(self.out)
+        out, inn = list(self.out), list(self.inn)
         for u, v in arcs:
-            out[u] &= ~(1 << v)
-        return Digraph.from_out_masks(out)
+            if out[u] >> v & 1:
+                out[u] ^= 1 << v
+                inn[v] ^= 1 << u
+        return Digraph._from_rows(tuple(out), tuple(inn))
 
     def reverse(self) -> "Digraph":
-        return Digraph.from_out_masks(self.inn)
+        return Digraph._from_rows(self.inn, self.out)
 
     def symmetrize(self) -> "Digraph":
         """Underlying graph as a symmetric digraph."""
-        return Digraph.from_out_masks([o | i for o, i in zip(self.out, self.inn)])
+        rows = tuple(o | i for o, i in zip(self.out, self.inn))
+        return Digraph._from_rows(rows, rows)
 
     def is_symmetric(self) -> bool:
         return self.out == self.inn
@@ -501,6 +511,16 @@ def dominated_pairs(g: Digraph) -> list[tuple[int, int]]:
 # --- transformations -----------------------------------------------------
 
 
+def _mapped(row: int, table: Sequence[int]) -> int:
+    """The union of ``table[v]`` over the set bits v of ``row``."""
+    mapped = 0
+    while row:
+        b = row & -row
+        mapped |= table[b.bit_length() - 1]
+        row ^= b
+    return mapped
+
+
 def contract_matching(
     g: Digraph, matching: Matching
 ) -> tuple[Digraph, Callable[[HamiltonCycle], HamiltonCycle]]:
@@ -508,29 +528,29 @@ def contract_matching(
     y's out-set.  Returns the contraction plus a lift from Hamilton cycles
     of the contraction to Hamilton cycles of ``g`` containing the matching.
     """
+    touched = 0
     for u, v in matching.arcs:
         if not g.has_arc(u, v):
             raise ArcMissing(f"({u},{v}) not in host")
-    tails = {u for u, _ in matching.arcs}
-    heads = {v for _, v in matching.arcs}
-    keep = [v for v in range(g.n) if v not in tails and v not in heads]
+        touched |= 1 << u | 1 << v
     # new vertex order: untouched vertices first, then one per matching arc
-    expansion: list[tuple[int, ...]] = [(v,) for v in keep]
-    for u, v in matching.arcs:
-        expansion.append((u, v))
-    nn = len(expansion)
+    expansion: list[tuple[int, ...]] = [
+        (v,) for v in range(g.n) if not touched >> v & 1
+    ]
+    expansion.extend(matching.arcs)
 
-    # Arcs into the contraction target exist iff they entered x;
-    # arcs out exist iff they left y.  Arcs at the discarded side vanish.
-    in_target = {exp[0]: i for i, exp in enumerate(expansion)}
-    out_source = {exp[-1]: i for i, exp in enumerate(expansion)}
-    arcs = []
-    for u, v in g.arcs():
-        if u in out_source and v in in_target:
-            a, b = out_source[u], in_target[v]
-            if a != b:
-                arcs.append((a, b))
-    contracted = Digraph(nn, sorted(set(arcs)))
+    # An arc into v enters v's new vertex only if v is kept or a tail
+    # (tgt[v] is that vertex's bit, else 0); an arc out of u leaves u's new
+    # vertex only if u is kept or a head (src[u]).  Arcs at the discarded
+    # side vanish, and a new vertex's own bit is the dropped self-loop.
+    tgt, src = [0] * g.n, [0] * g.n
+    for i, exp in enumerate(expansion):
+        tgt[exp[0]] = src[exp[-1]] = 1 << i
+    own = [1 << i for i in range(len(expansion))]
+    contracted = Digraph._from_rows(
+        tuple(_mapped(g.out[e[-1]], tgt) & ~b for e, b in zip(expansion, own)),
+        tuple(_mapped(g.inn[e[0]], src) & ~b for e, b in zip(expansion, own)),
+    )
 
     def lift(h: HamiltonCycle) -> HamiltonCycle:
         order: list[int] = []

@@ -103,7 +103,11 @@ def decompose_exact(
         first = rest.out[0] & -rest.out[0]
         if not first:
             return ()
-        through = Digraph.from_out_masks((first, *rest.out[1:]))
+        # 0's out-row cut to {first}: its other out-neighbours lose in-bit 0
+        inn = list(rest.inn)
+        for v in bits(rest.out[0] ^ first):
+            inn[v] ^= 1
+        through = Digraph._from_rows((first, *rest.out[1:]), tuple(inn))
         for h in _enumerate(through, b):
             tail = search(rest.without_arcs(h.arcs()))
             if tail is not None:
@@ -160,7 +164,15 @@ def greedy_extract(
 
 def vizing_color(f: Digraph) -> EdgeColoring:
     """Proper edge colouring of a simple undirected graph (symmetric
-    digraph) with at most Delta+1 colours, by Misra-Gries fan rotation."""
+    digraph) with at most Delta+1 colours, by Misra-Gries fan rotation.
+
+    Each vertex v keeps a slot array ``at[v][c]``, its neighbour across the
+    edge of colour c (-1 if none), and ``used[v]``, the bit mask of those
+    colours, so a free colour is a clear bit and the c-edge at v one read.
+    The path inversion and the fan rotation recolour one edge at a time and
+    pass through improper states, where a colour's slot already names the
+    edge recoloured onto it: an edge's old slot is cleared only if it still
+    names the edge's other end."""
     if not f.is_symmetric():
         raise BadParams("vizing_color expects a symmetric (undirected) digraph")
     n = f.n
@@ -170,59 +182,60 @@ def vizing_color(f: Digraph) -> EdgeColoring:
     delta = max(popcount(f.out[v]) for v in range(n))
     ncolors = delta + 1
     color: dict[tuple[int, int], int] = {}
+    at = [[-1] * ncolors for _ in range(n)]
+    used = [0] * n
 
     def key(u, v):
         return (min(u, v), max(u, v))
 
-    def colored_with(v: int, c: int) -> Optional[int]:
-        for w in bits(f.out[v]):
-            if color.get(key(v, w)) == c:
-                return w
-        return None
+    def lowest_free(v: int) -> int:
+        m = used[v]
+        return (~m & (m + 1)).bit_length() - 1
 
-    def free_colors(v: int) -> list[int]:
-        used = {color[key(v, w)] for w in bits(f.out[v]) if key(v, w) in color}
-        return [c for c in range(ncolors) if c not in used]
+    def paint(x: int, y: int, c: int) -> None:
+        old = color.get(key(x, y))
+        color[key(x, y)] = c
+        for a, b in ((x, y), (y, x)):
+            if old is not None and at[a][old] == b:
+                at[a][old] = -1
+                used[a] ^= 1 << old
+            at[a][c] = b
+            used[a] |= 1 << c
 
     for u, v in edges:
-        # build a maximal fan of u starting at v
+        # build a maximal fan of u starting at v: each step takes the lowest
+        # coloured neighbour outside the fan whose colour is free at its end
         fan = [v]
-        fan_set = {v}
+        in_fan = 1 << v
         while True:
-            grown = False
-            for w in bits(f.out[u]):
-                if w in fan_set or key(u, w) not in color:
-                    continue
-                if color[key(u, w)] in free_colors(fan[-1]):
-                    fan.append(w)
-                    fan_set.add(w)
-                    grown = True
-                    break
-            if not grown:
+            grow = (at[u][c] for c in bits(used[u] & ~used[fan[-1]]))
+            w = min((w for w in grow if not in_fan >> w & 1), default=-1)
+            if w < 0:
                 break
-        c = free_colors(u)[0]
-        d = free_colors(fan[-1])[0]
+            fan.append(w)
+            in_fan |= 1 << w
+        c = lowest_free(u)
+        d = lowest_free(fan[-1])
         if c != d:
             # invert the cd-path from u
             x, cur = u, d
             path = []
             while True:
-                y = colored_with(x, cur)
-                if y is None or (path and y == path[-1][0]):
+                y = at[x][cur]
+                if y < 0 or (path and y == path[-1][0]):
                     break
                 path.append((x, y))
                 x = y
                 cur = c if cur == d else d
-            swap = {c: d, d: c}
             for x, y in path:
-                color[key(x, y)] = swap[color[key(x, y)]]
+                paint(x, y, d if color[key(x, y)] == c else c)
             # shrink the fan to the first vertex where d is now free
-            w = next((z for z in fan if d in free_colors(z)), fan[-1])
+            w = next((z for z in fan if not used[z] >> d & 1), fan[-1])
             fan = fan[: fan.index(w) + 1]
         # rotate the fan
         for i in range(len(fan) - 1):
-            color[key(u, fan[i])] = color[key(u, fan[i + 1])]
-        color[key(u, fan[-1])] = d
+            paint(u, fan[i], color[key(u, fan[i + 1])])
+        paint(u, fan[-1], d)
 
     classes: list[list[tuple[int, int]]] = [[] for _ in range(ncolors)]
     for e, c in color.items():

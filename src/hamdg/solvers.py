@@ -422,8 +422,8 @@ def _enumerate(g: Digraph, b: _Budget) -> Iterator[HamiltonCycle]:
     if rows is None:
         return
     out, inn = rows
-    if out is not g.out:
-        g = Digraph.from_out_masks(out)
+    if out is not g.out:  # _forced_arcs keeps both row sets in step
+        g = Digraph._from_rows(tuple(out), tuple(inn))
     succ = _bipartite_matching(n, out)  # any witness will do
     if succ is None:
         return

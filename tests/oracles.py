@@ -9,7 +9,9 @@ a per-vertex scatter), max-flow connectivity, the exact robust-expansion
 scan, the exact-cover decomposition search over every Hamilton cycle, the
 six recursive sequence searches (fixed-length cycles, cycle powers,
 k-ordered cycles, oriented patterns, cycle factors, tree embedding), the two cover
-pipelines, each with its own restart loop, the per-arc in-row derivation,
+pipelines, each with its own restart loop, the arc-list matching
+contraction, the Misra-Gries colouring that rescans every neighbourhood for
+free colours, the per-arc in-row derivation,
 the arc-list builds of the dense constructions, the seeded random
 generators with one numpy call per step, the pair-at-a-time degree rules
 (Woodall, Meyniel, Bang-Jensen-Gutin-Li, the oriented Ore bound) with the
@@ -36,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -65,9 +67,9 @@ from hamdg.decomp import (
     greedy_extract,
     greedy_extract_undirected,
     split_matching,
-    vizing_color,
 )
 from hamdg.errors import (
+    ArcMissing,
     BadParams,
     BudgetExceeded,
     CoverFailure,
@@ -1060,6 +1062,123 @@ def decompose_exact_cover(
     if solve(frozenset(set(g.arcs())), list(range(len(all_cycles)))):
         return Decomposition(tuple(all_cycles[i] for i in chosen))
     return None
+
+
+# --- the arc-list contraction and the scanning edge colouring -------------
+
+
+def contract_matching(
+    g: Digraph, matching: Matching
+) -> tuple[Digraph, Callable[[HamiltonCycle], HamiltonCycle]]:
+    """Contract each matching arc x->y into a vertex with x's in-set and
+    y's out-set.  Returns the contraction plus a lift from Hamilton cycles
+    of the contraction to Hamilton cycles of ``g`` containing the matching.
+    """
+    for u, v in matching.arcs:
+        if not g.has_arc(u, v):
+            raise ArcMissing(f"({u},{v}) not in host")
+    tails = {u for u, _ in matching.arcs}
+    heads = {v for _, v in matching.arcs}
+    keep = [v for v in range(g.n) if v not in tails and v not in heads]
+    # new vertex order: untouched vertices first, then one per matching arc
+    expansion: list[tuple[int, ...]] = [(v,) for v in keep]
+    for u, v in matching.arcs:
+        expansion.append((u, v))
+    nn = len(expansion)
+
+    # Arcs into the contraction target exist iff they entered x;
+    # arcs out exist iff they left y.  Arcs at the discarded side vanish.
+    in_target = {exp[0]: i for i, exp in enumerate(expansion)}
+    out_source = {exp[-1]: i for i, exp in enumerate(expansion)}
+    arcs = []
+    for u, v in g.arcs():
+        if u in out_source and v in in_target:
+            a, b = out_source[u], in_target[v]
+            if a != b:
+                arcs.append((a, b))
+    contracted = Digraph(nn, sorted(set(arcs)))
+
+    def lift(h: HamiltonCycle) -> HamiltonCycle:
+        order: list[int] = []
+        for w in h.order:
+            order.extend(expansion[w])
+        return HamiltonCycle(tuple(order))
+
+    return contracted, lift
+
+
+def vizing_color(f: Digraph) -> EdgeColoring:
+    """Proper edge colouring of a simple undirected graph (symmetric
+    digraph) with at most Delta+1 colours, by Misra-Gries fan rotation."""
+    if not f.is_symmetric():
+        raise BadParams("vizing_color expects a symmetric (undirected) digraph")
+    n = f.n
+    edges = f.undirected_edges()
+    if not edges:
+        return EdgeColoring(())
+    delta = max(popcount(f.out[v]) for v in range(n))
+    ncolors = delta + 1
+    color: dict[tuple[int, int], int] = {}
+
+    def key(u, v):
+        return (min(u, v), max(u, v))
+
+    def colored_with(v: int, c: int) -> Optional[int]:
+        for w in bits(f.out[v]):
+            if color.get(key(v, w)) == c:
+                return w
+        return None
+
+    def free_colors(v: int) -> list[int]:
+        used = {color[key(v, w)] for w in bits(f.out[v]) if key(v, w) in color}
+        return [c for c in range(ncolors) if c not in used]
+
+    for u, v in edges:
+        # build a maximal fan of u starting at v
+        fan = [v]
+        fan_set = {v}
+        while True:
+            grown = False
+            for w in bits(f.out[u]):
+                if w in fan_set or key(u, w) not in color:
+                    continue
+                if color[key(u, w)] in free_colors(fan[-1]):
+                    fan.append(w)
+                    fan_set.add(w)
+                    grown = True
+                    break
+            if not grown:
+                break
+        c = free_colors(u)[0]
+        d = free_colors(fan[-1])[0]
+        if c != d:
+            # invert the cd-path from u
+            x, cur = u, d
+            path = []
+            while True:
+                y = colored_with(x, cur)
+                if y is None or (path and y == path[-1][0]):
+                    break
+                path.append((x, y))
+                x = y
+                cur = c if cur == d else d
+            swap = {c: d, d: c}
+            for x, y in path:
+                color[key(x, y)] = swap[color[key(x, y)]]
+            # shrink the fan to the first vertex where d is now free
+            w = next((z for z in fan if d in free_colors(z)), fan[-1])
+            fan = fan[: fan.index(w) + 1]
+        # rotate the fan
+        for i in range(len(fan) - 1):
+            color[key(u, fan[i])] = color[key(u, fan[i + 1])]
+        color[key(u, fan[-1])] = d
+
+    classes: list[list[tuple[int, int]]] = [[] for _ in range(ncolors)]
+    for e, c in color.items():
+        classes[c].append(e)
+    return EdgeColoring(
+        tuple(tuple(sorted(cls)) for cls in classes if cls)
+    )
 
 
 # --- the edge colouring check ----------------------------------------------

@@ -407,6 +407,12 @@ class TestExperiment:
         code, out, err = run(capsys, "experiment", "kelly", "--n=-1")
         assert code == 2 and out == "" and "n >= 2" in err
 
+    @pytest.mark.parametrize("n", ["-2", "1"])
+    def test_camion_n_below_two_is_usage_error(self, capsys, n):
+        # -2 used to crash (exit 4) and 1 to report Camion failing (exit 1)
+        code, out, err = run(capsys, "experiment", "camion", f"--n={n}")
+        assert code == 2 and out == "" and "error: n >= 2" in err
+
     def test_reruns_byte_identical(self, capsys):
         _, out1, _ = run(capsys, "experiment", "cover", "--n", "5,7")
         _, out2, _ = run(capsys, "experiment", "cover", "--n", "5,7")

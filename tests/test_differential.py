@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from hamdg import constructions, core, solvers
+from hamdg import constructions, core, decomp, solvers
 from hamdg import io as hio
 from hamdg.conditions import check_degree_condition, check_sequence_condition
 from hamdg.constructions import (
@@ -52,8 +52,10 @@ from hamdg.decomp import (
     cover_tournament,
     decompose_exact,
     validate,
+    vizing_color,
 )
 from hamdg.errors import (
+    ArcMissing,
     BadParams,
     BudgetExceeded,
     CoverFailure,
@@ -1494,6 +1496,154 @@ class TestCoverLoop:
             m = Matching(tuple(arcs))
             doubled = g.without_arcs([(v, u) for u, v in arcs])
             assert contract_matching(g, m)[0] == contract_matching(doubled, m)[0]
+
+
+# --- derived digraphs, contraction and colouring on rows ------------------
+
+
+def _seeded_digraphs(seed, count, density=1.0):
+    """``count`` seeded random digraphs, n from 2 to 40 (on both sides of
+    ``TRANSPOSE_MIN_N``), arc probability below ``min(1, density * 6 / n)``
+    if ``density`` < 1 else uniform in [0, 1)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, 40)
+        p = rng.random() * (min(1, density * 6 / n) if density < 1 else 1)
+        yield rng, random_digraph(n, p, rng.randrange(10**6))
+
+
+def _random_matching(rng, g):
+    """A random maximal-ish matching of ``g``'s arcs, each arc kept with a
+    probability drawn per call, so some matchings are empty and some perfect."""
+    keep, free, arcs = rng.random(), (1 << g.n) - 1, []
+    for u, v in rng.sample(g.arcs(), g.m):
+        if free >> u & 1 and free >> v & 1 and rng.random() < keep:
+            free &= ~(1 << u | 1 << v)
+            arcs.append((u, v))
+    return Matching(tuple(arcs))
+
+
+class TestRowEdits:
+    """Derived digraphs edit both row sets; the in-rows must be the
+    transpose of the out-rows and the out-rows those of the arc edit."""
+
+    def test_derived_digraphs_against_the_transpose(self):
+        for rng, g in _seeded_digraphs(19, 300):
+            n = g.n
+            drop = rng.sample(g.arcs(), rng.randint(0, g.m))
+            drop += [(u, v) for u, v in [(rng.randrange(n), rng.randrange(n))] if u != v]
+            want = list(g.out)
+            for u, v in drop:
+                want[u] &= ~(1 << v)
+            _same_rows(g.without_arcs(drop), Digraph.from_out_masks(want))
+            add = [(u, v) for u, v in ((rng.randrange(n), rng.randrange(n))
+                                        for _ in range(rng.randint(0, 2 * n))) if u != v]
+            want = list(g.out)
+            for u, v in add:
+                want[u] |= 1 << v
+            _same_rows(g.with_arcs(add), Digraph.from_out_masks(want))
+            _same_rows(g.reverse(), Digraph.from_out_masks(g.inn))
+            _same_rows(g.symmetrize(),
+                       Digraph.from_out_masks([o | i for o, i in zip(g.out, g.inn)]))
+
+    def test_with_arcs_checks_kept(self):
+        for n in (5, 40):
+            g = directed_cycle(n)
+            with pytest.raises(BadParams, match="self-loop"):
+                g.with_arcs([(0, 1), (2, 2)])
+            for arc in ((0, n), (n, 0), (-1, 0)):
+                with pytest.raises(BadParams, match="out of range"):
+                    g.with_arcs([arc])
+
+
+class TestContraction:
+    """``contract_matching`` on bit rows against the arc-list contraction."""
+
+    def test_equal_to_the_arc_list_contraction(self):
+        for rng, g in _seeded_digraphs(23, 400):
+            m = _random_matching(rng, g)
+            got, lift = contract_matching(g, m)
+            want, want_lift = oracles.contract_matching(g, m)
+            _same_rows(got, want)
+            h = HamiltonCycle(tuple(rng.sample(range(got.n), got.n)))
+            assert lift(h) == want_lift(h)
+
+    def test_complete_digraphs_and_perfect_matchings(self):
+        for n in range(2, 41):
+            g = complete_digraph(n)
+            m = Matching(tuple((v, v + 1) for v in range(0, n - 1, 2)))
+            _same_rows(contract_matching(g, m)[0], oracles.contract_matching(g, m)[0])
+
+    def test_missing_arc(self):
+        with pytest.raises(ArcMissing):
+            contract_matching(directed_cycle(5), Matching(((0, 2),)))
+
+
+class TestVizingColor:
+    """Misra-Gries on colour slots against the version that rescans every
+    neighbourhood; the colourings must be equal, class for class."""
+
+    def _check(self, f):
+        got = vizing_color(f)
+        assert got == oracles.vizing_color(f)
+        assert oracles.coloring_is_proper(f, got)
+        assert len(got.classes) <= max(map(int.bit_count, f.out), default=0) + 1
+
+    def test_equal_on_random_graphs(self):
+        # the rescanning oracle takes seconds on dense graphs near n = 40,
+        # so the degree is kept to about a dozen
+        for _, g in _seeded_digraphs(29, 300, density=0.99):
+            self._check(g.symmetrize())
+
+    def test_equal_on_complete_graphs(self):
+        for n in range(3, 26):
+            self._check(complete_graph(n))
+
+    def test_equal_on_cover_leftovers(self):
+        for n in range(9, 24, 2):
+            _, leftover = decomp.greedy_extract(random_regular_tournament(n, n))
+            self._check(leftover.symmetrize())
+
+
+class TestRowBuiltSearchDigraphs:
+    """The digraphs the searches build from rows they edited themselves."""
+
+    def test_forced_arc_digraph(self, monkeypatch):
+        seen = []
+
+        def recording(g, succ, b):
+            seen.append(g)
+            return _hamilton_orders(g, succ, b)
+
+        monkeypatch.setattr(solvers, "_hamilton_orders", recording)
+        forced = 0
+        for _, g in _seeded_digraphs(31, 200, density=0.99):
+            seen.clear()
+            first = next(_enumerate(g, _Budget(10**6)), None)
+            assert first is None or first.is_valid(g)
+            for h in seen:
+                assert h.inn == oracles.derive_in(h.n, h.out)
+                assert h.out == tuple(_forced_arcs(g.out, g.inn)[0])
+                forced += h.out != g.out
+        assert forced >= 20
+
+    def test_through_digraph(self, monkeypatch):
+        seen = []
+
+        def recording(g, b):
+            seen.append(g)
+            return _enumerate(g, b)
+
+        monkeypatch.setattr(decomp, "_enumerate", recording)
+        for n in range(2, 8):
+            decompose_exact(complete_digraph(n))
+        for g in _regular_tournaments_7():
+            decompose_exact(g)
+            break
+        assert len(seen) > 50
+        for g in seen:
+            assert g.inn == oracles.derive_in(g.n, g.out)
+            assert g.out[0].bit_count() == 1
 
 
 # --- the lazy residual decomposition against the exact cover --------------
