@@ -1501,20 +1501,21 @@ class TestCoverLoop:
 # --- derived digraphs, contraction and colouring on rows ------------------
 
 
-def _seeded_digraphs(seed, count, density=1.0):
+def _seeded_digraphs(seed, count, sparse=False):
     """``count`` seeded random digraphs, n from 2 to 40 (on both sides of
-    ``TRANSPOSE_MIN_N``), arc probability below ``min(1, density * 6 / n)``
-    if ``density`` < 1 else uniform in [0, 1)."""
+    ``TRANSPOSE_MIN_N``), each with the generator that drew it; the arc
+    probability is uniform below 1, or below min(1, 6/n) if ``sparse``."""
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(2, 40)
-        p = rng.random() * (min(1, density * 6 / n) if density < 1 else 1)
+        p = rng.random() * (min(1, 6 / n) if sparse else 1)
         yield rng, random_digraph(n, p, rng.randrange(10**6))
 
 
 def _random_matching(rng, g):
-    """A random maximal-ish matching of ``g``'s arcs, each arc kept with a
-    probability drawn per call, so some matchings are empty and some perfect."""
+    """A random matching of ``g``'s arcs: an arc whose ends are both free is
+    taken with a probability drawn once per call, so some matchings are
+    empty and some maximal."""
     keep, free, arcs = rng.random(), (1 << g.n) - 1, []
     for u, v in rng.sample(g.arcs(), g.m):
         if free >> u & 1 and free >> v & 1 and rng.random() < keep:
@@ -1530,14 +1531,13 @@ class TestRowEdits:
     def test_derived_digraphs_against_the_transpose(self):
         for rng, g in _seeded_digraphs(19, 300):
             n = g.n
-            drop = rng.sample(g.arcs(), rng.randint(0, g.m))
-            drop += [(u, v) for u, v in [(rng.randrange(n), rng.randrange(n))] if u != v]
+            # the last pair may be no arc of g
+            drop = rng.sample(g.arcs(), rng.randint(0, g.m)) + [tuple(rng.sample(range(n), 2))]
             want = list(g.out)
             for u, v in drop:
                 want[u] &= ~(1 << v)
             _same_rows(g.without_arcs(drop), Digraph.from_out_masks(want))
-            add = [(u, v) for u, v in ((rng.randrange(n), rng.randrange(n))
-                                        for _ in range(rng.randint(0, 2 * n))) if u != v]
+            add = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2 * n))]
             want = list(g.out)
             for u, v in add:
                 want[u] |= 1 << v
@@ -1592,7 +1592,7 @@ class TestVizingColor:
     def test_equal_on_random_graphs(self):
         # the rescanning oracle takes seconds on dense graphs near n = 40,
         # so the degree is kept to about a dozen
-        for _, g in _seeded_digraphs(29, 300, density=0.99):
+        for _, g in _seeded_digraphs(29, 300, sparse=True):
             self._check(g.symmetrize())
 
     def test_equal_on_complete_graphs(self):
@@ -1617,7 +1617,7 @@ class TestRowBuiltSearchDigraphs:
 
         monkeypatch.setattr(solvers, "_hamilton_orders", recording)
         forced = 0
-        for _, g in _seeded_digraphs(31, 200, density=0.99):
+        for _, g in _seeded_digraphs(31, 200, sparse=True):
             seen.clear()
             first = next(_enumerate(g, _Budget(10**6)), None)
             assert first is None or first.is_valid(g)
@@ -1637,9 +1637,7 @@ class TestRowBuiltSearchDigraphs:
         monkeypatch.setattr(decomp, "_enumerate", recording)
         for n in range(2, 8):
             decompose_exact(complete_digraph(n))
-        for g in _regular_tournaments_7():
-            decompose_exact(g)
-            break
+        decompose_exact(next(_regular_tournaments_7()))
         assert len(seen) > 50
         for g in seen:
             assert g.inn == oracles.derive_in(g.n, g.out)
