@@ -328,8 +328,9 @@ def check_connectivity_condition(g: Digraph, rule: str, **params) -> Verdict:
     """Chvatal-Erdos-type hypotheses relating kappa and alpha_2."""
     if rule not in CONNECTIVITY_RULES:
         raise BadParams(f"unknown connectivity rule {rule!r}")
-    kappa = vertex_connectivity(g)
+    # alpha_2 first: above INDEPENDENCE_CAP it refuses, and kappa is wasted
     _, alpha2 = independence_numbers(g)
+    kappa = vertex_connectivity(g)
     if rule == "jackson_factorial":
         needed = 2**alpha2 * factorial(alpha2 + 2)
     else:

@@ -368,61 +368,81 @@ def _vertex_disjoint_paths(g: Digraph, s: int, t: int, limit: int) -> int:
 
     Unit-capacity augmenting paths on the vertex-split network (v_in -> v_out
     of capacity 1 for v other than s, t; arcs u_out -> v_in unbounded), with
-    the flow kept as one bit row per vertex: ``fin[v]`` holds the tails of
-    the flow-carrying arcs into v.  An inner vertex carries flow iff
-    ``fin[v]`` is non-zero, and then its one bit is the vertex before it on
-    its path; that is all the state the residual network needs.
+    the flow kept as bit rows: ``fin[v]`` holds the tails of the
+    flow-carrying arcs into v, ``fout[v]`` the heads of those out of v, and
+    ``carrying`` the inner vertices on a path.  The residual arcs into an
+    in-node x_in are u_out for every arc u->x and x_out if x carries flow;
+    the one residual arc into an out-node u_out comes from u_in if u is free
+    and from h_in for the flow arc u->h otherwise.
     The flow starts from the disjoint two-arc paths s -> v -> t, one bit-row
-    AND; each later search is a breadth-first sweep over in-nodes (ids v)
-    and out-nodes (ids v + n) and adds one path, so a call costs
-    O(limit * n) bit-row operations."""
+    AND.  Each later search is breadth first, one whole mask per layer: the
+    in-layer is the OR of the out-rows of the out-layer plus its carrying
+    vertices, the next out-layer the in-layer's free vertices plus the flow
+    tails of its carrying ones.  Only the out-layers are kept: the path is
+    walked back from t, an in-node's predecessor being the lowest out-node
+    of the layer before with a residual arc into it (one mask AND), and an
+    out-node's the fixed one above.  A call costs O(limit * n) bit-row
+    operations."""
     n = g.n
-    out = g.out
+    out, inn = g.out, g.inn
+    carrying = out[s] & inn[t]  # the paths s -> v -> t are disjoint
+    flow = carrying.bit_count()
+    if flow >= limit:
+        return limit
     fin = [0] * n
-    flow = 0
-    for v in bits(out[s] & g.inn[t]):  # the paths s -> v -> t are disjoint
-        if flow == limit:
-            return flow
-        fin[v] = 1 << s
-        fin[t] |= 1 << v
-        flow += 1
+    fout = [0] * n
+    for v in bits(carrying):
+        fin[v], fout[v] = 1 << s, 1 << t
+    fin[t] = carrying
     while flow < limit:
-        parent = [-1] * (2 * n)
-        seen_in, seen_out = 1 << s, 1 << s
-        front_in, front_out = 0, 1 << s
-        while front_in or front_out:
-            new_in = new_out = 0
-            for u in bits(front_out):
-                # residual arcs u_out -> v_in, then u_out -> u_in if u carries flow
-                cand = out[u] & ~seen_in
-                for v in bits(cand):
-                    parent[v] = u + n
-                seen_in |= cand
-                new_in |= cand
-                if fin[u] and not seen_in >> u & 1:
-                    parent[u] = u + n
-                    seen_in |= 1 << u
-                    new_in |= 1 << u
-            if seen_in >> t & 1:
+        seen_in = seen_out = 1 << s
+        outs = [1 << s]  # outs[i]: the out-nodes first reached at layer i
+        while True:
+            front = outs[-1]
+            layer = front & carrying
+            while front:
+                low = front & -front
+                layer |= out[low.bit_length() - 1]
+                front ^= low
+            layer &= ~seen_in
+            if not layer or layer >> t & 1:
                 break
-            for v in bits(front_in):
-                # v_in -> v_out if v is free, else back along its flow arc
-                w = fin[v].bit_length() - 1 if fin[v] else v
-                if not seen_out >> w & 1:
-                    parent[w + n] = v
-                    seen_out |= 1 << w
-                    new_out |= 1 << w
-            front_in, front_out = new_in, new_out
-        if not seen_in >> t & 1:
+            seen_in |= layer
+            nxt = layer & ~carrying
+            busy = layer & carrying
+            while busy:
+                low = busy & -busy
+                nxt |= fin[low.bit_length() - 1]
+                busy ^= low
+            nxt &= ~seen_out
+            if not nxt:
+                break
+            seen_out |= nxt
+            outs.append(nxt)
+        if not layer >> t & 1:
             return flow
         x = t
-        while x != s + n:
-            p = parent[x]
-            if p >= n and x < n and p - n != x:  # forward arc (p - n, x)
-                fin[x] |= 1 << (p - n)
-            elif p < n and x >= n and x - n != p:  # cancel flow arc (x - n, p)
-                fin[p] &= ~(1 << (x - n))
-            x = p
+        for i in range(len(outs) - 1, -1, -1):
+            # x_in joined in-layer i from an out-node u of outs[i]; x_out is
+            # there only if x carries flow, as a free x_out follows x_in
+            low = outs[i] & (inn[x] | 1 << x)
+            low &= -low
+            u = low.bit_length() - 1
+            pred = fout[u] if carrying & low else low  # u_out's in-node
+            if u == x:  # back over x's split arc: x leaves its path
+                carrying ^= low
+            else:
+                fin[x] |= low
+                fout[u] |= 1 << x
+            if i == 0:  # u is s
+                break
+            if pred == low:  # over u's split arc: u joins a path
+                carrying ^= low
+                x = u
+            else:  # back along the flow arc u -> x, which is cancelled
+                x = pred.bit_length() - 1
+                fout[u] &= ~pred
+                fin[x] &= ~low
         flow += 1
     return flow
 
@@ -431,26 +451,37 @@ def vertex_connectivity(g: Digraph) -> int:
     """Size of the smallest vertex set whose removal leaves a non-strongly
     connected digraph or a single vertex.
 
-    Kappa is n - 1 for a complete digraph and otherwise the least s,t max
-    flow over ordered pairs with no arc s->t (Menger).  Only pairs with s or
-    t below best are run, best being the least flow so far (Even & Tarjan's
-    source-set reduction), and each flow stops once it reaches best.
-    This is exact: a minimum separator X has kappa vertices, so one vertex v
-    of 0..kappa lies outside X; G - X is not strongly connected, so some u
-    outside X is not reached from v or does not reach v there, and the flow
-    for (v, u) or (u, v) is at most |X|.  Every flow is at least kappa, so
-    best >= kappa throughout: the loop runs vertex kappa unless best has
-    already come down to kappa."""
-    if g.n < 2:
+    Kappa is at most n - 1, and at most the least out- or in-degree, since
+    removing N+(v) or N-(v) cuts v off; ``best`` starts at that bound.  For
+    s, t with no arc s->t the s,t max flow is the least vertex set that
+    separates s from t (Menger), so every flow is at least kappa.  Only the
+    flows of vertex 0's pairs are run (Esfahanian & Hakimi, Networks 14,
+    1984): (0, w) for w outside N+[0], (w, 0) for w outside N-[0], and
+    (a, b) for a in N-(0), b in N+(0), a != b, with no arc a->b; each flow
+    stops once it reaches best.
+    This is exact.  Let kappa be below the start of best and X a minimum
+    separator, so G - X has two or more vertices and is not strongly
+    connected.  If 0 is outside X, some u of G - X is not reached from 0, or
+    does not reach 0, there; u is then not an out-neighbour (or not an
+    in-neighbour) of 0, so (0, u) or (u, 0) is a pair, and X separates it.
+    If 0 is in X, X - 0 is too small to separate, so G - (X - 0) is
+    strongly connected.  Take u, w in G - X with w not reached from u
+    there, A the vertices that u reaches in G - X and B the rest of G - X.
+    No arc runs from A to B, so a shortest A -> B path in G - (X - 0) is
+    a -> 0 -> b, and (a, b) is a pair that X separates."""
+    n = g.n
+    if n < 2:
         raise BadParams("need n >= 2")
-    best = g.n - 1
-    for i in range(g.n):
-        if i >= best:
-            break
-        for j in range(i + 1, g.n):  # pairs with j < i ran when i was j
-            for s, t in ((i, j), (j, i)):
-                if not g.has_arc(s, t):
-                    best = min(best, _vertex_disjoint_paths(g, s, t, best))
+    out, inn = g.out, g.inn
+    best = min(n - 1, min(map(popcount, out)), min(map(popcount, inn)))
+    others = (1 << n) - 2
+    for w in bits(others & ~out[0]):
+        best = _vertex_disjoint_paths(g, 0, w, best)
+    for w in bits(others & ~inn[0]):
+        best = _vertex_disjoint_paths(g, w, 0, best)
+    for a in bits(inn[0]):
+        for b in bits(out[0] & ~out[a] & ~(1 << a)):
+            best = _vertex_disjoint_paths(g, a, b, best)
     return best
 
 
@@ -487,9 +518,12 @@ def independence_numbers(g: Digraph) -> tuple[int, int]:
     """(alpha_0, alpha_2): largest arc-free set / largest 2-cycle-free set."""
     if g.n > INDEPENDENCE_CAP:
         raise BudgetExceeded(f"n={g.n} above independence cap {INDEPENDENCE_CAP}")
-    any_adj = [g.out[v] | g.inn[v] for v in range(g.n)]
     two_adj = [g.out[v] & g.inn[v] for v in range(g.n)]
-    return _max_independent_set(g.n, any_adj), _max_independent_set(g.n, two_adj)
+    alpha2 = _max_independent_set(g.n, two_adj)
+    if g.is_symmetric():  # every arc is in a 2-cycle: alpha_0 = alpha_2
+        return alpha2, alpha2
+    any_adj = [g.out[v] | g.inn[v] for v in range(g.n)]
+    return _max_independent_set(g.n, any_adj), alpha2
 
 
 def dominated_row(g: Digraph, x: int) -> int:

@@ -16,10 +16,11 @@ from hamdg.constructions import (
     directed_cycle,
     generate_extremal,
     random_digraph,
+    random_tournament,
     transitive_tournament,
 )
 from hamdg.core import Digraph
-from hamdg.errors import BadParams, ClassMismatch, HamdgError
+from hamdg.errors import BadParams, BudgetExceeded, ClassMismatch, HamdgError
 from hamdg.solvers import find_hamilton_cycle
 
 
@@ -174,6 +175,16 @@ class TestConnectivityRules:
         monkeypatch.setattr(conditions, "independence_numbers", never)
         with pytest.raises(BadParams):
             check_connectivity_condition(complete_digraph(5), "jackson")
+
+
+    def test_independence_cap_refused_before_kappa(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("kappa computed above the independence cap")
+
+        monkeypatch.setattr(conditions, "vertex_connectivity", never)
+        g = random_tournament(core.INDEPENDENCE_CAP + 1, 1)
+        with pytest.raises(BudgetExceeded):
+            check_connectivity_condition(g, "jackson_ordaz")
 
 
 class TestSoundnessSpot:

@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamdg import core
 from hamdg.constructions import (
     circulant_tournament,
     complete_digraph,
     complete_graph,
     directed_cycle,
     random_digraph,
+    random_regular_graph,
     transitive_tournament,
 )
 from hamdg.core import (
@@ -136,6 +138,26 @@ class TestIndependence:
                 if not any(adj[v] & s for v in bits(s))
             )
             assert independence_numbers(g)[0] == want
+
+    def test_symmetric_searches_once(self, monkeypatch):
+        # every arc is in a 2-cycle, so alpha_0 = alpha_2 from one search
+        calls = []
+
+        def counted(n, adj):
+            calls.append(n)
+            return search(n, adj)
+
+        search = core._max_independent_set
+        monkeypatch.setattr(core, "_max_independent_set", counted)
+        for seed in range(3):
+            g = random_regular_graph(12, 4, seed)
+            want = max(
+                s.bit_count()
+                for s in range(1 << g.n)
+                if not any(g.out[v] & s for v in bits(s))
+            )
+            calls.clear()
+            assert independence_numbers(g) == (want, want) and calls == [12]
 
 
 class TestDominatedPairs:

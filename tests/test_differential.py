@@ -1205,11 +1205,40 @@ class TestVertexConnectivity:
             values.add(want)
         assert len(values) >= 4
 
-    @pytest.mark.parametrize("n", [11, 14, 17, 20])
+    @pytest.mark.parametrize("n", [11, 14, 17, 20, 24])
     def test_equal_on_tournaments_and_regular_graphs(self, n):
         for seed in range(3):
             for g in (random_tournament(n, seed), random_regular_graph(n, 4, seed)):
                 assert vertex_connectivity(g) == oracles.vertex_connectivity(g)
+
+    @pytest.mark.parametrize("shared", [1, 2])
+    def test_vertex_zero_in_every_minimum_separator(self, shared):
+        # two complete digraphs on 5 vertices glued at {0} or {0, 1}: 0 sees
+        # every vertex both ways, so only the pairs (a, b) with a -> 0 -> b
+        # and no arc a -> b find the one minimum separator, the glued set
+        left = range(5)
+        right = [*range(shared), *range(5, 10 - shared)]
+        g = Digraph(10 - shared, [(u, v) for part in (left, right)
+                                  for u in part for v in part if u != v])
+        assert vertex_connectivity(g) == oracles.vertex_connectivity_brute(g) == shared
+
+    def test_flows_run_on_regular_graphs(self, monkeypatch):
+        # vertex 0's pairs: n - 5 non-neighbours on each side and at most
+        # 4 * 3 neighbour pairs; running every pair out of the sources
+        # 0..kappa-1 takes 142-146 flows here
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return flow(*args)
+
+        flow = core._vertex_disjoint_paths
+        monkeypatch.setattr(core, "_vertex_disjoint_paths", counted)
+        n = 24
+        for seed in range(3):
+            calls.clear()
+            assert vertex_connectivity(random_regular_graph(n, 4, seed)) == 4
+            assert len(calls) <= 2 * (n - 5) + 12
 
     def test_flow_equals_brute_force(self):
         # every digraph on 2 to 4 vertices, then random ones on 5 to 10
