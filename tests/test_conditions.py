@@ -176,7 +176,6 @@ class TestConnectivityRules:
         with pytest.raises(BadParams):
             check_connectivity_condition(complete_digraph(5), "jackson")
 
-
     def test_independence_cap_refused_before_kappa(self, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("kappa computed above the independence cap")

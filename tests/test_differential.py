@@ -1223,9 +1223,8 @@ class TestVertexConnectivity:
         assert vertex_connectivity(g) == oracles.vertex_connectivity_brute(g) == shared
 
     def test_flows_run_on_regular_graphs(self, monkeypatch):
-        # vertex 0's pairs: n - 5 non-neighbours on each side and at most
-        # 4 * 3 neighbour pairs; running every pair out of the sources
-        # 0..kappa-1 takes 142-146 flows here
+        # a flow per pair of vertex 0: n - 5 non-neighbours on each side and
+        # at most 4 * 3 pairs a -> 0 -> b
         calls = []
 
         def counted(*args):
