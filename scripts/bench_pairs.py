@@ -3,9 +3,11 @@
     python3 scripts/bench_pairs.py --workload W --seed S --pairs N --out BENCH_<tag>.json
         [--parent REV]
 
-Run it from the repository root.  The change side is this checkout.  The
-parent side is REV (default ``HEAD~1``), checked out with ``git worktree
-add`` into a temporary directory that is removed afterwards.  Each run is
+Run it from the repository root.  The change side is this checkout; its
+commit is marked ``+uncommitted`` when ``src`` or ``perfbench`` hold
+changes or untracked files.  The parent side is REV (default ``HEAD~1``),
+its committed files exported with ``git archive`` into a temporary
+directory that is removed afterwards.  Each run is
 
     perfbench/run.py --workload W --seed S --seconds T --trace 0
 
@@ -97,6 +99,22 @@ def git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
+def uncommitted(root: Path) -> bool:
+    """Whether ``src`` or ``perfbench`` under the git checkout ``root``
+    differ from HEAD, untracked files included (``git diff`` misses them)."""
+    return bool(subprocess.run(["git", "status", "--porcelain", "--", "src", "perfbench"],
+                               cwd=root, check=True, capture_output=True, text=True).stdout)
+
+
+def export(root: Path, rev: str, dest: Path) -> None:
+    """The files committed at ``rev`` in the git checkout ``root``, written
+    under ``dest``."""
+    archive = subprocess.run(["git", "archive", rev], cwd=root, check=True,
+                             capture_output=True).stdout
+    dest.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
 def run_bench(checkout: Path, args, seconds: float) -> tuple[dict, str]:
     """One untraced run in ``checkout``: its ``correct``, ``attempted`` and
     ``failed`` counts with its end-to-end values (under ``metrics``), and
@@ -143,8 +161,7 @@ def main() -> int:
         ap.error("--pairs needs at least 2 for quartiles")
     parent = git("rev-parse", args.parent)
     change = git("rev-parse", "HEAD")
-    if subprocess.run(["git", "diff", "--quiet", "HEAD", "--", "src", "perfbench"],
-                      cwd=ROOT).returncode:
+    if uncommitted(ROOT):
         change += "+uncommitted"
     with open(ROOT / "BENCHMARK.json", encoding="ascii") as fh:
         bench = json.load(fh)
@@ -152,11 +169,8 @@ def main() -> int:
     spec = {m["name"]: m for m in bench["end_to_end"]}
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(tree), parent)
-        try:
-            pairs, machine = run_pairs(tree, args, seconds)
-        finally:
-            git("worktree", "remove", "--force", str(tree))
+        export(ROOT, parent, tree)
+        pairs, machine = run_pairs(tree, args, seconds)
     summary = {
         name: summarise([(p["parent"]["metrics"][name], p["change"]["metrics"][name])
                          for p in pairs],

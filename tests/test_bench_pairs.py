@@ -1,6 +1,7 @@
 """The summary part of ``scripts/bench_pairs.py``: quartiles, wins and the
-verdict against a metric's bound; and, with ``perfbench/run.py`` stubbed,
-what each run records."""
+verdict against a metric's bound; with ``perfbench/run.py`` stubbed, what
+each run records; and, on a scratch git repository, the uncommitted mark
+and the parent's export."""
 
 import importlib.util
 import json
@@ -105,3 +106,36 @@ def test_a_wrong_output_stops_the_script(monkeypatch, tmp_path):
     args = SimpleNamespace(workload="cover", seed=3, pairs=2)
     with pytest.raises(SystemExit, match="a wrong output on cover"):
         bench_pairs.run_bench(tmp_path, args, 20)
+
+
+
+@pytest.fixture
+def repo(tmp_path):
+    """A git repository with one commit holding ``src/a.py``."""
+    root = tmp_path / "repo"
+    (root / "src").mkdir(parents=True)
+    (root / "src" / "a.py").write_text("a = 1\n")
+    for args in (("init", "-q"), ("add", "src"),
+                 ("-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false",
+                  "commit", "-qm", "a")):
+        subprocess.run(["git", *args], cwd=root, check=True, capture_output=True)
+    return root
+
+
+def test_an_untracked_file_marks_the_change_uncommitted(repo):
+    assert not bench_pairs.uncommitted(repo)
+    (repo / "notes.txt").write_text("outside src and perfbench\n")
+    assert not bench_pairs.uncommitted(repo)
+    (repo / "src" / "b.py").write_text("b = 2\n")
+    assert bench_pairs.uncommitted(repo)
+    # the diff the check used to run sees nothing
+    diff = subprocess.run(["git", "diff", "--quiet", "HEAD", "--", "src", "perfbench"],
+                          cwd=repo)
+    assert diff.returncode == 0
+
+
+def test_export_writes_the_committed_files_only(repo, tmp_path):
+    (repo / "src" / "b.py").write_text("b = 2\n")
+    dest = tmp_path / "parent"
+    bench_pairs.export(repo, "HEAD", dest)
+    assert sorted(p.name for p in dest.rglob("*")) == ["a.py", "src"]

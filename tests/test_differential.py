@@ -1151,6 +1151,16 @@ class TestCountHamilton:
         self._same_ends(0 * off, start)
         self._same_ends(off, start)
 
+    @pytest.mark.parametrize("k,top", [(18, 4), (19, 4), (20, 4), (12, 2**35)])
+    def test_end_counts_switch_to_int64(self, k, top):
+        # dense matrices whose last layers' sums pass 2**53: at k = 20 (seed
+        # 5) with start weights 0..3 a float64-only loop miscounts 11 of the
+        # 20 entries; weights near 2**35 move the int64 switch down to layer
+        # 9 or 10, where 0/1 weights would still run in float64
+        rng = np.random.default_rng(5 if k == 20 else k)
+        adj = (rng.random((k, k)) < 0.9).astype(np.int64) * (1 - np.eye(k, dtype=np.int64))
+        self._same_ends(adj, rng.integers(0, top, k))
+
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 11, 14])
     def test_count_calls_equal_scatter(self, n):
         # the two calls count_hamilton makes: every start, and anchored at 0
