@@ -108,7 +108,6 @@ def test_a_wrong_output_stops_the_script(monkeypatch, tmp_path):
         bench_pairs.run_bench(tmp_path, args, 20)
 
 
-
 @pytest.fixture
 def repo(tmp_path):
     """A git repository with one commit holding ``src/a.py``."""

@@ -1153,10 +1153,10 @@ class TestCountHamilton:
 
     @pytest.mark.parametrize("k,top", [(18, 4), (19, 4), (20, 4), (12, 2**35)])
     def test_end_counts_switch_to_int64(self, k, top):
-        # dense matrices whose last layers' sums pass 2**53: at k = 20 (seed
-        # 5) with start weights 0..3 a float64-only loop miscounts 11 of the
-        # 20 entries; weights near 2**35 move the int64 switch down to layer
-        # 9 or 10, where 0/1 weights would still run in float64
+        # dense matrices around where the layers' sums pass 2**53: at k = 20
+        # (seed 5) with start weights 0..3 a float64-only loop miscounts 11
+        # of the 20 entries; weights up to 2**35 move the int64 switch down
+        # to layer 9, where 0/1 weights would still run in float64
         rng = np.random.default_rng(5 if k == 20 else k)
         adj = (rng.random((k, k)) < 0.9).astype(np.int64) * (1 - np.eye(k, dtype=np.int64))
         self._same_ends(adj, rng.integers(0, top, k))
