@@ -292,6 +292,8 @@ def cmd_expander(args) -> int:
             print(f"# merge cluster={cluster} arcs={len(matching)}")
         print(hio.serialize_cycle(trace.cycle))
         return EXIT_OK
+    if args.input is None:
+        raise HamdgError("expander needs --input (a digraph to check) or --pipeline")
     g = _load(args.input)
     v = is_robust_outexpander(
         g, nu, tau, mode=args.mode, trials=args.trials, seed=args.seed

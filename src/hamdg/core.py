@@ -2,14 +2,15 @@
 
 Vertices are dense 0-indexed integers.  Adjacency is stored as per-vertex
 bit rows (Python ints used as bit vectors), which keeps membership tests,
-neighbourhood intersections and subset scans cheap.  Everything here is
-immutable after construction; operations are pure functions.
+neighbourhood intersections and subset scans cheap.  A digraph never
+changes after construction; its in-rows are derived on their first read
+and cached.  Operations are pure functions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -61,6 +62,8 @@ def int_rows(packed: np.ndarray) -> list[int]:
 class Digraph:
     """A loopless digraph; 2-cycles allowed (opposite arcs between a pair).
 
+    ``inn`` stays unset until its first read derives it from ``out`` into
+    the slot, so a digraph whose in-rows nothing reads pays no transpose.
     ``_strong`` memoises ``is_strongly_connected``: ``None`` until its first
     call on this digraph."""
 
@@ -74,10 +77,14 @@ class Digraph:
             if u == v:
                 raise BadParams(f"self-loop at {u}")
             out[u] |= 1 << v
-        self.n = n
-        self.out = tuple(out)
-        self.inn = self._derive_in(n, self.out)
-        self._strong = None
+        self.n, self.out, self._strong = n, tuple(out), None
+
+    def __getattr__(self, name: str):
+        # only an unset slot gets here: ``inn`` before its first read
+        if name != "inn":
+            raise AttributeError(name)
+        self.inn = self._derive_in(self.n, self.out)
+        return self.inn
 
     @staticmethod
     def _derive_in(n: int, out: Sequence[int]) -> tuple[int, ...]:
@@ -116,15 +123,16 @@ class Digraph:
                 raise BadParams("mask exceeds vertex range")
             if m & (1 << v):
                 raise BadParams(f"self-loop at {v}")
-        out = tuple(masks)
-        return cls._from_rows(out, cls._derive_in(n, out))
+        return cls._from_rows(tuple(masks))
 
     @classmethod
-    def _from_rows(cls, out: tuple[int, ...], inn: tuple[int, ...]) -> "Digraph":
-        """The digraph of out-rows ``out`` and their transpose ``inn``, both
-        already checked to be in range and loopless."""
+    def _from_rows(cls, out: tuple[int, ...], inn: Optional[tuple] = None) -> "Digraph":
+        """The digraph of out-rows ``out``, already checked to be in range
+        and loopless; ``inn``, their transpose, if the caller has it."""
         g = cls.__new__(cls)
-        g.n, g.out, g.inn, g._strong = len(out), out, inn, None
+        g.n, g.out, g._strong = len(out), out, None
+        if inn is not None:
+            g.inn = inn
         return g
 
     # --- queries ---------------------------------------------------------
@@ -239,9 +247,10 @@ class HamiltonCycle:
         return [(o[i], o[(i + 1) % len(o)]) for i in range(len(o))]
 
     def is_valid(self, g: Digraph) -> bool:
-        if sorted(self.order) != list(range(g.n)):
+        o, out = self.order, g.out
+        if sorted(o) != list(range(g.n)):
             return False
-        return all(g.has_arc(u, v) for u, v in self.arcs())
+        return all(out[u] >> v & 1 for u, v in zip(o, o[1:] + o[:1]))
 
     def canonical(self) -> "HamiltonCycle":
         """Rotate so the smallest vertex comes first."""
@@ -607,9 +616,5 @@ def blow_up(g: Digraph, sizes: Sequence[int]) -> tuple[Digraph, list[list[int]]]
     for s in sizes:
         parts.append(list(range(nxt, nxt + s)))
         nxt += s
-    arcs = []
-    for u, v in g.arcs():
-        for a in parts[u]:
-            for b in parts[v]:
-                arcs.append((a, b))
+    arcs = [(a, b) for u, v in g.arcs() for a in parts[u] for b in parts[v]]
     return Digraph(nxt, arcs), parts

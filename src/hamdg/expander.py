@@ -360,8 +360,15 @@ def make_cluster_blowup(
     bipartite arc set whose rows below ceil(m/2) arcs become complete;
     exceptional vertex i is wired to all of its demand clusters
     (2i mod k, 2i+1 mod k).  Returns the blow-up plus the demand list.
+    The arcs go into one n x n boolean matrix, packed once into out-rows and
+    once, through a transposed copy, into in-rows: a transient 2n^2 bytes,
+    1.2 MB at n = 772 and 19 MB for the triangle at m = 1024.
     """
     r, m = red.r, red.m
+    if exceptional < 0:
+        raise BadParams(f"need exceptional >= 0, got {exceptional}")
+    if not 0 <= pair_density <= 1:
+        raise BadParams(f"need 0 <= pair_density <= 1, got {pair_density}")
     k = r.n
     rng = seeded_rng(seed)
     clusters = tuple(tuple(range(c * m, (c + 1) * m)) for c in range(k))
@@ -369,24 +376,22 @@ def make_cluster_blowup(
     exc = tuple(range(n_core, n_core + exceptional))
     demands = [((2 * i) % k, (2 * i + 1) % k) for i in range(exceptional)]
     min_pair_degree = max(1, (m + 1) // 2)
-    full = (1 << m) - 1
-    out = [0] * (n_core + exceptional)
+    adj = np.zeros((n_core + exceptional,) * 2, dtype=bool)
     for ci, cj in r.arcs():
         # one double per host pair, in the order of drawing them one at a
         # time (Philox yields the same stream either way); rows below the
         # degree floor become complete
         keep = rng.random((m, m)) < pair_density
-        rows = int_rows(np.packbits(keep, axis=1, bitorder="little"))
-        thin = (keep.sum(axis=1) < min_pair_degree).tolist()
-        shift = cj * m
-        for i, a in enumerate(clusters[ci]):
-            out[a] |= (full if thin[i] else rows[i]) << shift
-    for i, (t_c, u_c) in enumerate(demands):
-        a = exc[i]
-        out[a] |= full << (t_c * m)
-        for y in clusters[u_c]:
-            out[y] |= 1 << a
-    host = Digraph.from_out_masks(out)
+        keep[keep.sum(axis=1) < min_pair_degree] = True
+        adj[ci * m : (ci + 1) * m, cj * m : (cj + 1) * m] = keep
+    for a, (t_c, u_c) in zip(exc, demands):
+        adj[a, t_c * m : (t_c + 1) * m] = True
+        adj[u_c * m : (u_c + 1) * m, a] = True
+    out = int_rows(np.packbits(adj, axis=1, bitorder="little"))
+    # packing a contiguous copy of the transpose is about 3x faster than
+    # packing the strided view
+    inn = int_rows(np.packbits(np.ascontiguousarray(adj.T), axis=1, bitorder="little"))
+    host = Digraph._from_rows(tuple(out), tuple(inn))
     return ClusterBlowup(host, clusters, exc), demands
 
 

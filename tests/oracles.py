@@ -11,7 +11,8 @@ six recursive sequence searches (fixed-length cycles, cycle powers,
 k-ordered cycles, oriented patterns, cycle factors, tree embedding), the two cover
 pipelines, each with its own restart loop, the arc-list matching
 contraction, the Misra-Gries colouring that rescans every neighbourhood for
-free colours, the per-arc in-row derivation,
+free colours, the per-arc in-row derivation, the Hamilton cycle check
+through the arc list,
 the arc-list builds of the dense constructions, the seeded random
 generators with one numpy call per step, the pair-at-a-time degree rules
 (Woodall, Meyniel, Bang-Jensen-Gutin-Li, the oriented Ore bound) with the
@@ -1316,6 +1317,13 @@ def derive_in(n: int, out: Sequence[int]) -> tuple[int, ...]:
             inn[b.bit_length() - 1] |= 1 << u
             m ^= b
     return tuple(inn)
+
+
+def hamilton_cycle_is_valid(cycle: HamiltonCycle, g: Digraph) -> bool:
+    """``HamiltonCycle.is_valid`` through the arc list and ``has_arc``."""
+    if sorted(cycle.order) != list(range(g.n)):
+        return False
+    return all(g.has_arc(u, v) for u, v in cycle.arcs())
 
 
 def complete_bipartite_digraph(a: int, b: int) -> Digraph:

@@ -1,6 +1,7 @@
 """CLI: exit codes, round trips, deterministic experiment tables."""
 
 import hashlib
+import io
 
 import pytest
 
@@ -497,6 +498,23 @@ class TestUsage:
         # Philox and numpy's shapes take no negative value; these exited 4
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and want in err and "Traceback" not in err
+
+    def test_negative_exceptional_is_usage_error(self, capsys):
+        # an IndexError in the blow-up: exit 4 with a traceback
+        code, out, err = run(capsys, "expander", "--pipeline", "--exceptional=-1")
+        assert code == 2 and out == "" and "exceptional >= 0" in err
+        assert "Traceback" not in err
+
+    def test_expander_without_input_or_pipeline_is_usage_error(self, capsys):
+        # an AttributeError on the missing path: exit 4 with a traceback
+        code, out, err = run(capsys, "expander")
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "--input" in err and "--pipeline" in err
+
+    def test_expander_reads_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(hio.serialize(circulant_tournament(11))))
+        code, out, _ = run(capsys, "expander", "--input", "-")
+        assert code == 0 and '"holds": true' in out
 
     @pytest.mark.parametrize(
         "rule,param",

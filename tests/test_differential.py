@@ -139,10 +139,15 @@ class TestBlowup:
         "pentagon": circulant_tournament(5, (1, 2)),
     }
 
-    @pytest.mark.parametrize("density", [1.0, 0.8, 0.5])
+    # m = 33 ends the rows mid-byte; m = 64 and 128 fill whole bytes; at
+    # density 0.3 most rows are raised to the degree floor
+    @pytest.mark.parametrize("density", [1.0, 0.8, 0.5, 0.3])
     @pytest.mark.parametrize("base", ["triangle", "pentagon"])
     def test_equal_hosts(self, base, density):
-        for m, exceptional, seed in ((5, 0, 0), (8, 2, 1), (13, 3, 2), (20, 4, 3)):
+        for m, exceptional, seed in (
+            (5, 0, 0), (8, 2, 1), (13, 3, 2), (20, 4, 3),
+            (33, 5, 4), (64, 1, 5), (128, 5, 6),
+        ):
             red = ReducedDigraph(self.BASES[base], m)
             got, got_demands = make_cluster_blowup(
                 red, exceptional=exceptional, pair_density=density, seed=seed
@@ -1007,6 +1012,115 @@ class TestTranspose:
                 Digraph(n, [(0, n)])
             with pytest.raises(BadParams, match="self-loop"):
                 Digraph(n, [(2, 2)])
+
+
+class TestLazyInRows:
+    """In-rows are derived on their first read, once, and only then."""
+
+    @staticmethod
+    def count_derivations(monkeypatch) -> list:
+        calls = []
+        derive = Digraph._derive_in
+
+        def spy(n, out):
+            calls.append(n)
+            return derive(n, out)
+
+        monkeypatch.setattr(Digraph, "_derive_in", staticmethod(spy))
+        return calls
+
+    @pytest.mark.parametrize("n", [5, 40])
+    def test_first_read_derives_once(self, monkeypatch, n):
+        calls = self.count_derivations(monkeypatch)
+        rng = random.Random(n)
+        out = [rng.getrandbits(n) & ~(1 << u) for u in range(n)]
+        for g in (Digraph.from_out_masks(out), Digraph(n, Digraph.from_out_masks(out).arcs())):
+            calls.clear()
+            assert g.out == tuple(out) and calls == []
+            assert g.inn == oracles.derive_in(n, out) and calls == [n]
+            assert g.inn == oracles.derive_in(n, out) and calls == [n]
+
+    def test_given_in_rows_are_never_derived(self, monkeypatch):
+        calls = self.count_derivations(monkeypatch)
+        g = Digraph._from_rows((0b110, 0b100, 0b001), (0b100, 0b001, 0b011))
+        assert g.inn == (0b100, 0b001, 0b011)
+        assert g.reverse().inn == g.out
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [core.TRANSPOSE_MIN_N - 1, core.TRANSPOSE_MIN_N])
+    def test_both_sides_of_the_transpose_gate(self, n):
+        rng = random.Random(n)
+        for p in (0.1, 0.5, 0.9):
+            out = [
+                sum(1 << v for v in range(n) if v != u and rng.random() < p)
+                for u in range(n)
+            ]
+            assert Digraph.from_out_masks(out).inn == oracles.derive_in(n, out)
+            assert Digraph(n, Digraph.from_out_masks(out).arcs()).inn == (
+                oracles.derive_in(n, out)
+            )
+
+    def test_unknown_attribute_still_raises(self):
+        with pytest.raises(AttributeError):
+            Digraph(3).nope  # noqa: B018
+
+    def test_dense_assembly_derives_no_in_rows(self, monkeypatch):
+        # the blow-up packs its host's in-rows, and the merge digraphs J are
+        # read by rotation-extension and one_factor through out-rows only
+        r = complete_digraph(3)
+        red = ReducedDigraph(r, 64)
+        f = OneFactorF(CycleFactor(((0, 1, 2),)), r)
+        calls = self.count_derivations(monkeypatch)
+        blowup, demands = make_cluster_blowup(red, exceptional=2, seed=7)
+        w = build_closed_walk(red, f, demands, cap=64)
+        trace = assemble_hamilton(blowup, red, f, w)
+        assert trace.merge_methods == ("rotation",) * 3
+        assert trace.cycle.is_valid(blowup.host)
+        assert calls == []
+
+
+class TestHamiltonCycleValid:
+    """``HamiltonCycle.is_valid`` on out-rows against the arc-list check."""
+
+    @staticmethod
+    def mutants(order: tuple, n: int, rng: random.Random):
+        yield order
+        if n >= 2:
+            i, j = rng.sample(range(n), 2)
+            repeated = list(order)
+            repeated[i] = order[j]
+            yield tuple(repeated)
+        yield order[:-1]
+        yield order + order[:1]
+        yield order + (n,)
+        for bad in (n, -1):
+            if n:
+                out_of_range = list(order)
+                out_of_range[rng.randrange(n)] = bad
+                yield tuple(out_of_range)
+
+    def test_random_digraphs_and_mutants(self):
+        rng = random.Random(22)
+        seen = set()
+        for _ in range(400):
+            n = rng.randint(0, 12)
+            order = tuple(rng.sample(range(n), n))
+            p = rng.choice((0.2, 0.6, 1.0))
+            arcs = {(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p}
+            cycle = HamiltonCycle(order)
+            if n >= 2 and rng.random() < 0.5:  # host the cycle itself
+                arcs |= set(cycle.arcs())
+            g = Digraph(n, sorted(arcs))
+            hosts = [g]
+            if n >= 2 and g.has_arc(order[-1], order[0]):
+                hosts.append(g.without_arcs([(order[-1], order[0])]))  # no closing arc
+            for host in hosts:
+                for o in self.mutants(order, n, rng):
+                    h = HamiltonCycle(o)
+                    got = h.is_valid(host)
+                    assert got == oracles.hamilton_cycle_is_valid(h, host), (n, o)
+                    seen.add((o == order and host is g, got))
+        assert seen == {(True, True), (True, False), (False, False)}
 
 
 def test_complete_digraph_equals_arc_list_build():

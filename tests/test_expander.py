@@ -15,6 +15,7 @@ from hamdg.constructions import (
 )
 from hamdg.core import CycleFactor, Digraph
 from hamdg.errors import (
+    BadParams,
     BudgetExceeded,
     DemandOverload,
     Disconnected,
@@ -174,6 +175,27 @@ class TestClosedWalk:
         jumps = [l for l in w.links if l[0] == "jump"]
         for _, src, dst in jumps:
             assert w.exit_counts[src] >= 1 and w.entry_counts[dst] >= 1
+
+
+class TestBlowupParams:
+    RED = ReducedDigraph(complete_digraph(3), 4)
+
+    def test_negative_exceptional_refused(self):
+        # an IndexError before the check
+        with pytest.raises(BadParams, match="exceptional >= 0"):
+            make_cluster_blowup(self.RED, exceptional=-1)
+
+    @pytest.mark.parametrize("density", [2.0, -0.5, float("nan")])
+    def test_density_outside_unit_interval_refused(self, density):
+        # 2.0 and -0.5 gave complete pairs before the check
+        with pytest.raises(BadParams, match="pair_density"):
+            make_cluster_blowup(self.RED, pair_density=density)
+
+    @pytest.mark.parametrize("density", [0, 1])
+    def test_density_bounds_accepted(self, density):
+        blowup, _ = make_cluster_blowup(self.RED, pair_density=density)
+        # at density 0 every row falls below the degree floor
+        assert blowup.host.out == make_cluster_blowup(self.RED)[0].host.out
 
 
 class TestAssembly:
