@@ -10,9 +10,6 @@ from .conditions import (
     SEQUENCE_RULES,
     Verdict,
     check,
-    check_connectivity_condition,
-    check_degree_condition,
-    check_sequence_condition,
 )
 from .constructions import (
     circulant_tournament,

@@ -229,6 +229,8 @@ def cmd_count(args) -> int:
 def cmd_decompose(args) -> int:
     if args.walecki is not None:
         dec = walecki(args.walecki)
+    elif args.input is None:
+        raise HamdgError("decompose needs --input (a digraph to decompose) or --walecki")
     else:
         g = _load(args.input)
         dec = decompose_exact(
@@ -261,21 +263,18 @@ def cmd_cover(args) -> int:
 
 # --- expander -------------------------------------------------------------
 
+# ``expander --pipeline --base``: the reduced digraph and its 1-factor
+BASES = {
+    "triangle": (cons.complete_digraph(3), CycleFactor(((0, 1, 2),))),
+    "pentagon": (cons.circulant_tournament(5, (1, 2)), CycleFactor(((0, 1, 2, 3, 4),))),
+}
+
 
 def cmd_expander(args) -> int:
     nu = _value("--nu", args.nu, Fraction, "a fraction")
     tau = _value("--tau", args.tau, Fraction, "a fraction")
     if args.pipeline:
-        base = {
-            "triangle": (cons.complete_digraph(3), CycleFactor(((0, 1, 2),))),
-            "pentagon": (
-                cons.circulant_tournament(5, (1, 2)),
-                CycleFactor(((0, 1, 2, 3, 4),)),
-            ),
-        }.get(args.base)
-        if base is None:
-            raise HamdgError(f"unknown base {args.base!r}")
-        r, fac = base
+        r, fac = BASES[args.base]
         red = ReducedDigraph(r, args.m)
         f = OneFactorF(fac, r)
         blowup, demands = make_cluster_blowup(
@@ -423,17 +422,19 @@ def _exp_cover(ns: list[int]) -> tuple[list[dict], bool]:
     return rows, all_ok
 
 
+# experiment name: (table builder, default sizes)
+EXPERIMENTS = {
+    "kelly": (_exp_kelly, [3, 5]),
+    "camion": (_exp_camion, [4, 5]),
+    "cover": (_exp_cover, [5, 7, 9]),
+}
+
+
 def cmd_experiment(args) -> int:
     ns = list(_value("--n", args.n, _ints, "integers")) if args.n else []
     t0 = time.monotonic()
-    if args.name == "kelly":
-        rows, ok = _exp_kelly(ns or [3, 5])
-    elif args.name == "camion":
-        rows, ok = _exp_camion(ns or [4, 5])
-    elif args.name == "cover":
-        rows, ok = _exp_cover(ns or [5, 7, 9])
-    else:
-        raise HamdgError(f"unknown experiment {args.name!r}")
+    build, default = EXPERIMENTS[args.name]
+    rows, ok = build(ns or default)
     rows.sort(key=lambda r: r["instance"])
     _emit_table(rows, args.jsonl)
     print(f"wall-time {time.monotonic() - t0:.2f}s", file=sys.stderr)
@@ -499,14 +500,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pipeline", action="store_true", help="run the blow-up assembly")
-    p.add_argument("--base", choices=("triangle", "pentagon"), default="triangle")
+    p.add_argument("--base", choices=tuple(BASES), default="triangle")
     p.add_argument("--m", type=int, default=5)
     p.add_argument("--exceptional", type=int, default=0)
     p.add_argument("--cap", type=int)
     p.set_defaults(fn=cmd_expander)
 
     p = sub.add_parser("experiment", help="reproducible experiment tables")
-    p.add_argument("name", choices=("kelly", "camion", "cover"))
+    p.add_argument("name", choices=tuple(EXPERIMENTS))
     p.add_argument("--n", help="comma-separated sizes")
     p.add_argument("--jsonl", action="store_true")
     p.set_defaults(fn=cmd_experiment)

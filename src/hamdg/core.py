@@ -264,10 +264,10 @@ class CycleFactor:
 
     cycles: tuple[tuple[int, ...], ...]
 
-    def is_valid(self, g: Digraph, min_len: int = 2) -> bool:
+    def is_valid(self, g: Digraph) -> bool:
         seen: set[int] = set()
         for cyc in self.cycles:
-            if len(cyc) < min_len:
+            if len(cyc) < 2:
                 return False
             for i, u in enumerate(cyc):
                 v = cyc[(i + 1) % len(cyc)]

@@ -103,11 +103,8 @@ def decompose_exact(
         first = rest.out[0] & -rest.out[0]
         if not first:
             return ()
-        # 0's out-row cut to {first}: its other out-neighbours lose in-bit 0
-        inn = list(rest.inn)
-        for v in bits(rest.out[0] ^ first):
-            inn[v] ^= 1
-        through = Digraph._from_rows((first, *rest.out[1:]), tuple(inn))
+        # 0's out-row cut to {first}
+        through = rest.without_arcs([(0, v) for v in bits(rest.out[0] ^ first)])
         for h in _enumerate(through, b):
             tail = search(rest.without_arcs(h.arcs()))
             if tail is not None:

@@ -44,7 +44,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from hamdg import solvers
-from hamdg.conditions import Verdict, _frac, _needs_strong, _require_oriented
+from hamdg.conditions import Verdict, _frac, _require_oriented
 from hamdg.core import (
     CycleFactor,
     DegreeSequencePair,
@@ -1452,6 +1452,12 @@ def dominated_pairs(g: Digraph) -> list[tuple[int, int]]:
             for y in outs[i + 1 :]:
                 found.add((x, y))
     return sorted(found)
+
+
+def _needs_strong(g: Digraph, rule: str) -> Optional[Verdict]:
+    if not is_strongly_connected(g):
+        return Verdict(rule, False, reason="not strongly connected")
+    return None
 
 
 def pair_rule(g: Digraph, rule: str, **params) -> Verdict:

@@ -165,6 +165,31 @@ class TestSolveCount:
         pattern = OrientationPattern((1,) * 7)
         assert validate_oriented(circulant_tournament(7), order, pattern, closed=True)
 
+    def test_through_emits_a_cycle_through_the_matching(self, capsys, tmp_path):
+        path = str(tmp_path / "t.dg")
+        run(capsys, "gen", "--family", "circulant", "--n", "7", "--output", path)
+        code, out, _ = run(capsys, "solve", "--input", path, "--through", "0,1 3,4")
+        assert code == 0
+        h = hio.parse_cycle(out.strip())
+        assert h.is_valid(circulant_tournament(7))
+        assert {(0, 1), (3, 4)} <= set(h.arcs())
+
+    def test_power_emits_a_cycle_whose_square_is_present(self, capsys, tmp_path):
+        path = str(tmp_path / "c7.dg")
+        run(capsys, "gen", "--family", "circulant", "--n", "7", "--output", path)
+        code, out, _ = run(capsys, "solve", "--input", path, "--power", "2")
+        assert code == 0
+        o = hio.parse_cycle(out.strip()).order
+        g = circulant_tournament(7)
+        assert sorted(o) == list(range(7))
+        assert all(g.has_arc(o[i], o[(i + j) % 7]) for i in range(7) for j in (1, 2))
+
+    def test_length_none_exit_1(self, capsys, tmp_path):
+        path = str(tmp_path / "t.dg")
+        run(capsys, "gen", "--family", "transitive", "--n", "5", "--output", path)
+        code, out, _ = run(capsys, "solve", "--input", path, "--length", "3")
+        assert (code, out) == (1, "NONE\n")
+
     def test_budget_exit_3(self, capsys, tmp_path):
         path = str(tmp_path / "t.dg")
         run(capsys, "gen", "--family", "complete_digraph", "--n", "12", "--output", path)
@@ -510,6 +535,12 @@ class TestUsage:
         code, out, err = run(capsys, "expander")
         assert code == 2 and out == "" and "Traceback" not in err
         assert "--input" in err and "--pipeline" in err
+
+    def test_decompose_without_input_or_walecki_is_usage_error(self, capsys):
+        # an AttributeError on the missing path: exit 4 with a traceback
+        code, out, err = run(capsys, "decompose")
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "--input" in err and "--walecki" in err
 
     def test_expander_reads_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(hio.serialize(circulant_tournament(11))))

@@ -5,11 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hamdg import conditions, core
-from hamdg.conditions import (
-    check_connectivity_condition,
-    check_degree_condition,
-    check_sequence_condition,
-)
+from hamdg.conditions import check
 from hamdg.constructions import (
     circulant_tournament,
     complete_digraph,
@@ -26,31 +22,31 @@ from hamdg.solvers import find_hamilton_cycle
 
 class TestGhouilaHouri:
     def test_holds_on_complete(self):
-        assert check_degree_condition(complete_digraph(5), "ghouila_houri").holds
+        assert check("ghouila_houri", complete_digraph(5)).holds
 
     def test_semidegree_half_is_enough(self):
         # 2-regular digraph on 4 vertices: delta+ + delta- = 4 = n
         g = Digraph(4, [(i, (i + 1) % 4) for i in range(4)] + [(i, (i + 2) % 4) for i in range(4)])
-        assert check_degree_condition(g, "ghouila_houri").holds
+        assert check("ghouila_houri", g).holds
 
     def test_fails_with_vertex_witness(self):
-        v = check_degree_condition(directed_cycle(5), "ghouila_houri")
+        v = check("ghouila_houri", directed_cycle(5))
         assert not v.holds and v.witness["needed"] == 5
 
     def test_not_strong_fails_with_reason(self):
-        v = check_degree_condition(transitive_tournament(4), "ghouila_houri")
+        v = check("ghouila_houri", transitive_tournament(4))
         assert not v.holds and "strongly" in v.reason
 
 
 class TestPairConditions:
     def test_woodall_on_complete_bipartite_like(self):
         g = complete_digraph(4)
-        assert check_degree_condition(g, "woodall").holds
+        assert check("woodall", g).holds
 
     def test_meyniel_witness_on_fig2(self):
         # the known sharpness example: a dominated non-adjacent pair at 2n-2
         g, parts = generate_extremal("fig2", 7)
-        v = check_degree_condition(g, "meyniel")
+        v = check("meyniel", g)
         assert not v.holds
         assert v.witness["sum"] == 2 * 7 - 2
 
@@ -59,77 +55,84 @@ class TestPairConditions:
         # so bgl holds whenever meyniel does
         for seed in range(5):
             g = random_digraph(7, 0.8, seed=seed)
-            if check_degree_condition(g, "meyniel").holds:
-                assert check_degree_condition(g, "bgl").holds
+            if check("meyniel", g).holds:
+                assert check("bgl", g).holds
 
 
 class TestOrientedRules:
     def test_class_mismatch(self):
         with pytest.raises(ClassMismatch):
-            check_degree_condition(complete_digraph(4), "oriented_semidegree")
+            check("oriented_semidegree", complete_digraph(4))
 
     def test_oriented_semidegree_threshold(self):
         # regular tournament on 9: delta0 = 4, (3*9-4)/8 = 23/8 < 4
-        assert check_degree_condition(circulant_tournament(9), "oriented_semidegree").holds
+        assert check("oriented_semidegree", circulant_tournament(9)).holds
 
     def test_fig3_just_below_threshold(self):
         g, _ = generate_extremal("fig3_haggkvist", 1)
-        v = check_degree_condition(g, "oriented_semidegree")
+        v = check("oriented_semidegree", g)
         assert not v.holds
 
     def test_haggkvist_star(self):
-        assert check_degree_condition(circulant_tournament(9), "haggkvist_star").holds
+        assert check("haggkvist_star", circulant_tournament(9)).holds
 
     def test_power_tournament_needs_tournament(self):
         with pytest.raises(ClassMismatch):
-            check_degree_condition(directed_cycle(5), "power_tournament", eps="1/20")
+            check("power_tournament", directed_cycle(5), eps="1/20")
 
     def test_power_tournament(self):
-        v = check_degree_condition(circulant_tournament(9), "power_tournament", eps="1/20")
+        v = check("power_tournament", circulant_tournament(9), eps="1/20")
         assert v.holds
 
     def test_short_cycle_divisibility(self):
         # ell=4: smallest k>2 not dividing 4 is 3, so need delta0 >= n/3+1
-        v = check_degree_condition(circulant_tournament(9), "short_cycle", ell=4)
+        v = check("short_cycle", circulant_tournament(9), ell=4)
         assert v.holds
         with pytest.raises(BadParams):
-            check_degree_condition(circulant_tournament(9), "short_cycle", ell=3)
+            check("short_cycle", circulant_tournament(9), ell=3)
+
+    @pytest.mark.parametrize("ell,k", [(6, 4), (12, 5)])
+    def test_short_cycle_skips_every_divisor(self, ell, k):
+        # k is the smallest integer > 2 not dividing ell: need delta0 >= n/k+1
+        assert check("short_cycle", circulant_tournament(9), ell=ell).holds
+        v = check("short_cycle", directed_cycle(9), ell=ell)
+        assert not v.holds and v.witness == {"semidegree": 1, "needed": 9 // k + 1, "k": k}
 
 
 class TestSemidegreeRules:
     def test_digraph_semidegree(self):
-        assert check_degree_condition(complete_digraph(4), "digraph_semidegree").holds
-        assert not check_degree_condition(directed_cycle(4), "digraph_semidegree").holds
+        assert check("digraph_semidegree", complete_digraph(4)).holds
+        assert not check("digraph_semidegree", directed_cycle(4)).holds
 
     def test_kordered(self):
-        v = check_degree_condition(complete_digraph(8), "kordered_semidegree", k=3)
+        v = check("kordered_semidegree", complete_digraph(8), k=3)
         assert v.holds  # delta0 = 7 >= ceil(11/2)-1 = 5
-        v = check_degree_condition(circulant_tournament(9), "kordered_semidegree", k=5)
+        v = check("kordered_semidegree", circulant_tournament(9), k=5)
         assert not v.holds  # delta0 = 4 < ceil(14/2)-1 = 6
 
 
 class TestSequenceRules:
     def test_nash_williams_holds_on_complete(self):
-        assert check_sequence_condition(complete_digraph(5), "nash_williams").holds
+        assert check("nash_williams", complete_digraph(5)).holds
 
     def test_nash_williams_sharpness_family(self):
         # k vertices of degree k break the k-th condition pair
         for n, k in [(7, 2), (8, 3), (9, 4)]:
             g, _ = generate_extremal("nw_extremal", n, k)
-            v = check_sequence_condition(g, "nash_williams")
+            v = check("nash_williams", g)
             assert not v.holds
             assert v.witness["index"] == k
 
     def test_posa_digraph(self):
-        assert check_sequence_condition(complete_digraph(6), "posa_digraph").holds
-        assert not check_sequence_condition(directed_cycle(6), "posa_digraph").holds
+        assert check("posa_digraph", complete_digraph(6)).holds
+        assert not check("posa_digraph", directed_cycle(6)).holds
 
     def test_ckko_needs_beta(self):
         with pytest.raises(BadParams):
-            check_sequence_condition(complete_digraph(6), "ckko")
+            check("ckko", complete_digraph(6))
 
     def test_ckko_holds_on_complete(self):
-        assert check_sequence_condition(complete_digraph(8), "ckko", beta="1/8").holds
+        assert check("ckko", complete_digraph(8), beta="1/8").holds
 
 
 class TestTinyOrders:
@@ -153,19 +156,19 @@ class TestTinyOrders:
 
     def test_haggkvist_star_on_the_empty_digraph(self):
         # 2 * delta* = 0 > 3n - 3 = -3
-        assert check_degree_condition(Digraph(0), "haggkvist_star").holds
+        assert check("haggkvist_star", Digraph(0)).holds
 
 
 class TestConnectivityRules:
     def test_jackson_ordaz(self):
         # complete digraph: kappa = n-1, alpha2 = 1
-        v = check_connectivity_condition(complete_digraph(5), "jackson_ordaz")
+        v = check("jackson_ordaz", complete_digraph(5))
         assert v.holds and v.witness == {"kappa": 4, "alpha2": 1, "needed": 2}
 
     def test_jackson_factorial_demands_more(self):
         # needs kappa >= 2^1 * 3! = 12 at alpha2 = 1
-        assert not check_connectivity_condition(complete_digraph(5), "jackson_factorial").holds
-        assert check_connectivity_condition(complete_digraph(14), "jackson_factorial").holds
+        assert not check("jackson_factorial", complete_digraph(5)).holds
+        assert check("jackson_factorial", complete_digraph(14)).holds
 
     def test_unknown_rule_rejected_before_any_work(self, monkeypatch):
         def never(*args, **kwargs):
@@ -174,7 +177,7 @@ class TestConnectivityRules:
         monkeypatch.setattr(conditions, "vertex_connectivity", never)
         monkeypatch.setattr(conditions, "independence_numbers", never)
         with pytest.raises(BadParams):
-            check_connectivity_condition(complete_digraph(5), "jackson")
+            check("jackson", complete_digraph(5))
 
     def test_independence_cap_refused_before_kappa(self, monkeypatch):
         def never(*args, **kwargs):
@@ -183,7 +186,7 @@ class TestConnectivityRules:
         monkeypatch.setattr(conditions, "vertex_connectivity", never)
         g = random_tournament(core.INDEPENDENCE_CAP + 1, 1)
         with pytest.raises(BudgetExceeded):
-            check_connectivity_condition(g, "jackson_ordaz")
+            check("jackson_ordaz", g)
 
 
 class TestSoundnessSpot:
@@ -191,7 +194,7 @@ class TestSoundnessSpot:
         found = 0
         for seed in range(40):
             g = random_digraph(8, 0.75, seed=seed)
-            if check_degree_condition(g, "ghouila_houri").holds:
+            if check("ghouila_houri", g).holds:
                 found += 1
                 assert find_hamilton_cycle(g) is not None
         assert found > 0

@@ -11,7 +11,9 @@ from hamdg.constructions import (
     random_regular_graph,
 )
 from hamdg.core import Digraph, Matching
+from hamdg.conditions import Verdict
 from hamdg.decomp import (
+    Decomposition,
     cover_regular_graph,
     cover_tournament,
     decompose_exact,
@@ -155,3 +157,28 @@ class TestValidate:
         partial = type(rep.cover)(rep.cover.cycles[:1])
         v = validate(partial, g)
         assert not v.holds and "uncovered" in str(v.witness) + str(v.reason)
+
+    @staticmethod
+    def _host_and_decomposition(directed):
+        if directed:
+            g = circulant_tournament(7)
+            return g, decompose_exact(g)
+        return complete_graph(7), walecki(7)
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_reports_arc_used_twice(self, directed):
+        g, dec = self._host_and_decomposition(directed)
+        first = dec.cycles[0]
+        twice = Decomposition((first, first) + dec.cycles[1:])
+        u, v = first.arcs()[0]
+        arc = (u, v) if directed else (min(u, v), max(u, v))
+        got = validate(twice, g, directed=directed)
+        assert got == Verdict("decomposition", False, {"arc": arc}, "arc used twice")
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_reports_cycle_through_a_non_arc(self, directed):
+        g, dec = self._host_and_decomposition(directed)
+        u, v = dec.cycles[1].arcs()[0]
+        host = g.without_arcs([(u, v)] if directed else [(u, v), (v, u)])
+        got = validate(dec, host, directed=directed)
+        assert got == Verdict("decomposition", False, {"cycle_index": 1}, "invalid Hamilton cycle")

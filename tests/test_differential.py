@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import oracles
 from hamdg import constructions, core, decomp, solvers
 from hamdg import io as hio
-from hamdg.conditions import check_degree_condition, check_sequence_condition
+from hamdg.conditions import check
 from hamdg.constructions import (
     circulant_tournament,
     complete_bipartite_digraph,
@@ -1938,18 +1938,18 @@ def _rule_records(g, rules):
         if rule == "ore_oriented":
             for alpha in ALPHAS:
                 yield (
-                    _record(check_degree_condition, g, rule, alpha=alpha),
+                    _record(check, rule, g, alpha=alpha),
                     _record(oracles.pair_rule, g, rule, alpha=alpha),
                 )
         elif rule == "ckko":
             for beta in BETAS:
                 yield (
-                    _record(check_sequence_condition, g, rule, beta=beta),
+                    _record(check, rule, g, beta=beta),
                     _record(oracles.ckko, g, beta=beta),
                 )
         else:
             yield (
-                _record(check_degree_condition, g, rule),
+                _record(check, rule, g),
                 _record(oracles.pair_rule, g, rule),
             )
 

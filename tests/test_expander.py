@@ -95,6 +95,12 @@ class TestRobustExpander:
         v = is_robust_outexpander(g, "1/4", "1/6", mode="sampled", trials=200, seed=0)
         assert not v.holds
 
+    def test_sampled_holds_on_a_robust_expander(self):
+        # one-sided: a holding sampled verdict says only what it sampled
+        g = circulant_tournament(13)
+        v = is_robust_outexpander(g, Fraction(1, 20), Fraction(1, 5), mode="sampled", trials=50)
+        assert v.holds and v.witness is None and v.reason == "no violation in 50 samples"
+
 
 def _pentagon():
     r = circulant_tournament(5, (1, 2))
