@@ -320,6 +320,6 @@ def check(rule: str, g: Digraph, **params) -> Verdict:
     not read is ignored."""
     try:
         _, run, names = _RULES[rule]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a name that is not hashable
         raise BadParams(f"unknown rule {rule!r}") from None
     return Verdict(rule, *run(g, **{p: params[p] for p in names if p in params}))
