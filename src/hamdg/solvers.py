@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -470,13 +471,30 @@ class CountReport:
     hamilton_paths: int
     hamilton_cycles: int
     random_mean_paths: Fraction  # n!/2^(n-1)
-    random_mean_cycles: Fraction  # (n-1)!/2^n
+    random_mean_cycles: Fraction  # (n-1)!/2^n, and 0 for n < 3 (no cycle)
 
 
 # With 0/1 start weights the count DP's layer-p sums stay at most p!: below
 # 2**53 up to p = 18, so those layers run exactly in float64 (BLAS), and
 # below 2**63 up to p = 20, so int64 is exact for the rest (see _end_counts).
 COUNT_CAP = 21
+PLAN_K = 16  # DP orders k <= PLAN_K move between layers by the cached plans
+
+
+@cache
+def _take_plans() -> tuple[np.ndarray, ...]:
+    """The take-plans of ``_end_counts``, one per layer of PLAN_K-bit masks."""
+    pc = np.bitwise_count(np.arange(1 << PLAN_K))
+    order = np.argsort(pc, kind="stable")  # by popcount, numeric within a layer
+    rank = np.zeros(1 << PLAN_K, dtype=np.int64)
+    bit = 1 << np.arange(PLAN_K)[:, None]
+    plans = []
+    for masks in np.split(order, np.cumsum(np.bincount(pc))[:-1]):  # layers 0..PLAN_K
+        rank[masks] = np.arange(1, len(masks) + 1)  # 1 + rank within the layer
+        plan = np.where(masks & bit != 0, rank[masks ^ bit], 0).astype(np.uint16)
+        plans.append(np.pad(plan, ((0, 0), (1, 0))))
+        plans[-1].flags.writeable = False
+    return tuple(plans)
 
 
 def _end_counts(adj: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -486,9 +504,12 @@ def _end_counts(adj: np.ndarray, start: np.ndarray) -> np.ndarray:
     Layered subset DP (Bellman; Held & Karp) on transposed layers:
     ``table[w, i]`` counts the paths ending at w over a layer's i-th mask in
     numeric order.  Adding w maps the masks without w onto the next layer's
-    masks with w in order (M < M' gives M|w < M'|w), so with ``held[w, i]``
-    = "w in mask i", ``step[~held]`` fills the next ``table[held]`` row by
-    row.
+    masks with w in order (M < M' gives M|w < M'|w).  For k <= PLAN_K a table
+    leads with a zero column, and ``step.take`` through a cached plan gives
+    the next: in layer q's plan, [w, 1 + j] is 1 + the layer-(q-1) rank of
+    mask_j without w if w is in mask_j, else 0.  The 16-bit plans (uint16,
+    2 MB) serve any k <= 16 as ``[:k, :C(k, q) + 1]``: masks below 2**k come
+    first.  Above PLAN_K, ``step[~held]`` fills ``table[held]`` (w in mask).
 
     Every entry is a nonnegative integer.  Before the product on layer p no
     entry passes ``max(start) * (p-1)!`` and after it none passes
@@ -501,6 +522,14 @@ def _end_counts(adj: np.ndarray, start: np.ndarray) -> np.ndarray:
     result is int64."""
     k = len(start)
     big = int(start.max(initial=0))
+    if k <= PLAN_K:
+        table = np.diag(np.append(0, start))[1:]  # column 0, then masks 1, 2, 4, ...
+        for p in range(1, k):
+            dtype = np.float64 if big * factorial(p) < 2**53 else np.int64
+            step = adj.T.astype(dtype) @ table.astype(dtype, copy=False)
+            plan = _take_plans()[p + 1][:k, : comb(k, p + 1) + 1]
+            table = step.take(plan + np.arange(k)[:, None] * step.shape[1])
+        return table[:, 1].astype(np.int64)
     pc = np.bitwise_count(np.arange(1 << k))
     order = np.argsort(pc, kind="stable")  # by popcount, numeric within a layer
     ends = np.cumsum(np.bincount(pc))
@@ -524,11 +553,12 @@ def count_hamilton(g: Digraph) -> CountReport:
 
     Paths run the DP from every vertex; cycles run it over the other n-1
     vertices only, anchored at vertex 0, so each cyclic arc set is counted
-    exactly once.  Costs O(2^n n^2) arithmetic operations; memory peaks at
-    one layer and its product, 2 x C(n, n/2) x n 8-byte entries.  Measured
-    max RSS: 233 MB for ``complete_digraph(21)``, 134 MB for
-    ``random_tournament(20, 1)``; the order in which the temporaries are
-    freed moves it.  The final sums, up to n!, are Python ints.  Above
+    exactly once.  Costs O(2^n n^2) arithmetic operations; memory peaks at one
+    layer and its product, 2 x C(n, n/2) x n 8-byte entries, beside 2 MB of
+    take-plans (16 x (C(16, q) + 1) uint16 per layer q) kept from the first
+    DP at k <= PLAN_K = 16.  Max RSS: 233 MB for ``complete_digraph(21)``,
+    134 MB for ``random_tournament(20, 1)``; the order in which temporaries
+    are freed moves it.  The final sums, up to n!, are Python ints.  Above
     COUNT_CAP = 21 it raises ``BudgetExceeded`` at once."""
     n = g.n
     if n > COUNT_CAP:
@@ -545,7 +575,7 @@ def count_hamilton(g: Digraph) -> CountReport:
         paths,
         cycles,
         Fraction(factorial(n), 2 ** (n - 1)),
-        Fraction(factorial(n - 1), 2**n),
+        Fraction(factorial(n - 1), 2**n) if n >= 3 else Fraction(0),
     )
 
 

@@ -1251,13 +1251,14 @@ class TestCountHamilton:
         want = oracles.end_counts_scatter(adj, start)
         assert got.dtype == np.int64 and got.tolist() == want.tolist()
 
-    @pytest.mark.parametrize("k", range(1, 13))
+    @pytest.mark.parametrize("k", range(1, 18))
     def test_end_counts_equal_scatter(self, k):
-        # 20 seeded matrices per k (240 in all) with start weights 0..3,
-        # then an all-zero start, the arcless and the complete matrix
+        # seeded matrices with start weights 0..3, 20 per k up to 12 (240)
+        # and 3 per k above, where the DP crosses PLAN_K; then an all-zero
+        # start, the arcless and the complete matrix
         rng = np.random.default_rng(k)
         off = 1 - np.eye(k, dtype=np.int64)
-        for _ in range(20):
+        for _ in range(20 if k <= 12 else 3):
             adj = (rng.random((k, k)) < rng.random()).astype(np.int64) * off
             self._same_ends(adj, rng.integers(0, 4, k))
         start = rng.integers(0, 4, k)
@@ -1275,9 +1276,10 @@ class TestCountHamilton:
         adj = (rng.random((k, k)) < 0.9).astype(np.int64) * (1 - np.eye(k, dtype=np.int64))
         self._same_ends(adj, rng.integers(0, top, k))
 
-    @pytest.mark.parametrize("n", [2, 3, 5, 8, 11, 14])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 11, 14, 16, 17])
     def test_count_calls_equal_scatter(self, n):
-        # the two calls count_hamilton makes: every start, and anchored at 0
+        # the two calls count_hamilton makes: every start, and anchored at 0;
+        # at n = 17 the first runs above PLAN_K and the second at it
         for g in (random_tournament(n, n), random_digraph(n, 0.3, n), complete_digraph(n)):
             adj = (np.array(g.out, dtype=np.int64)[:, None] >> np.arange(n)) & 1
             self._same_ends(adj, np.ones(n, dtype=np.int64))

@@ -1,7 +1,12 @@
 """Exact solvers, counters, and pattern searches."""
 
+import os
+import subprocess
 import sys
+from fractions import Fraction
+from itertools import combinations
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -137,6 +142,40 @@ class TestCounting:
         rep = count_hamilton(circulant_tournament(5))
         assert str(rep.random_mean_paths) == "15/2"
         assert str(rep.random_mean_cycles) == "3/4"
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_random_means_over_every_tournament(self, n):
+        # exact means over all 2^C(n, 2) tournaments; below 3 vertices none
+        # has a Hamilton cycle, so that mean is 0, not (n-1)!/2^n
+        pairs = list(combinations(range(n), 2))
+        reps = [
+            count_hamilton(Digraph(n, [(u, v) if f >> i & 1 else (v, u)
+                                       for i, (u, v) in enumerate(pairs)]))
+            for f in range(2 ** len(pairs))
+        ]
+        for rep in reps:
+            assert rep.random_mean_paths == Fraction(
+                sum(r.hamilton_paths for r in reps), len(reps))
+            assert rep.random_mean_cycles == Fraction(
+                sum(r.hamilton_cycles for r in reps), len(reps))
+
+    def test_plans_built_on_the_first_dp_up_to_plan_k(self):
+        # in a fresh process: no plan after the imports or a count at n = 18
+        # (DPs at k = 18 and 17); built by n = 17, whose cycle DP has k = 16
+        code = (
+            "import hamdg, hamdg.cli\n"
+            "from hamdg import solvers\n"
+            "from hamdg.constructions import random_tournament\n"
+            "built = [solvers._take_plans.cache_info().currsize]\n"
+            "for n in (18, 17):\n"
+            "    solvers.count_hamilton(random_tournament(n, 1))\n"
+            "    built.append(solvers._take_plans.cache_info().currsize)\n"
+            "print(built)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.split() == ["[0,", "0,", "1]"]
 
     def test_cap(self):
         with pytest.raises(BudgetExceeded, match="cap"):
