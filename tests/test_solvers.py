@@ -175,7 +175,7 @@ class TestCounting:
         src = str(Path(__file__).resolve().parents[1] / "src")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.split() == ["[0,", "0,", "1]"]
+        assert out.stdout.strip() == "[0, 0, 1]"
 
     def test_cap(self):
         with pytest.raises(BudgetExceeded, match="cap"):
