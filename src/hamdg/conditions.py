@@ -278,7 +278,7 @@ def _jackson(needed):
     """Chvatal-Erdos-type: kappa >= ``needed(alpha_2)``."""
 
     def rule(g: Digraph) -> Outcome:
-        # alpha_2 first: above INDEPENDENCE_CAP it refuses, and kappa is wasted
+        # alpha_2 first: a spent node budget refuses before any kappa work
         _, alpha2 = independence_numbers(g)
         kappa = vertex_connectivity(g)
         need = needed(alpha2)

@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Digraph, int_rows, seeded_rng
+from .core import Digraph, blow_up, int_rows, seeded_rng
 from .errors import BadParams
 
 PartMap = dict[str, list[int]]
@@ -438,8 +438,6 @@ def pancyclic_bipartite(n: int) -> tuple[Digraph, PartMap]:
 
 def cycle_blowup(k: int, sizes: Sequence[int]) -> tuple[Digraph, PartMap]:
     """Blow-up of a directed k-cycle with the given part sizes."""
-    from .core import blow_up
-
     g, parts = blow_up(directed_cycle(k), sizes)
     return g, {f"V{i}": p for i, p in enumerate(parts)}
 

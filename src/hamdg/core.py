@@ -16,8 +16,6 @@ import numpy as np
 
 from .errors import ArcMissing, BadParams, BudgetExceeded, NotAMatching
 
-INDEPENDENCE_CAP = 30
-
 # in-rows of digraphs with at least this many vertices come from a numpy
 # bit transpose, which costs about 20 µs a call plus up to 1 µs a vertex;
 # the per-arc loop costs about 0.25 µs an arc, so it stays below the gate,
@@ -27,6 +25,62 @@ TRANSPOSE_MIN_N = 32
 # bytes of unpacked bits per transpose block, so the transient memory is
 # one block on top of the O(n^2/8) packed rows
 _TRANSPOSE_BLOCK_BYTES = 8 << 20
+DEFAULT_BUDGET = 10**8
+
+
+class _Refuted(Exception):
+    """A root refutation proved that the digraph has no Hamilton cycle."""
+
+
+class _Budget:
+    """The search nodes left; ``tick`` is called once per node.
+
+    ``arm(nodes, refutes)`` adds a one-shot checkpoint: once the search has
+    expanded ``nodes`` more nodes and asks for another, ``refutes()`` runs,
+    and if it returns true the tick raises ``_Refuted``.  The nodes past the
+    checkpoint are held back until then, so ``tick`` stays one decrement
+    and one compare, the total stays the budget, and the checkpoint's own
+    work is not counted as nodes.  They come back before ``refutes()`` runs,
+    so after a refutation the budget less ``left`` is the nodes expanded.
+
+    ``decompose_exact``'s nested searches share one budget and each arm n^2
+    nodes on one n: under a pending checkpoint ``left <= n^2``, so an inner
+    ``arm`` is a no-op and no held node is lost.  A suspended search has
+    yielded a Hamilton cycle, so its checkpoint cannot refute; ``disarm``
+    drops whatever is pending when a search ends, so that a finished
+    digraph refutes no other."""
+
+    __slots__ = ("left", "held", "refutes")
+
+    def __init__(self, nodes: int):
+        if nodes < 0:
+            raise BadParams(f"budget must be at least 0, got {nodes}")
+        self.left = nodes
+        self.held = 0
+        self.refutes: Optional[Callable[[], bool]] = None
+
+    def arm(self, nodes: int, refutes: Callable[[], bool]) -> None:
+        if self.left > nodes:  # else the budget runs out first
+            self.held, self.left, self.refutes = self.left - nodes, nodes, refutes
+
+    def disarm(self) -> None:
+        self.left += self.held
+        self.held, self.refutes = 0, None
+
+    def tick(self) -> None:
+        self.left -= 1
+        if self.left < 0:
+            self._overrun()
+
+    def _overrun(self) -> None:
+        refutes, self.refutes = self.refutes, None
+        if refutes is not None:
+            self.left += self.held
+            self.held = 0
+            if refutes():
+                raise _Refuted
+        if self.left < 0:
+            raise BudgetExceeded("search node budget exhausted")
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
@@ -228,9 +282,6 @@ class Matching:
                 raise NotAMatching(f"shared endpoint in {self.arcs}")
             seen.add(u)
             seen.add(v)
-
-    def vertices(self) -> set[int]:
-        return {x for a in self.arcs for x in a}
 
     def __len__(self) -> int:
         return len(self.arcs)
@@ -497,42 +548,47 @@ def vertex_connectivity(g: Digraph) -> int:
 # --- independence --------------------------------------------------------
 
 
-def _max_independent_set(n: int, adj: Sequence[int]) -> int:
-    """Size of a maximum independent set; branch and bound."""
+def _max_independent_set(n: int, adj: Sequence[int], b: _Budget) -> int:
+    """Size of a maximum independent set of the graph with rows ``adj``: a
+    maximum clique search on the complement (Tomita & Seki, DMTCS 2003) in
+    bit masks (San Segundo et al., Comput. Oper. Res. 38, 2011) on one
+    stack, one tick of ``b`` per node.  A node covers its candidates
+    greedily by cliques; a set meets a clique at most once, so a vertex in
+    the k-th clique, kept to the candidates covered before it, bounds its
+    branch by size + k.  Pushed in cover order, the highest bound pops
+    first, as in the recursive order."""
     best = 0
-
-    def grow(mask: int, size: int) -> None:
-        nonlocal best
-        if size + popcount(mask) <= best:
-            return
-        if mask == 0:
-            best = size
-            return
-        # pivot on the max-degree vertex inside mask
-        v = max(bits(mask), key=lambda x: popcount(adj[x] & mask))
-        grow(mask & ~(1 << v) & ~adj[v], size + 1)
-        grow(mask & ~(1 << v), size)
-
-    # greedy initial bound
-    mask = (1 << n) - 1
-    while mask:
-        v = min(bits(mask), key=lambda x: popcount(adj[x] & mask))
-        best += 1
-        mask &= ~(1 << v) & ~adj[v]
-    grow((1 << n) - 1, 0)
+    stack = [(n, 0, (1 << n) - 1)]
+    while stack:
+        bound, size, cand = stack.pop()
+        if bound <= best:
+            continue
+        b.tick()
+        best = max(best, size)
+        k, before = size, 0  # k: the bound of the clique being covered
+        while cand:
+            k += 1
+            clique = cand
+            while clique:
+                low = clique & -clique
+                v = low.bit_length() - 1
+                clique &= adj[v]
+                cand ^= low
+                if k > best:
+                    stack.append((k, size + 1, before & ~adj[v]))
+                before |= low
     return best
 
 
 def independence_numbers(g: Digraph) -> tuple[int, int]:
-    """(alpha_0, alpha_2): largest arc-free set / largest 2-cycle-free set."""
-    if g.n > INDEPENDENCE_CAP:
-        raise BudgetExceeded(f"n={g.n} above independence cap {INDEPENDENCE_CAP}")
+    """(alpha_0, alpha_2): largest arc-free / 2-cycle-free set, one budget."""
+    b = _Budget(DEFAULT_BUDGET)
     two_adj = [g.out[v] & g.inn[v] for v in range(g.n)]
-    alpha2 = _max_independent_set(g.n, two_adj)
+    alpha2 = _max_independent_set(g.n, two_adj, b)
     if g.is_symmetric():  # every arc is in a 2-cycle: alpha_0 = alpha_2
         return alpha2, alpha2
     any_adj = [g.out[v] | g.inn[v] for v in range(g.n)]
-    return _max_independent_set(g.n, any_adj), alpha2
+    return _max_independent_set(g.n, any_adj, b), alpha2
 
 
 def dominated_row(g: Digraph, x: int) -> int:

@@ -5,10 +5,11 @@ the expander pipeline (the blow-up, and the assembly with per-cluster
 vertex sets), the recursive Hamilton search, the iterative search kernel
 before its lookahead matching repair and degree-2 forcing, the
 Hamilton counting DP (the dict DP, and the numpy DP with a rank table and
-a per-vertex scatter), max-flow connectivity, the exact robust-expansion
-scan, the exact-cover decomposition search over every Hamilton cycle, the
-six recursive sequence searches (fixed-length cycles, cycle powers,
-k-ordered cycles, oriented patterns, cycle factors, tree embedding), the two cover
+a per-vertex scatter), max-flow connectivity, the recursive independence
+search with its greedy start, the exact robust-expansion scan, the
+exact-cover decomposition search over every Hamilton cycle, the six
+recursive sequence searches (fixed-length cycles, cycle powers, k-ordered
+cycles, oriented patterns, cycle factors, tree embedding), the two cover
 pipelines, each with its own restart loop, the arc-list matching
 contraction, the Misra-Gries colouring that rescans every neighbourhood for
 free colours, the per-arc in-row derivation, the Hamilton cycle check
@@ -28,9 +29,10 @@ before any alternating path, so they equal ``seeded_matching``;
 ``bipartite_matching`` keeps Kuhn's plain order, the matching order before
 that seed, and its verdicts must still agree.
 
-Three oracles were never fast paths: ``count_hamilton_naive`` counts
+Four oracles were never fast paths: ``count_hamilton_naive`` counts
 Hamilton paths and cycles over every permutation, ``vertex_connectivity_brute``
-(with its helper ``strongly_connected_within``) tries every vertex set, and
+(with its helper ``strongly_connected_within``) and
+``independence_numbers_brute`` try every vertex set, and
 ``coloring_is_proper`` checks an edge colouring class by class.
 """
 
@@ -719,6 +721,50 @@ def vertex_connectivity_brute(g: Digraph) -> int:
             if popcount(mask) == 1 or not strongly_connected_within(g, mask):
                 return k
     return g.n - 1
+
+
+def max_independent_set(n: int, adj: Sequence[int]) -> int:
+    """Size of a maximum independent set: a greedy start, then a recursive
+    branch and bound on the max-degree vertex, bounded by size + |mask|."""
+    best = 0
+
+    def grow(mask: int, size: int) -> None:
+        nonlocal best
+        if size + popcount(mask) <= best:
+            return
+        if mask == 0:
+            best = size
+            return
+        # pivot on the max-degree vertex inside mask
+        v = max(bits(mask), key=lambda x: popcount(adj[x] & mask))
+        grow(mask & ~(1 << v) & ~adj[v], size + 1)
+        grow(mask & ~(1 << v), size)
+
+    # greedy initial bound
+    mask = (1 << n) - 1
+    while mask:
+        v = min(bits(mask), key=lambda x: popcount(adj[x] & mask))
+        best += 1
+        mask &= ~(1 << v) & ~adj[v]
+    grow((1 << n) - 1, 0)
+    return best
+
+
+def independence_numbers(g: Digraph) -> tuple[int, int]:
+    """(alpha_0, alpha_2) by ``max_independent_set``, with no size cap."""
+    alpha0 = max_independent_set(g.n, [g.out[v] | g.inn[v] for v in range(g.n)])
+    return alpha0, max_independent_set(g.n, [g.out[v] & g.inn[v] for v in range(g.n)])
+
+
+def independence_numbers_brute(g: Digraph) -> tuple[int, int]:
+    """(alpha_0, alpha_2) over every vertex set."""
+    best = [0, 0]
+    for i, adj in enumerate(([g.out[v] | g.inn[v] for v in range(g.n)],
+                             [g.out[v] & g.inn[v] for v in range(g.n)])):
+        for s in range(1 << g.n):
+            if popcount(s) > best[i] and not any(adj[v] & s for v in bits(s)):
+                best[i] = popcount(s)
+    return best[0], best[1]
 
 
 def is_robust_outexpander_exact(g: Digraph, nu, tau) -> Verdict:

@@ -1,13 +1,15 @@
 """The summary part of ``scripts/bench_pairs.py``: quartiles, wins and the
 verdict against a metric's bound; with ``perfbench/run.py`` stubbed, what
 each run records; and, on a scratch git repository, the uncommitted mark
-and the parent's export."""
+the parent's export, and the bytecode both sides hold before the first
+run."""
 
 import importlib.util
 import json
 import pathlib
 import statistics
 import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -138,3 +140,42 @@ def test_export_writes_the_committed_files_only(repo, tmp_path):
     dest = tmp_path / "parent"
     bench_pairs.export(repo, "HEAD", dest)
     assert sorted(p.name for p in dest.rglob("*")) == ["a.py", "src"]
+
+
+def test_both_trees_hold_bytecode_before_the_first_run(monkeypatch, tmp_path):
+    # without a cache the parent recompiles hamdg on every run under
+    # PYTHONDONTWRITEBYTECODE, while the change may load its own
+    root = tmp_path / "repo"
+    (root / "src" / "hamdg").mkdir(parents=True)
+    (root / "perfbench").mkdir()
+    (root / "perfbench" / "run.py").write_text("")
+    metric = {"name": "ops_per_s", "better": "higher", "bound": 0.24}
+    (root / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 20,
+                                                     "end_to_end": [metric]}))
+    real_run = subprocess.run
+    for value in (1, 2):
+        (root / "src" / "hamdg" / "__init__.py").write_text(f"a = {value}\n")
+        for args in (("init", "-q"), ("add", "-A"),
+                     ("-c", "user.name=t", "-c", "user.email=t@t", "-c",
+                      "commit.gpgsign=false", "commit", "-qm", str(value))):
+            real_run(["git", *args], cwd=root, check=True, capture_output=True)
+    seen = []
+
+    def fake_run(cmd, **kwargs):
+        if cmd[1:2] != ["perfbench/run.py"]:
+            return real_run(cmd, **kwargs)
+        seen.append([any((tree / "src" / "hamdg" / "__pycache__").glob("__init__.*.pyc"))
+                     for tree in (kwargs["cwd"], root)])
+        last = {"correct": True, "attempted": 1, "failed": 0,
+                "metrics": {"ops_per_s": {"value": 1.0, "unit": "1/s"}}}
+        return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(last), stderr="")
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(bench_pairs, "ROOT", root)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    out = tmp_path / "bench.json"
+    monkeypatch.setattr(sys, "argv", ["bench_pairs.py", "--workload", "decide", "--seed", "1",
+                                      "--pairs", "2", "--out", str(out)])
+    assert bench_pairs.main() == 0
+    assert seen == [[True, True]] * 4
+    assert json.loads(out.read_text())["workloads"]["decide"]["seed"] == 1

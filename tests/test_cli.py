@@ -5,7 +5,7 @@ import io
 
 import pytest
 
-from hamdg import cli
+from hamdg import cli, conditions, core
 from hamdg import io as hio
 from hamdg.cli import main
 from hamdg.conditions import DEGREE_RULES, SEQUENCE_RULES
@@ -128,6 +128,30 @@ class TestCheck:
         code, out, err = run(capsys, "check", "--rule", "dirac", "--input", path)
         assert code == 2 and out == "" and "unknown rule 'dirac'" in err
 
+
+    @pytest.mark.parametrize(
+        "family,argv,alpha2",
+        [("random_regular_graph", ("--n", "60", "--param", "d=4", "--seed", "0"), 24),
+         ("random_tournament", ("--n", "31", "--seed", "1"), 31)],
+    )
+    def test_jackson_past_thirty_vertices(self, capsys, tmp_path, family, argv, alpha2):
+        # these orders used to exceed a fixed independence cap and exit 3
+        path = str(tmp_path / "g.dg")
+        run(capsys, "gen", "--family", family, *argv, "--output", path)
+        code, out, _ = run(capsys, "check", "--rule", "jackson_ordaz", "--input", path)
+        assert code == 1 and f'"alpha2": {alpha2}' in out
+
+    def test_jackson_budget_exit_3(self, capsys, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("kappa computed after the alpha budget ran out")
+
+        path = str(tmp_path / "g.dg")
+        run(capsys, "gen", "--family", "random_regular_graph", "--n", "24",
+            "--param", "d=4", "--seed", "0", "--output", path)
+        monkeypatch.setattr(conditions, "vertex_connectivity", never)
+        monkeypatch.setattr(core, "DEFAULT_BUDGET", 10)
+        code, out, err = run(capsys, "check", "--rule", "jackson_ordaz", "--input", path)
+        assert code == 3 and out == "" and "budget" in err
 
 class TestSolveCount:
     def test_solve_emits_cycle_record(self, capsys, tmp_path):

@@ -12,7 +12,7 @@ from hamdg.constructions import (
     directed_cycle,
     generate_extremal,
     random_digraph,
-    random_tournament,
+    random_regular_graph,
     transitive_tournament,
 )
 from hamdg.core import Digraph
@@ -179,14 +179,15 @@ class TestConnectivityRules:
         with pytest.raises(BadParams):
             check("jackson", complete_digraph(5))
 
-    def test_independence_cap_refused_before_kappa(self, monkeypatch):
+    def test_spent_alpha_budget_refused_before_kappa(self, monkeypatch):
         def never(*args, **kwargs):
-            raise AssertionError("kappa computed above the independence cap")
+            raise AssertionError("kappa computed after the alpha budget ran out")
 
         monkeypatch.setattr(conditions, "vertex_connectivity", never)
-        g = random_tournament(core.INDEPENDENCE_CAP + 1, 1)
-        with pytest.raises(BudgetExceeded):
-            check("jackson_ordaz", g)
+        monkeypatch.setattr(core, "DEFAULT_BUDGET", 10)
+        for rule in ("jackson_ordaz", "jackson_factorial"):
+            with pytest.raises(BudgetExceeded, match="budget"):
+                check(rule, random_regular_graph(24, 4, 0))
 
 
 class TestSoundnessSpot:

@@ -32,7 +32,7 @@ from hamdg.core import (
     semidegrees,
     vertex_connectivity,
 )
-from hamdg.errors import ArcMissing, BadParams, NotAMatching
+from hamdg.errors import ArcMissing, BadParams, BudgetExceeded, NotAMatching
 from oracles import vertex_connectivity_brute
 
 
@@ -143,9 +143,9 @@ class TestIndependence:
         # every arc is in a 2-cycle, so alpha_0 = alpha_2 from one search
         calls = []
 
-        def counted(n, adj):
+        def counted(n, adj, b):
             calls.append(n)
-            return search(n, adj)
+            return search(n, adj, b)
 
         search = core._max_independent_set
         monkeypatch.setattr(core, "_max_independent_set", counted)
@@ -159,6 +159,27 @@ class TestIndependence:
             calls.clear()
             assert independence_numbers(g) == (want, want) and calls == [12]
 
+
+    def test_one_budget_bounds_both_searches(self, monkeypatch):
+        # the nodes of both searches, counted; that many pass, one fewer
+        # refuses, so alpha_0 draws on what alpha_2 left
+        g = random_digraph(20, 0.2, seed=3)
+        ticks = []
+        tick = core._Budget.tick
+
+        def counted(b):
+            ticks.append(b)
+            tick(b)
+
+        monkeypatch.setattr(core._Budget, "tick", counted)
+        want = independence_numbers(g)
+        assert len(set(ticks)) == 1 and not g.is_symmetric()
+        monkeypatch.setattr(core._Budget, "tick", tick)
+        monkeypatch.setattr(core, "DEFAULT_BUDGET", len(ticks))
+        assert independence_numbers(g) == want
+        monkeypatch.setattr(core, "DEFAULT_BUDGET", len(ticks) - 1)
+        with pytest.raises(BudgetExceeded, match="budget"):
+            independence_numbers(g)
 
 class TestDominatedPairs:
     def test_transitive(self):
@@ -184,6 +205,9 @@ class TestMatchingAndCycles:
         g = Digraph(5, [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2)])
         assert CycleFactor(((0, 1), (2, 3, 4))).is_valid(g)
         assert not CycleFactor(((0, 1),)).is_valid(g)  # not spanning
+        assert not CycleFactor(((2,), (0, 1), (3, 4))).is_valid(g)  # a 1-vertex cycle
+        assert not CycleFactor(((0, 1), (1, 0), (2, 3, 4))).is_valid(g)  # vertex twice
+        assert not CycleFactor(((0, 1), (2, 4, 3))).is_valid(g)  # no arc 2 -> 4
 
 
 class TestContraction:

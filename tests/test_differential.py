@@ -45,6 +45,7 @@ from hamdg.core import (
     Matching,
     _vertex_disjoint_paths,
     contract_matching,
+    independence_numbers,
     vertex_connectivity,
 )
 from hamdg.decomp import (
@@ -1384,6 +1385,55 @@ class TestVertexConnectivity:
 
     def test_complete_digraph(self):
         assert vertex_connectivity(complete_digraph(13)) == 12
+
+
+class TestIndependenceNumbers:
+    """The explicit-stack clique-cover search against the recursive branch
+    and bound it replaced, and against every vertex set."""
+
+    def test_equal_on_random_digraphs(self):
+        rng = random.Random(29)
+        values = set()
+        for i in range(120):
+            n = rng.randint(1, 30)
+            g = random_digraph(n, rng.choice((0.05, 0.15, 0.3, 0.5, 0.8)), seed=i)
+            want = oracles.independence_numbers(g)
+            assert independence_numbers(g) == want, (n, i)
+            values.add(want)
+        assert len(values) >= 30
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_equal_on_regular_graphs(self, d):
+        for n in range(d + 3, 31, 3):
+            for seed in range(2):
+                if n * d % 2 == 0:
+                    g = random_regular_graph(n, d, seed)
+                    assert independence_numbers(g) == oracles.independence_numbers(g)
+
+    def test_equal_on_tournaments(self):
+        for n in range(2, 31, 2):
+            for seed in range(2):
+                for g in (random_tournament(n, seed), random_regular_tournament(n | 1, seed)):
+                    assert independence_numbers(g) == oracles.independence_numbers(g)
+
+    @pytest.mark.parametrize(
+        "family,params",
+        [("fig1", (2,)), ("fig1", (3,)), ("fig2", (11,)), ("fig2", (30,)),
+         ("fig3_haggkvist", (5,)), ("fig4_square", (4,)), ("nw_extremal", (30, 14)),
+         ("two_regular_tournaments", (7,)), ("pancyclic_bipartite", (29,)),
+         ("cycle_blowup", (5, (4, 7, 3, 6, 5)))],
+    )
+    def test_equal_on_extremal_families(self, family, params):
+        g, _ = constructions.generate_extremal(family, *params)
+        assert g.n <= 30
+        assert independence_numbers(g) == oracles.independence_numbers(g)
+
+    def test_equal_to_brute_force(self):
+        rng = random.Random(31)
+        for i in range(150):
+            n = rng.randint(0, 12)
+            g = random_digraph(n, rng.choice((0.1, 0.25, 0.5, 0.75)), seed=i)
+            assert independence_numbers(g) == oracles.independence_numbers_brute(g)
 
 
 class TestRobustOutexpander:

@@ -24,6 +24,7 @@ from hamdg.errors import (
 from hamdg.expander import (
     OneFactorF,
     ReducedDigraph,
+    ShiftedWalk,
     assemble_hamilton,
     build_closed_walk,
     is_robust_outexpander,
@@ -101,6 +102,14 @@ class TestRobustExpander:
         v = is_robust_outexpander(g, Fraction(1, 20), Fraction(1, 5), mode="sampled", trials=50)
         assert v.holds and v.witness is None and v.reason == "no violation in 50 samples"
 
+    def test_sampled_without_qualifying_sizes(self):
+        # tau = 1/2 leaves no size strictly between n/2 and n/2, so nothing
+        # is drawn, as in exact mode, which finds nothing to violate
+        g = directed_cycle(7)
+        v = is_robust_outexpander(g, "1/4", "1/2", mode="sampled", trials=5)
+        assert v.holds and v.witness is None and v.reason == "no qualifying sizes"
+        assert is_robust_outexpander(g, "1/4", "1/2").holds
+
 
 def _pentagon():
     r = circulant_tournament(5, (1, 2))
@@ -128,6 +137,7 @@ class TestShiftedWalk:
         assert w.t == 1 and w.clusters == (0, 1)
         assert w.entries() == (1,) and w.exits(f) == (2,)
         assert w.is_valid(red, f)
+        assert not ShiftedWalk(w.clusters, 2).is_valid(red, f)  # t off the walk
 
     def test_cross_cycle_walk(self):
         red, f = _two_cycle_setup()

@@ -84,3 +84,13 @@ class TestCertificates:
         # int() alone reads 1_1 as 11, +0 as 0 and an Arabic-Indic three as 3
         with pytest.raises(FormatError, match="bad cycle record"):
             hio.parse_cycle(line)
+
+    @pytest.mark.parametrize(
+        "line,match",
+        [("CYCLE 1", "bad cycle record"), ("CYCLE 2 3 0 1 2", "bad cycle record"),
+         ("PATH 1 3 0 1 2", "bad cycle record"), ("CYCLE 1 4 0 1 2", "length mismatch"),
+         ("CYCLE 1 2 0 1 2", "length mismatch")],
+    )
+    def test_malformed_cycle_record(self, line, match):
+        with pytest.raises(FormatError, match=match):
+            hio.parse_cycle(line)

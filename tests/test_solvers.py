@@ -263,10 +263,35 @@ class TestOrientedPatterns:
             assert order is not None
             assert validate_oriented(g, order, pat, False)
 
+    def test_validator_rejects_mutants(self):
+        g = directed_cycle(4)  # 0 -> 1 -> 2 -> 3 -> 0
+        fwd = OrientationPattern.forward(4)
+        assert validate_oriented(g, (0, 1, 2, 3), fwd, True)
+        assert validate_oriented(g, (0, 3, 2, 1), OrientationPattern((-1,) * 4), True)
+        assert not validate_oriented(g, (0, 1, 2, 2), fwd, True)  # vertex set
+        assert not validate_oriented(g, (0, 1, 2), OrientationPattern.forward(2), False)
+        assert not validate_oriented(g, (0, 2, 1, 3), fwd, True)  # no arc 0 -> 2
+        assert not validate_oriented(g, (0, 1, 2, 3), OrientationPattern((1, -1, 1, 1)), True)
+
     def test_forward_equals_hamilton(self):
         g = circulant_tournament(7)
         order = oriented_hamilton(g, OrientationPattern.forward(7))
         assert order is not None
+
+
+class TestDelegation:
+    @pytest.mark.parametrize(
+        "g",
+        [circulant_tournament(9), fig2(7)[0], directed_cycle(5), random_digraph(8, 0.4, seed=2)],
+    )
+    def test_trivial_requests_are_a_hamilton_search(self, g):
+        want = find_hamilton_cycle(g)
+        assert kth_power_hamilton(g, 1) == want
+        assert k_ordered_hamilton(g, []) == want
+
+    def test_one_factor_of_the_empty_digraph(self):
+        f = one_factor(Digraph(0, []))
+        assert f is not None and f.cycles == () and f.is_valid(Digraph(0, []))
 
 
 class TestFactors:
