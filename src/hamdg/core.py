@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import ArcMissing, BadParams, BudgetExceeded, NotAMatching
 
+DEFAULT_BUDGET = 10**8
+
 # in-rows of digraphs with at least this many vertices come from a numpy
 # bit transpose, which costs about 20 µs a call plus up to 1 µs a vertex;
 # the per-arc loop costs about 0.25 µs an arc, so it stays below the gate,
@@ -25,7 +27,6 @@ TRANSPOSE_MIN_N = 32
 # bytes of unpacked bits per transpose block, so the transient memory is
 # one block on top of the O(n^2/8) packed rows
 _TRANSPOSE_BLOCK_BYTES = 8 << 20
-DEFAULT_BUDGET = 10**8
 
 
 class _Refuted(Exception):
@@ -551,12 +552,11 @@ def vertex_connectivity(g: Digraph) -> int:
 def _max_independent_set(n: int, adj: Sequence[int], b: _Budget) -> int:
     """Size of a maximum independent set of the graph with rows ``adj``: a
     maximum clique search on the complement (Tomita & Seki, DMTCS 2003) in
-    bit masks (San Segundo et al., Comput. Oper. Res. 38, 2011) on one
-    stack, one tick of ``b`` per node.  A node covers its candidates
-    greedily by cliques; a set meets a clique at most once, so a vertex in
-    the k-th clique, kept to the candidates covered before it, bounds its
-    branch by size + k.  Pushed in cover order, the highest bound pops
-    first, as in the recursive order."""
+    bit masks (San Segundo et al., Comput. Oper. Res. 38, 2011), one tick
+    of ``b`` per node.  A node covers its candidates greedily by cliques; a
+    set meets a clique at most once, so a vertex in the k-th clique, kept to
+    the candidates covered before it, bounds its branch by size + k, and
+    pushed in cover order the highest bound pops first."""
     best = 0
     stack = [(n, 0, (1 << n) - 1)]
     while stack:

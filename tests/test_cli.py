@@ -128,7 +128,6 @@ class TestCheck:
         code, out, err = run(capsys, "check", "--rule", "dirac", "--input", path)
         assert code == 2 and out == "" and "unknown rule 'dirac'" in err
 
-
     @pytest.mark.parametrize(
         "family,argv,alpha2",
         [("random_regular_graph", ("--n", "60", "--param", "d=4", "--seed", "0"), 24),
@@ -152,6 +151,7 @@ class TestCheck:
         monkeypatch.setattr(core, "DEFAULT_BUDGET", 10)
         code, out, err = run(capsys, "check", "--rule", "jackson_ordaz", "--input", path)
         assert code == 3 and out == "" and "budget" in err
+
 
 class TestSolveCount:
     def test_solve_emits_cycle_record(self, capsys, tmp_path):

@@ -159,7 +159,6 @@ class TestIndependence:
             calls.clear()
             assert independence_numbers(g) == (want, want) and calls == [12]
 
-
     def test_one_budget_bounds_both_searches(self, monkeypatch):
         # the nodes of both searches, counted; that many pass, one fewer
         # refuses, so alpha_0 draws on what alpha_2 left
@@ -180,6 +179,7 @@ class TestIndependence:
         monkeypatch.setattr(core, "DEFAULT_BUDGET", len(ticks) - 1)
         with pytest.raises(BudgetExceeded, match="budget"):
             independence_numbers(g)
+
 
 class TestDominatedPairs:
     def test_transitive(self):
