@@ -20,7 +20,9 @@ from typing import Iterator, Optional
 from . import constructions as cons
 from . import io as hio
 from .conditions import RULE_PARAMS, check
-from .core import CycleFactor, Digraph, HamiltonCycle, Matching, classify, is_strongly_connected
+from .core import (
+    DEFAULT_BUDGET, CycleFactor, Digraph, HamiltonCycle, Matching, classify, is_strongly_connected
+)
 from .decomp import (
     cover_regular_graph,
     cover_tournament,
@@ -38,7 +40,6 @@ from .expander import (
     make_cluster_blowup,
 )
 from .solvers import (
-    DEFAULT_BUDGET,
     OrientationPattern,
     count_hamilton,
     find_cycle_of_length,

@@ -278,8 +278,9 @@ def _jackson(needed):
     """Chvatal-Erdos-type: kappa >= ``needed(alpha_2)``."""
 
     def rule(g: Digraph) -> Outcome:
-        # alpha_2 first: a spent node budget refuses before any kappa work
-        _, alpha2 = independence_numbers(g)
+        # alpha_2 first: a spent node budget refuses before any kappa work;
+        # it is alpha_0 of the 2-cycles, so one search and no alpha_0 of g
+        alpha2, _ = independence_numbers(g.two_cycles())
         kappa = vertex_connectivity(g)
         need = needed(alpha2)
         return kappa >= need, {"kappa": kappa, "alpha2": alpha2, "needed": need}, None

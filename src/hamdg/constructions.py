@@ -255,10 +255,9 @@ def _bipartite_tournament_arcs(
 
 
 def _regular_tournament_arcs(part: Sequence[int]) -> list[tuple[int, int]]:
-    """Circulant regular tournament on the given (odd-sized) vertex list."""
+    """Circulant regular tournament on the given vertex list (odd-sized in
+    every caller: fig3's A and C, fig4's B, C and D)."""
     k = len(part)
-    if k % 2 == 0:
-        raise BadParams("regular tournament part needs odd size")
     return [
         (part[i], part[(i + s) % k])
         for i in range(k)

@@ -84,6 +84,12 @@ class _Budget:
             raise BudgetExceeded("search node budget exhausted")
 
 
+def as_budget(budget: int | _Budget) -> _Budget:
+    """``budget`` itself if it is a ``_Budget``, so that every sub-search of
+    one public call draws on it; else a new budget of that many nodes."""
+    return budget if isinstance(budget, _Budget) else _Budget(budget)
+
+
 def seeded_rng(seed: int) -> np.random.Generator:
     """The Philox generator that every seeded routine draws from.  Philox
     takes no negative seed, so one is a bad parameter."""
@@ -243,6 +249,11 @@ class Digraph:
     def symmetrize(self) -> "Digraph":
         """Underlying graph as a symmetric digraph."""
         rows = tuple(o | i for o, i in zip(self.out, self.inn))
+        return Digraph._from_rows(rows, rows)
+
+    def two_cycles(self) -> "Digraph":
+        """The arcs whose reverse is an arc too, a symmetric digraph."""
+        rows = tuple(o & i for o, i in zip(self.out, self.inn))
         return Digraph._from_rows(rows, rows)
 
     def is_symmetric(self) -> bool:
@@ -581,10 +592,10 @@ def _max_independent_set(n: int, adj: Sequence[int], b: _Budget) -> int:
 
 
 def independence_numbers(g: Digraph) -> tuple[int, int]:
-    """(alpha_0, alpha_2): largest arc-free / 2-cycle-free set, one budget."""
+    """(alpha_0, alpha_2): largest arc-free / 2-cycle-free set, one budget;
+    alpha_2 is alpha_0 of ``g.two_cycles()``, a symmetric digraph."""
     b = _Budget(DEFAULT_BUDGET)
-    two_adj = [g.out[v] & g.inn[v] for v in range(g.n)]
-    alpha2 = _max_independent_set(g.n, two_adj, b)
+    alpha2 = _max_independent_set(g.n, g.two_cycles().out, b)
     if g.is_symmetric():  # every arc is in a 2-cycle: alpha_0 = alpha_2
         return alpha2, alpha2
     any_adj = [g.out[v] | g.inn[v] for v in range(g.n)]

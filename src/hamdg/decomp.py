@@ -16,22 +16,18 @@ from typing import Optional
 
 from .conditions import Verdict
 from .core import (
+    DEFAULT_BUDGET,
     Digraph,
     HamiltonCycle,
     Matching,
+    as_budget,
     bits,
     is_tournament,
     popcount,
     seeded_rng,
 )
 from .errors import BadParams, CoverFailure
-from .solvers import (
-    DEFAULT_BUDGET,
-    _Budget,
-    _enumerate,
-    find_hamilton_cycle,
-    hamilton_cycle_through,
-)
+from .solvers import _enumerate, find_hamilton_cycle, hamilton_cycle_through
 
 
 @dataclass(frozen=True)
@@ -97,7 +93,7 @@ def decompose_exact(
         raise BadParams("arc count not divisible by n; no decomposition possible")
     if any(g.out_deg(v) != r or g.in_deg(v) != r for v in range(n)):
         raise BadParams("decompose_exact requires a regular digraph")
-    b = _Budget(budget)
+    b = as_budget(budget)
 
     def search(rest: Digraph) -> Optional[tuple[HamiltonCycle, ...]]:
         first = rest.out[0] & -rest.out[0]
@@ -120,10 +116,12 @@ def _extract(
 ) -> tuple[list[HamiltonCycle], Digraph]:
     """Repeatedly find and remove a Hamilton cycle until none exists; each
     found cycle removes its arcs, and their reverses too if ``both_ways``.
+    Every search draws on one budget for the whole call.
 
     ``order_seed`` relabels the vertices before each extraction so restarts
     explore different greedy decompositions; output is mapped back."""
     rng = seeded_rng(order_seed) if order_seed is not None else None
+    budget = as_budget(budget)
     rest = g
     cycles: list[HamiltonCycle] = []
     while True:
@@ -131,16 +129,10 @@ def _extract(
             h = find_hamilton_cycle(rest, budget=budget)
         else:
             perm = [int(p) for p in rng.permutation(g.n)]
-            inv = [0] * g.n
-            for i, p in enumerate(perm):
-                inv[p] = i
+            inv = sorted(range(g.n), key=perm.__getitem__)  # inv[perm[i]] = i
             relabeled = Digraph(g.n, [(inv[u], inv[v]) for u, v in rest.arcs()])
             hh = find_hamilton_cycle(relabeled, budget=budget)
-            h = (
-                HamiltonCycle(tuple(perm[v] for v in hh.order)).canonical()
-                if hh
-                else None
-            )
+            h = hh and HamiltonCycle(tuple(perm[v] for v in hh.order)).canonical()
         if h is None:
             return cycles, rest
         cycles.append(h)
@@ -152,7 +144,7 @@ def greedy_extract(
     g: Digraph, *, budget: int = DEFAULT_BUDGET, order_seed: Optional[int] = None
 ) -> tuple[list[HamiltonCycle], Digraph]:
     """Greedy Hamilton cycle extraction (``_extract``); each found cycle
-    removes its arcs."""
+    removes its arcs.  ``budget`` is one budget for the whole call."""
     return _extract(g, budget, order_seed, both_ways=False)
 
 
@@ -272,13 +264,14 @@ def cover_tournament(
 ) -> CoverReport:
     """Cover every arc of a regular tournament with Hamilton cycles: an
     exact decomposition if one exists and n <= ``EXACT_MAX_N``, otherwise
-    the pipeline of ``_cover``."""
+    the pipeline of ``_cover``; both draw on one budget for the whole call."""
     if not is_tournament(g):
         raise BadParams("cover_tournament expects a tournament")
     n = g.n
     r = (n - 1) // 2
     if any(g.out_deg(v) != r for v in range(n)):
         raise BadParams("cover_tournament expects a regular tournament")
+    budget = as_budget(budget)
     if n <= EXACT_MAX_N:
         dec = decompose_exact(g, budget=budget)
         if dec is not None:
@@ -290,7 +283,8 @@ def cover_regular_graph(
     g: Digraph, *, cap: Optional[int] = None, budget: int = DEFAULT_BUDGET
 ) -> CoverReport:
     """Cover every edge of a regular undirected graph (symmetric digraph)
-    with Hamilton cycles, edge reuse allowed (``_cover``)."""
+    with Hamilton cycles, reusing edges, on one budget for the whole call
+    (``_cover``)."""
     if not g.is_symmetric():
         raise BadParams("cover_regular_graph expects a symmetric digraph")
     if len({popcount(row) for row in g.out}) != 1:
@@ -306,7 +300,8 @@ def _cover(
     colour classes into matchings of size at most ``cap`` and finish each
     matching with a Hamilton cycle through it.  A matching with no such
     cycle restarts from a relabelled extraction, ``RESTARTS`` times; then
-    the last ``CoverFailure`` is raised.
+    the last ``CoverFailure`` is raised.  ``budget`` is one budget for the
+    whole call: every extraction, matching and restart draws on it.
 
     Each matching edge is oriented as the host has it, low -> high on a
     symmetric host.  The reverse arcs need not be removed there: contraction
@@ -314,6 +309,7 @@ def _cover(
     if cap is None:
         cap = max(1, math.isqrt(g.n - 1) + 1)  # ceil(sqrt(n)) shape
     extract = greedy_extract_undirected if both_ways else greedy_extract
+    budget = as_budget(budget)
     for attempt in range(RESTARTS + 1):
         extracted, leftover = extract(g, budget=budget, order_seed=attempt or None)
         coloring = vizing_color(leftover.symmetrize())
@@ -337,7 +333,7 @@ def greedy_extract_undirected(
 ) -> tuple[list[HamiltonCycle], Digraph]:
     """Greedy Hamilton cycle extraction on a symmetric digraph
     (``_extract``); each found cycle removes both orientations of its
-    edges."""
+    edges.  ``budget`` is one budget for the whole call."""
     return _extract(g, budget, order_seed, both_ways=True)
 
 

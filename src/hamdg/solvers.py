@@ -8,6 +8,7 @@ certificate found is reproducible.
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -26,6 +27,7 @@ from .core import (
     _Budget,
     _reach,
     _Refuted,
+    as_budget,
     bits,
     contract_matching,
     is_oriented,
@@ -345,7 +347,7 @@ def enumerate_hamilton_cycles(
 ) -> Iterator[HamiltonCycle]:
     """All Hamilton cycles, anchored at vertex 0, lexicographic path order
     (``_hamilton_orders``).  ``budget`` bounds the search nodes."""
-    yield from _enumerate(g, _Budget(budget))
+    yield from _enumerate(g, as_budget(budget))
 
 
 def _enumerate(g: Digraph, b: _Budget) -> Iterator[HamiltonCycle]:
@@ -389,10 +391,12 @@ def find_hamilton_cycle(
 ) -> Optional[HamiltonCycle]:
     """The first cycle of ``enumerate_hamilton_cycles``, or ``None``, with
     its two root refutations.  ``budget`` bounds the search nodes; there
-    is no size cap."""
+    is no size cap.  The search is closed before the cycle is returned,
+    which disarms its checkpoint on ``budget``."""
     if g.n < 2 or not is_strongly_connected(g):
         return None
-    return next(_enumerate(g, _Budget(budget)), None)
+    with closing(_enumerate(g, as_budget(budget))) as cycles:
+        return next(cycles, None)
 
 
 def hamilton_cycle_through(
@@ -597,7 +601,7 @@ def find_cycle_of_length(
     if length < 2 or length > g.n:
         return None
     anchors = (1 << (g.n - length + 1)) - 1
-    found = _cycles(g, length, anchors, (1 << g.n) - 1, _Budget(budget))
+    found = _cycles(g, length, anchors, (1 << g.n) - 1, as_budget(budget))
     return next(found, None)
 
 
@@ -611,10 +615,11 @@ class PancyclicReport:
 
 def is_pancyclic(g: Digraph, *, budget: int = DEFAULT_BUDGET) -> PancyclicReport:
     """Cycle of every length from the class minimum (2 for digraphs, 3 for
-    oriented graphs and tournaments) up to n.  ``budget`` bounds the search
-    nodes of each length."""
+    oriented graphs and tournaments) up to n.  ``budget`` is one budget for
+    the whole call: every length draws on it."""
     lmin = 3 if is_oriented(g) else 2
     found: dict[int, tuple[int, ...]] = {}
+    budget = as_budget(budget)
     for length in range(lmin, g.n + 1):
         cyc = find_cycle_of_length(g, length, budget=budget)
         if cyc is None:
@@ -655,7 +660,7 @@ def kth_power_hamilton(
             for j in range(n - i, k + 1)
         )
 
-    order = next(_sequences(1, n, cand, closes, _Budget(budget)), None)
+    order = next(_sequences(1, n, cand, closes, as_budget(budget)), None)
     return None if order is None else HamiltonCycle(order)
 
 
@@ -697,7 +702,7 @@ def k_ordered_hamilton(
     def closes(path: list[int]) -> int:
         return out[path[-1]] >> seq[0] & 1
 
-    order = next(_sequences(due[0], n, cand, closes, _Budget(budget)), None)
+    order = next(_sequences(due[0], n, cand, closes, as_budget(budget)), None)
     return None if order is None else HamiltonCycle(order)
 
 
@@ -749,7 +754,7 @@ def _pattern_search(
         n,
         lambda seq, used: rows[len(seq) - 1][seq[-1]],
         closes,
-        _Budget(budget),
+        as_budget(budget),
     )
     return next(found, None)
 
@@ -803,7 +808,7 @@ def disjoint_cycle_factor(
         raise BadParams("lengths must sum to n")
     if any(l < lmin for l in lengths):
         raise BadParams(f"cycle lengths must be >= {lmin} for this class")
-    b = _Budget(budget)
+    b = as_budget(budget)
     chosen: list[tuple[int, ...]] = []
 
     def solve(avail: int, remaining: tuple[int, ...]) -> bool:
@@ -861,7 +866,7 @@ def embed_tree(
             k,
             lambda seq, used: rows[len(seq)][seq[up[len(seq)]]],
             lambda seq: True,
-            _Budget(budget),
+            as_budget(budget),
         ),
         None,
     )

@@ -548,6 +548,19 @@ class TestUsage:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and want in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv,want",
+        [
+            (("gen", "--family", "random_digraph", "--n", "4", "--param", "p"), "key=value"),
+            (("gen", "--family", "circulant", "--n", "5", "--parts", "p.txt"), "no part map"),
+            (("experiment", "kelly", "--n", "4"), "odd n"),
+        ],
+    )
+    def test_refused_request_is_usage_error(self, capsys, tmp_path, monkeypatch, argv, want):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and want in err and "Traceback" not in err
+
     def test_negative_exceptional_is_usage_error(self, capsys):
         # an IndexError in the blow-up: exit 4 with a traceback
         code, out, err = run(capsys, "expander", "--pipeline", "--exceptional=-1")

@@ -13,6 +13,7 @@ from hamdg.constructions import (
     generate_extremal,
     random_digraph,
     random_regular_graph,
+    random_tournament,
     transitive_tournament,
 )
 from hamdg.core import Digraph
@@ -178,6 +179,24 @@ class TestConnectivityRules:
         monkeypatch.setattr(conditions, "independence_numbers", never)
         with pytest.raises(BadParams):
             check("jackson", complete_digraph(5))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_jackson_computes_alpha2_alone(self, monkeypatch, seed):
+        # a tournament has no 2-cycle, so alpha_2 = n, and alpha_0 < n goes
+        # unread: one independent-set search per rule
+        calls = []
+        search = core._max_independent_set
+
+        def counted(n, adj, b):
+            calls.append(n)
+            return search(n, adj, b)
+
+        monkeypatch.setattr(core, "_max_independent_set", counted)
+        g = random_tournament(24, seed)
+        for rule in ("jackson_ordaz", "jackson_factorial"):
+            calls.clear()
+            assert check(rule, g).witness["alpha2"] == 24
+            assert calls == [24]
 
     def test_spent_alpha_budget_refused_before_kappa(self, monkeypatch):
         def never(*args, **kwargs):

@@ -7,12 +7,19 @@ from hamdg.constructions import (
     complete_bipartite_digraph,
     complete_digraph,
     complete_graph,
+    directed_cycle,
+    fig1,
+    fig2,
+    fig3_haggkvist,
+    fig4_square,
     generate_extremal,
+    nw_extremal,
     random_digraph,
     random_regular_graph,
     random_regular_tournament,
     random_tournament,
     transitive_tournament,
+    two_regular_tournaments,
 )
 from hamdg.core import (
     classify,
@@ -186,3 +193,26 @@ class TestExtremal:
     def test_family_without_part_map_is_not_extremal(self):
         with pytest.raises(BadParams):
             generate_extremal("circulant", 7)
+
+
+@pytest.mark.parametrize(
+    "make, args, match",
+    [
+        (complete_digraph, (0,), "n >= 1"),
+        (complete_bipartite_digraph, (0, 2), "class sizes"),
+        (directed_cycle, (1,), "n >= 2"),
+        (circulant_tournament, (0,), "n >= 1"),
+        (circulant_tournament, (6, [1, 3]), "n/2 shift"),
+        (random_regular_tournament, (8, 0), "odd n"),
+        (fig1, (1,), "s >= 2"),
+        (fig2, (4,), "n >= 5"),
+        (fig3_haggkvist, (2,), "odd"),
+        (fig4_square, (3,), "even"),
+        (nw_extremal, (6, 3), "0 < k < n/2"),
+        (nw_extremal, (6, 0), "0 < k < n/2"),
+        (two_regular_tournaments, (0,), "d >= 1"),
+    ],
+)
+def test_bad_parameters_refused(make, args, match):
+    with pytest.raises(BadParams, match=match):
+        make(*args)

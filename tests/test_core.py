@@ -73,6 +73,13 @@ class TestDigraph:
         assert s.is_symmetric()
         assert s.arcs() == [(0, 1), (1, 0), (1, 2), (2, 1)]
 
+    def test_two_cycles(self):
+        g = Digraph(4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (3, 0)])
+        t = g.two_cycles()
+        assert t.is_symmetric() and t.arcs() == [(0, 1), (1, 0), (2, 3), (3, 2)]
+        assert t.inn == Digraph(4, t.arcs()).inn
+        assert circulant_tournament(7).two_cycles().m == 0
+
     def test_with_without_arcs(self):
         g = directed_cycle(4)
         g2 = g.with_arcs([(0, 2)]).without_arcs([(0, 1)])
@@ -236,6 +243,19 @@ class TestContraction:
         u, v = data.draw(st.sampled_from(arcs))
         c, _ = contract_matching(g, Matching(((u, v),)))
         assert c.n == g.n - 1
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: vertex_connectivity(Digraph(1)), "n >= 2"),
+        (lambda: blow_up(directed_cycle(3), [1, 1]), "one per vertex"),
+        (lambda: blow_up(directed_cycle(3), [1, 0, 1]), "positive"),
+    ],
+)
+def test_bad_parameters_refused(call, match):
+    with pytest.raises(BadParams, match=match):
+        call()
 
 
 class TestBlowUp:

@@ -182,3 +182,20 @@ class TestValidate:
         host = g.without_arcs([(u, v)] if directed else [(u, v), (v, u)])
         got = validate(dec, host, directed=directed)
         assert got == Verdict("decomposition", False, {"cycle_index": 1}, "invalid Hamilton cycle")
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        # m = n, but vertex 0 has two out-arcs
+        (lambda: decompose_exact(Digraph(3, [(0, 1), (0, 2), (1, 0)])), "regular digraph"),
+        (lambda: vizing_color(circulant_tournament(5)), "symmetric"),
+        (lambda: split_matching(Matching(((0, 1),)), 0), "cap >= 1"),
+        (lambda: cover_tournament(complete_digraph(3)), "expects a tournament"),
+        (lambda: cover_regular_graph(Digraph(3, [(0, 1), (1, 0), (1, 2), (2, 1)])),
+         "regular graph"),
+    ],
+)
+def test_bad_parameters_refused(call, match):
+    with pytest.raises(BadParams, match=match):
+        call()

@@ -40,6 +40,7 @@ from hamdg.constructions import (
 )
 from hamdg.core import (
     CycleFactor,
+    _Budget,
     Digraph,
     HamiltonCycle,
     Matching,
@@ -77,7 +78,6 @@ from hamdg.expander import (
 )
 from hamdg.solvers import (
     OrientationPattern,
-    _Budget,
     _augment,
     _bipartite_matching,
     _enumerate,
@@ -816,15 +816,16 @@ class TestSymmetricHosts:
 @pytest.fixture
 def ticks(monkeypatch):
     """Runs ``find_hamilton_cycle(g)`` and returns its cycle and the search
-    nodes it ticked, root refutations included."""
+    nodes it ticked, root refutations included.  ``core._Budget.tick`` is
+    patched, so every budget counts, wherever it is built."""
     count = [0]
+    tick = _Budget.tick
 
-    class Ticked(_Budget):
-        def tick(self):
-            count[0] += 1
-            super().tick()
+    def counted_tick(self):
+        count[0] += 1
+        tick(self)
 
-    monkeypatch.setattr(solvers, "_Budget", Ticked)
+    monkeypatch.setattr(_Budget, "tick", counted_tick)
 
     def run(g):
         count[0] = 0
@@ -1477,15 +1478,17 @@ def _outcome(call):
 @pytest.fixture
 def counted(monkeypatch):
     """Runs a library search as ``run(fn, *args, budget=B)`` and returns its
-    outcome (result or exception) and the nodes its budgets were charged."""
+    outcome (result or exception) and the nodes its budgets were charged.
+    ``core._Budget.__init__`` is patched, so every budget counts, wherever
+    it is built."""
     made = []
+    init = _Budget.__init__
 
-    class Counted(_Budget):
-        def __init__(self, nodes):
-            super().__init__(nodes)
-            made.append((self, nodes))
+    def counted_init(self, nodes):
+        init(self, nodes)
+        made.append((self, nodes))
 
-    monkeypatch.setattr(solvers, "_Budget", Counted)
+    monkeypatch.setattr(_Budget, "__init__", counted_init)
 
     def run(fn, *args, budget):
         made.clear()

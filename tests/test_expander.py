@@ -22,6 +22,7 @@ from hamdg.errors import (
     MatchingFailure,
 )
 from hamdg.expander import (
+    ClosedWalk,
     OneFactorF,
     ReducedDigraph,
     ShiftedWalk,
@@ -109,6 +110,20 @@ class TestRobustExpander:
         v = is_robust_outexpander(g, "1/4", "1/2", mode="sampled", trials=5)
         assert v.holds and v.witness is None and v.reason == "no qualifying sizes"
         assert is_robust_outexpander(g, "1/4", "1/2").holds
+
+
+    @pytest.mark.parametrize("tau, holds", [("2/9", True), ("1/9", False)])
+    def test_sampled_threshold_is_the_exact_one(self, tau, holds):
+        # on K*9 with nu = 1/4 (nu*n = 9/4, not an integer) a set of 3 or 6
+        # vertices clears the bound by 3/4, and one of 2 or 7 misses it
+        g, nu = complete_digraph(9), Fraction(1, 4)
+        v = is_robust_outexpander(g, nu, tau, mode="sampled", trials=400)
+        assert v.holds == is_robust_outexpander(g, nu, tau).holds == holds
+        if not holds:
+            S, rn = v.witness["S"], v.witness["rn_size"]
+            assert rn == len(robust_out_nbhd(g, set(S), nu))
+            assert Fraction(rn - len(S)) < nu * 9
+            assert v.witness["needed"] == str(len(S) + nu * 9)
 
 
 def _pentagon():
@@ -212,6 +227,29 @@ class TestBlowupParams:
         blowup, _ = make_cluster_blowup(self.RED, pair_density=density)
         # at density 0 every row falls below the degree floor
         assert blowup.host.out == make_cluster_blowup(self.RED)[0].host.out
+
+
+def _bogus_link():
+    red, f = _pentagon()
+    blowup, demands = make_cluster_blowup(red)
+    walk = build_closed_walk(red, f, demands)
+    assemble_hamilton(blowup, red, f, ClosedWalk(walk.sequence, (("bogus", 0, 1),)))
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: is_robust_outexpander(directed_cycle(5), "1/4", "1/5", mode="fast"),
+         "unknown mode"),
+        (lambda: ReducedDigraph(complete_digraph(3), 0), "cluster size"),
+        (lambda: OneFactorF(CycleFactor(((0, 2, 1),)), directed_cycle(3)), "1-factor"),
+        (lambda: build_closed_walk(*_pentagon(), [(0, 5)]), "out of range"),
+        (_bogus_link, "unknown link kind"),
+    ],
+)
+def test_bad_parameters_refused(call, match):
+    with pytest.raises(BadParams, match=match):
+        call()
 
 
 class TestAssembly:

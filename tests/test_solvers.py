@@ -289,6 +289,17 @@ class TestDelegation:
         assert kth_power_hamilton(g, 1) == want
         assert k_ordered_hamilton(g, []) == want
 
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda: kth_power_hamilton(circulant_tournament(5), 0), "k >= 1"),
+            (lambda: OrientationPattern((1, 0, -1)), "signs"),
+        ],
+    )
+    def test_bad_parameters_refused(self, call, match):
+        with pytest.raises(BadParams, match=match):
+            call()
+
     def test_one_factor_of_the_empty_digraph(self):
         f = one_factor(Digraph(0, []))
         assert f is not None and f.cycles == () and f.is_valid(Digraph(0, []))
