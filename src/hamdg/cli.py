@@ -143,6 +143,8 @@ def _build_family(family: str, n: Optional[int], seed: int, params: dict):
 
 def cmd_gen(args) -> int:
     g, parts = _build_family(args.family, args.n, args.seed, _parse_params(args.param))
+    if args.parts and parts is None:  # refused before anything is written
+        raise HamdgError(f"family {args.family!r} has no part map")
     text = hio.serialize(g, as_graph=args.graph)
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
@@ -150,8 +152,6 @@ def cmd_gen(args) -> int:
     else:
         sys.stdout.write(text)
     if args.parts:
-        if parts is None:
-            raise HamdgError(f"family {args.family!r} has no part map")
         with open(args.parts, "w", encoding="ascii") as fh:
             fh.write(hio.serialize_parts(parts))
     return EXIT_OK
@@ -248,10 +248,9 @@ def cmd_decompose(args) -> int:
 
 def cmd_cover(args) -> int:
     g = _load(args.input)
-    if args.graph:
-        rep = cover_regular_graph(g, cap=args.cap)
-    else:
-        rep = cover_tournament(g, cap=args.cap)
+    budget = _value("--budget", args.budget, _nodes, "a node count >= 0")
+    cover = cover_regular_graph if args.graph else cover_tournament
+    rep = cover(g, cap=args.cap, budget=budget)
     for cyc in rep.cover.cycles:
         print(hio.serialize_cycle(cyc))
     bench = " ".join(f"{k}={v}" for k, v in sorted(rep.benchmark.items()))
@@ -491,6 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--graph", action="store_true", help="undirected host")
     p.add_argument("--cap", type=int)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(fn=cmd_cover)
 
     p = sub.add_parser("expander", help="robust outexpansion / blow-up pipeline")

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, factorial
+from operator import add
 from typing import Any, Optional
 
 from .core import (
@@ -81,13 +82,12 @@ def _degree_below(degs, top: int) -> list[int]:
 def _out_in_pair(g: Digraph, need: int, **label) -> Optional[dict[str, Any]]:
     """Pair and sum of the first (x, y), x != y, with no arc x->y and
     out(x) + in(y) < need, then ``label``: one bit-row scan per x."""
-    outd = list(map(int.bit_count, g.out))
-    in_below = _degree_below(map(int.bit_count, g.inn), g.n)
-    for x, d in enumerate(outd):
+    in_below = _degree_below(g.in_degrees, g.n)
+    for x, d in enumerate(g.out_degrees):
         c = in_below[max(0, min(need - d, g.n))] & ~g.out[x] & ~(1 << x)
         if c:
             y = (c & -c).bit_length() - 1
-            return {"pair": (x, y), "sum": d + g.in_deg(y), **label}
+            return {"pair": (x, y), "sum": d + g.in_degrees[y], **label}
     return None
 
 
@@ -95,7 +95,7 @@ def _nonadjacent_pair(g: Digraph, dominated: bool) -> Optional[dict[str, Any]]:
     """Pair, sum and bound of the first non-adjacent x < y (with a common
     in-neighbour, if ``dominated``) whose total degrees sum below 2n - 1."""
     n = g.n
-    tot = [a.bit_count() + b.bit_count() for a, b in zip(g.out, g.inn)]
+    tot = list(map(add, g.out_degrees, g.in_degrees))
     tot_below = _degree_below(tot, 2 * n - 1)
     for x in range(n):
         c = tot_below[2 * n - 1 - tot[x]] & ~(g.out[x] | g.inn[x]) & (-2 << x)
@@ -116,7 +116,7 @@ def _ghouila_houri(g: Digraph) -> Outcome:
     dplus, dminus, _ = semidegrees(g)
     if dplus + dminus >= g.n:
         return _HOLDS
-    tot = [a.bit_count() + b.bit_count() for a, b in zip(g.out, g.inn)]
+    tot = list(map(add, g.out_degrees, g.in_degrees))
     return False, {"vertex": tot.index(min(tot)), "sum": dplus + dminus, "needed": g.n}, None
 
 
@@ -146,7 +146,7 @@ def _ore_oriented(g: Digraph, alpha=0) -> Outcome:
 def _haggkvist_star(g: Digraph) -> Outcome:
     _require_oriented(g, "haggkvist_star")
     n = g.n
-    delta = min(map(g.total_deg, range(n)), default=0)
+    delta = min(map(add, g.out_degrees, g.in_degrees), default=0)
     dplus, dminus, _ = semidegrees(g)
     star = delta + dplus + dminus
     # delta* > (3n-3)/2  <=>  2*delta* > 3n-3
@@ -162,7 +162,7 @@ def _oriented_semidegree(g: Digraph) -> Outcome:
     # delta0 >= (3n-4)/8  <=>  8*delta0 >= 3n-4
     if 8 * d0 >= 3 * n - 4:
         return _HOLDS
-    v = [min(a.bit_count(), b.bit_count()) for a, b in zip(g.out, g.inn)].index(d0)
+    v = list(map(min, g.out_degrees, g.in_degrees)).index(d0)
     threshold = f"(3n-4)/8 = {Fraction(3*n-4,8)}"
     return False, {"vertex": v, "semidegree": d0, "threshold": threshold}, None
 

@@ -3,8 +3,9 @@
 Vertices are dense 0-indexed integers.  Adjacency is stored as per-vertex
 bit rows (Python ints used as bit vectors), which keeps membership tests,
 neighbourhood intersections and subset scans cheap.  A digraph never
-changes after construction; its in-rows are derived on their first read
-and cached.  Operations are pure functions.
+changes after construction; its in-rows, its out- and in-degrees and
+whether it is oriented are derived on their first read and cached.
+Operations are pure functions.
 """
 
 from __future__ import annotations
@@ -123,12 +124,15 @@ def int_rows(packed: np.ndarray) -> list[int]:
 class Digraph:
     """A loopless digraph; 2-cycles allowed (opposite arcs between a pair).
 
-    ``inn`` stays unset until its first read derives it from ``out`` into
-    the slot, so a digraph whose in-rows nothing reads pays no transpose.
-    ``_strong`` memoises ``is_strongly_connected``: ``None`` until its first
-    call on this digraph."""
+    ``inn``, the degree tuples ``out_degrees`` and ``in_degrees`` and the
+    flag ``oriented`` (no 2-cycle) stay unset until their first read
+    derives them into the slot (``_DERIVED``), so a digraph whose in-rows
+    nothing reads pays no transpose, and the rules of one decision count
+    its degrees once.  A derived digraph is a new object and derives its
+    own.  ``_strong`` memoises ``is_strongly_connected``: ``None`` until
+    its first call on this digraph."""
 
-    __slots__ = ("n", "out", "inn", "_strong")
+    __slots__ = ("n", "out", "inn", "out_degrees", "in_degrees", "oriented", "_strong")
 
     def __init__(self, n: int, arcs: Sequence[tuple[int, int]] = ()):
         out = [0] * n
@@ -141,11 +145,14 @@ class Digraph:
         self.n, self.out, self._strong = n, tuple(out), None
 
     def __getattr__(self, name: str):
-        # only an unset slot gets here: ``inn`` before its first read
-        if name != "inn":
-            raise AttributeError(name)
-        self.inn = self._derive_in(self.n, self.out)
-        return self.inn
+        # only an unset slot gets here: a derived fact before its first read
+        try:
+            derive = _DERIVED[name]
+        except KeyError:
+            raise AttributeError(name) from None
+        value = derive(self)
+        setattr(self, name, value)
+        return value
 
     @staticmethod
     def _derive_in(n: int, out: Sequence[int]) -> tuple[int, ...]:
@@ -200,7 +207,7 @@ class Digraph:
 
     @property
     def m(self) -> int:
-        return sum(popcount(row) for row in self.out)
+        return sum(self.out_degrees)
 
     def has_arc(self, u: int, v: int) -> bool:
         return bool(self.out[u] >> v & 1)
@@ -210,10 +217,10 @@ class Digraph:
         return [(u, v) for u in range(self.n) for v in bits(self.out[u])]
 
     def out_deg(self, v: int) -> int:
-        return popcount(self.out[v])
+        return self.out_degrees[v]
 
     def in_deg(self, v: int) -> int:
-        return popcount(self.inn[v])
+        return self.in_degrees[v]
 
     def total_deg(self, v: int) -> int:
         return self.out_deg(v) + self.in_deg(v)
@@ -276,6 +283,15 @@ class Digraph:
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, m={self.m})"
+
+
+# the slots of ``Digraph`` derived on their first read, and how
+_DERIVED: dict[str, Callable[[Digraph], object]] = {
+    "inn": lambda g: Digraph._derive_in(g.n, g.out),
+    "out_degrees": lambda g: tuple(map(int.bit_count, g.out)),
+    "in_degrees": lambda g: tuple(map(int.bit_count, g.inn)),
+    "oriented": lambda g: not any(o & i for o, i in zip(g.out, g.inn)),
+}
 
 
 # --- certificate objects -------------------------------------------------
@@ -369,8 +385,8 @@ class CycleFactor:
 
 def semidegrees(g: Digraph) -> tuple[int, int, int]:
     """(min outdegree, min indegree, min semidegree)."""
-    dplus = min(map(int.bit_count, g.out), default=0)
-    dminus = min(map(int.bit_count, g.inn), default=0)
+    dplus = min(g.out_degrees, default=0)
+    dminus = min(g.in_degrees, default=0)
     return dplus, dminus, min(dplus, dminus)
 
 
@@ -383,8 +399,7 @@ class DegreeSequencePair:
 def degree_sequences(g: Digraph) -> DegreeSequencePair:
     """Out- and in-degree sequences, each sorted ascending (decoupled)."""
     return DegreeSequencePair(
-        tuple(sorted(map(int.bit_count, g.out))),
-        tuple(sorted(map(int.bit_count, g.inn))),
+        tuple(sorted(g.out_degrees)), tuple(sorted(g.in_degrees))
     )
 
 
@@ -396,7 +411,7 @@ def classify(g: Digraph) -> str:
 
 
 def is_oriented(g: Digraph) -> bool:
-    return not any(g.out[v] & g.inn[v] for v in range(g.n))
+    return g.oriented
 
 
 def is_tournament(g: Digraph) -> bool:
@@ -422,6 +437,28 @@ def _reach(adj: Sequence[int], start_mask: int, within: int = -1) -> int:
     return seen
 
 
+def _reaches_all(adj: Sequence[int], start_mask: int, within: int) -> bool:
+    """Whether ``_reach(adj, start_mask, within)`` covers ``within``.  The
+    same breadth-first search, but it keeps only the vertices still
+    ``missing`` and stops at the first row that reaches the last of them,
+    so a dense digraph answers within a layer or two."""
+    missing = within & ~start_mask
+    frontier = start_mask
+    while missing:
+        new = 0
+        while frontier:
+            low = frontier & -frontier
+            new |= adj[low.bit_length() - 1]
+            if new & missing == missing:
+                return True
+            frontier ^= low
+        frontier = new & missing
+        if not frontier:
+            return False
+        missing ^= frontier
+    return True
+
+
 def is_strongly_connected(g: Digraph) -> bool:
     """One forward and one backward search from vertex 0, run on the first
     call only: the answer is kept on ``g``, which never changes, so the
@@ -430,7 +467,7 @@ def is_strongly_connected(g: Digraph) -> bool:
         if g.n == 0:
             raise BadParams("empty digraph")
         full = (1 << g.n) - 1
-        g._strong = _reach(g.out, 1) == full and _reach(g.inn, 1) == full
+        g._strong = _reaches_all(g.out, 1, full) and _reaches_all(g.inn, 1, full)
     return g._strong
 
 
@@ -540,19 +577,27 @@ def vertex_connectivity(g: Digraph) -> int:
     strongly connected.  Take u, w in G - X with w not reached from u
     there, A the vertices that u reaches in G - X and B the rest of G - X.
     No arc runs from A to B, so a shortest A -> B path in G - (X - 0) is
-    a -> 0 -> b, and (a, b) is a pair that X separates."""
+    a -> 0 -> b, and (a, b) is a pair that X separates.
+    On a symmetric digraph the s,t flow equals the t,s flow, each path
+    reversed, so the (w, 0) flows repeat the (0, w) ones and (a, b) runs
+    for a < b only: the least flow is the same."""
     n = g.n
     if n < 2:
         raise BadParams("need n >= 2")
     out, inn = g.out, g.inn
-    best = min(n - 1, min(map(popcount, out)), min(map(popcount, inn)))
+    symmetric = out == inn
+    best = min(n - 1, min(g.out_degrees), min(g.in_degrees))
     others = (1 << n) - 2
     for w in bits(others & ~out[0]):
         best = _vertex_disjoint_paths(g, 0, w, best)
-    for w in bits(others & ~inn[0]):
-        best = _vertex_disjoint_paths(g, w, 0, best)
+    if not symmetric:
+        for w in bits(others & ~inn[0]):
+            best = _vertex_disjoint_paths(g, w, 0, best)
     for a in bits(inn[0]):
-        for b in bits(out[0] & ~out[a] & ~(1 << a)):
+        heads = out[0] & ~out[a] & ~(1 << a)
+        if symmetric:
+            heads &= -2 << a  # b > a
+        for b in bits(heads):
             best = _vertex_disjoint_paths(g, a, b, best)
     return best
 

@@ -26,6 +26,7 @@ from .core import (
     Matching,
     _Budget,
     _reach,
+    _reaches_all,
     _Refuted,
     as_budget,
     bits,
@@ -177,12 +178,12 @@ def _hamilton_orders(
     out = g.out
     full = (1 << n) - 1
     b.tick()
-    if _reach(out, 1) != full:
+    if not _reaches_all(out, 1, full):
         return
     graph = n > 2 and out == g.inn
     two = 0
     if graph:
-        degrees = [popcount(row) for row in out]
+        degrees = g.out_degrees
         if min(degrees) < 2:
             return
         two = sum(1 << u for u in range(1, n) if degrees[u] == 2)
@@ -244,7 +245,7 @@ def _hamilton_orders(
             free ^= 1 << r
         if match_l[0] < 0 and _augment(match_l, match_r, 0, rows, done, free) < 0:
             continue
-        if _reach(out, low, un) & un != un:
+        if not _reaches_all(out, low, un):
             continue
         path.append(v)
         visited |= low
@@ -846,7 +847,7 @@ def embed_tree(
     if k > host.n:
         return None
     und = [tree.out[v] | tree.inn[v] for v in range(k)]
-    if tree.m != k - 1 or _reach(und, 1) != (1 << k) - 1:
+    if tree.m != k - 1 or not _reaches_all(und, 1, (1 << k) - 1):
         raise BadParams("tree argument is not an oriented tree")
     # BFS order from vertex 0; per position, the position of the parent
     # (the one earlier neighbour, since the underlying graph is a tree) and

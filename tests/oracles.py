@@ -5,7 +5,8 @@ the expander pipeline (the blow-up, and the assembly with per-cluster
 vertex sets), the recursive Hamilton search, the iterative search kernel
 before its lookahead matching repair and degree-2 forcing, the
 Hamilton counting DP (the dict DP, and the numpy DP with a rank table and
-a per-vertex scatter), max-flow connectivity, the recursive independence
+a per-vertex scatter), max-flow connectivity (and vertex 0's pair scan before it skipped the
+mirrored flows of symmetric digraphs), the recursive independence
 search with its greedy start, the exact robust-expansion scan, the
 exact-cover decomposition search over every Hamilton cycle, the six
 recursive sequence searches (fixed-length cycles, cycle powers, k-ordered
@@ -18,7 +19,7 @@ the arc-list builds of the dense constructions, the seeded random
 generators with one numpy call per step, the pair-at-a-time degree rules
 (Woodall, Meyniel, Bang-Jensen-Gutin-Li, the oriented Ore bound) with the
 set-of-tuples dominated pairs, the ``Fraction`` CKKO rule, the
-per-vertex degree helpers, the arc-tuple parser and the class test.  The
+per-vertex degree helpers that count every row afresh, the arc-tuple parser and the class test.  The
 library's fast paths must return exactly what these return: the same
 matching, the same host digraph, the same cycle order, the same counts, the
 same verdict and witness, the same cover or the same failing matching, the
@@ -54,6 +55,7 @@ from hamdg.core import (
     HamiltonCycle,
     Matching,
     _reach,
+    _vertex_disjoint_paths,
     bits,
     is_oriented,
     is_strongly_connected,
@@ -696,6 +698,23 @@ def vertex_connectivity(g: Digraph) -> int:
         for t in range(g.n):
             if s != t and not g.has_arc(s, t):
                 best = min(best, max_vertex_disjoint_paths(g, s, t))
+    return best
+
+
+def vertex_connectivity_two_way(g: Digraph) -> int:
+    """Vertex 0's pair scan with every flow run on symmetric digraphs too:
+    (0, w), (w, 0) and each ordered (a, b)."""
+    n = g.n
+    out, inn = g.out, g.inn
+    best = min(n - 1, min(map(popcount, out)), min(map(popcount, inn)))
+    others = (1 << n) - 2
+    for w in bits(others & ~out[0]):
+        best = _vertex_disjoint_paths(g, 0, w, best)
+    for w in bits(others & ~inn[0]):
+        best = _vertex_disjoint_paths(g, w, 0, best)
+    for a in bits(inn[0]):
+        for b in bits(out[0] & ~out[a] & ~(1 << a)):
+            best = _vertex_disjoint_paths(g, a, b, best)
     return best
 
 
@@ -1477,15 +1496,15 @@ def random_regular_graph(n: int, d: int, seed: int) -> Digraph:
 
 
 def semidegrees(g: Digraph) -> tuple[int, int, int]:
-    dplus = min((g.out_deg(v) for v in range(g.n)), default=0)
-    dminus = min((g.in_deg(v) for v in range(g.n)), default=0)
+    dplus = min((popcount(g.out[v]) for v in range(g.n)), default=0)
+    dminus = min((popcount(g.inn[v]) for v in range(g.n)), default=0)
     return dplus, dminus, min(dplus, dminus)
 
 
 def degree_sequences(g: Digraph) -> DegreeSequencePair:
     return DegreeSequencePair(
-        tuple(sorted(g.out_deg(v) for v in range(g.n))),
-        tuple(sorted(g.in_deg(v) for v in range(g.n))),
+        tuple(sorted(popcount(g.out[v]) for v in range(g.n))),
+        tuple(sorted(popcount(g.inn[v]) for v in range(g.n))),
     )
 
 

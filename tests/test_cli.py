@@ -46,6 +46,21 @@ class TestGen:
         assert code == 0
         assert open(parts).read().startswith("PARTS 1\n")
 
+    def test_parts_refused_before_any_output(self, capsys, tmp_path):
+        # the digraph went to stdout or --output before the refusal
+        parts = tmp_path / "p.txt"
+        code, out, err = run(
+            capsys, "gen", "--family", "circulant", "--n", "5", "--parts", str(parts)
+        )
+        assert code == 2 and out == "" and "no part map" in err
+        output = tmp_path / "g.dg"
+        code, out, err = run(
+            capsys, "gen", "--family", "circulant", "--n", "5",
+            "--output", str(output), "--parts", str(parts),
+        )
+        assert code == 2 and out == "" and "no part map" in err
+        assert not output.exists() and not parts.exists()
+
     def test_unknown_family_is_usage_error(self, capsys):
         code, _, err = run(capsys, "gen", "--family", "moebius", "--n", "5")
         assert code == 2 and "error" in err
@@ -274,6 +289,20 @@ class TestDecomposeCover:
         path = str(tmp_path / "c13.dg")
         run(capsys, "gen", "--family", "circulant", "--n", "13", "--output", path)
         code, out, err = run(capsys, "decompose", "--input", path, "--budget", "5")
+        assert code == 3 and out == "" and "budget exhausted" in err
+
+    @pytest.mark.parametrize(
+        "gen,cmd",
+        [
+            (("--family", "circulant", "--n", "11"), ("cover",)),
+            (("--family", "random_regular_graph", "--n", "12", "--param", "d=4",
+              "--graph"), ("cover", "--graph")),
+        ],
+    )
+    def test_cover_budget_exit_3(self, capsys, tmp_path, gen, cmd):
+        path = str(tmp_path / "g.dg")
+        run(capsys, "gen", *gen, "--output", path)
+        code, out, err = run(capsys, *cmd, "--input", path, "--budget", "5")
         assert code == 3 and out == "" and "budget exhausted" in err
 
     def test_cover_failure_exit_3(self, capsys, tmp_path, monkeypatch):
@@ -508,6 +537,7 @@ class TestUsage:
             (("solve", "--budget", "-3"), "--budget"),
             (("decompose", "--budget", "-3"), "--budget"),
             (("expander", "--mode", "sampled", "--trials", "-5"), "trials"),
+            (("cover", "--budget", "-3"), "--budget"),
         ],
     )
     def test_out_of_domain_value_is_usage_error(self, capsys, tmp_path, argv, want):

@@ -239,13 +239,13 @@ class TestStrongConnectivityOnce:
         # the 14 rules of a decision and the search share one forward and
         # one backward search from vertex 0
         calls = []
-        reach = core._reach
+        reaches_all = core._reaches_all
 
-        def counted(adj, start_mask, within=-1):
+        def counted(adj, start_mask, within):
             calls.append(adj)
-            return reach(adj, start_mask, within)
+            return reaches_all(adj, start_mask, within)
 
-        monkeypatch.setattr(core, "_reach", counted)
+        monkeypatch.setattr(core, "_reaches_all", counted)
         strong = 0
         for rule in conditions.DEGREE_RULES + conditions.SEQUENCE_RULES:
             try:

@@ -1,10 +1,13 @@
 """Core representation, degrees, connectivity, contraction, blow-up."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hamdg import core
+from hamdg import io as hio
 from hamdg.constructions import (
     circulant_tournament,
     complete_digraph,
@@ -12,6 +15,7 @@ from hamdg.constructions import (
     directed_cycle,
     random_digraph,
     random_regular_graph,
+    random_tournament,
     transitive_tournament,
 )
 from hamdg.core import (
@@ -19,6 +23,8 @@ from hamdg.core import (
     Digraph,
     HamiltonCycle,
     Matching,
+    _reach,
+    _reaches_all,
     bits,
     blow_up,
     classify,
@@ -29,11 +35,12 @@ from hamdg.core import (
     is_oriented,
     is_strongly_connected,
     is_tournament,
+    popcount,
     semidegrees,
     vertex_connectivity,
 )
 from hamdg.errors import ArcMissing, BadParams, BudgetExceeded, NotAMatching
-from oracles import vertex_connectivity_brute
+from oracles import derive_in, vertex_connectivity_brute
 
 
 def digraphs(max_n=8):
@@ -89,6 +96,71 @@ class TestDigraph:
         assert complete_graph(3).undirected_edges() == [(0, 1), (0, 2), (1, 2)]
 
 
+def _fresh_facts(g: Digraph) -> tuple:
+    """The degree facts of ``g`` counted from its out-rows alone."""
+    inn = derive_in(g.n, g.out)
+    oriented = not any(o & i for o, i in zip(g.out, inn))
+    return tuple(map(popcount, g.out)), tuple(map(popcount, inn)), oriented
+
+
+def _cached_facts(g: Digraph) -> tuple:
+    return g.out_degrees, g.in_degrees, g.oriented
+
+
+class TestDerivedFacts:
+    def _hosts(self):
+        rng = random.Random(29)
+        for i in range(40):
+            n = rng.choice((2, 3, 5, 8, 12, 40))  # n = 40 transposes in numpy
+            kind = i % 3
+            if kind == 0:
+                yield rng, random_digraph(n, rng.choice((0.2, 0.5, 0.8)), seed=i)
+            elif kind == 1:
+                yield rng, random_tournament(n, i)
+            else:
+                yield rng, directed_cycle(n).with_arcs([(0, n - 1)] if n > 2 else [])
+
+    def _derived(self, rng, g):
+        arcs = g.arcs()
+        yield "parse", hio.parse(hio.serialize(g))
+        new = [(u, v) for u in range(g.n) for v in range(g.n) if u != v]
+        yield "with_arcs", g.with_arcs(rng.sample(new, min(3, len(new))))
+        yield "without_arcs", g.without_arcs(rng.sample(arcs, len(arcs) // 2))
+        yield "reverse", g.reverse()
+        yield "symmetrize", g.symmetrize()
+        yield "two_cycles", g.two_cycles()
+        matched, matching = 0, []
+        for u, v in rng.sample(arcs, len(arcs)):
+            if not matched >> u & 1 and not matched >> v & 1:
+                matched |= 1 << u | 1 << v
+                matching.append((u, v))
+        yield "contract_matching", contract_matching(g, Matching(tuple(matching)))[0]
+
+    def test_no_derived_digraph_sees_a_stale_fact(self):
+        # the host's facts are cached first, so a derived digraph that
+        # copied one would differ from its own fresh count
+        changed = set()
+        for rng, g in self._hosts():
+            assert _cached_facts(g) == _fresh_facts(g)
+            for kind, d in self._derived(rng, g):
+                assert _cached_facts(d) == _fresh_facts(d), kind
+                if d.n == g.n and _cached_facts(d) != _cached_facts(g):
+                    changed.add(kind)
+                if d.oriented != g.oriented:
+                    changed.add(kind + " oriented")
+        assert changed >= {"with_arcs", "without_arcs", "reverse", "symmetrize",
+                           "two_cycles", "with_arcs oriented", "symmetrize oriented"}
+
+    def test_degree_queries_read_the_facts(self):
+        g = random_digraph(9, 0.4, seed=3)
+        fresh_out, fresh_in, oriented = _fresh_facts(g)
+        assert g.m == sum(fresh_out)
+        assert [g.out_deg(v) for v in range(9)] == list(fresh_out)
+        assert [g.in_deg(v) for v in range(9)] == list(fresh_in)
+        assert is_oriented(g) == oriented
+        assert degree_sequences(g).in_seq == tuple(sorted(fresh_in))
+
+
 class TestDegreesAndClass:
     def test_semidegrees_circulant(self):
         assert semidegrees(circulant_tournament(7)) == (3, 3, 3)
@@ -124,6 +196,51 @@ class TestConnectivity:
         for seed in range(8):
             g = random_digraph(8, 0.45, seed=seed)
             assert vertex_connectivity(g) == vertex_connectivity_brute(g)
+
+    def test_reaches_all_equals_reach(self):
+        rng = random.Random(29)
+        answers = set()
+        for i in range(300):
+            n = rng.randint(1, 14)
+            g = random_digraph(n, rng.choice((0.05, 0.1, 0.2, 0.4, 0.7)), seed=i)
+            if i % 2:
+                g = g.symmetrize()
+            for adj in (g.out, g.inn):
+                start = rng.getrandbits(n) & rng.getrandbits(n) & rng.getrandbits(n)
+                within = rng.getrandbits(n) | rng.choice((0, (1 << n) - 1))
+                want = _reach(adj, start, within) & within == within
+                assert _reaches_all(adj, start, within) == want
+                answers.add(want)
+        assert answers == {True, False}
+
+    @pytest.mark.parametrize(
+        "start, within, want",
+        [
+            (0b0111, 0b0101, True),  # within lies inside start
+            (0b1000, 0b0101, False),  # no arc leaves 3: no shortcut either
+            (0b0001, 0, True),  # nothing to reach
+            (0, 0, True),
+            (0, 0b0001, False),  # nothing to search from
+            (0b0001, 0b1111, True),
+            (0b0001, 0b1011, False),  # 3 is reached only through 2
+            (0b0001, 0b0111, True),
+        ],
+    )
+    def test_reaches_all_edge_cases(self, start, within, want):
+        adj = directed_cycle(4).without_arcs([(3, 0)]).out  # the path 0-1-2-3
+        assert _reaches_all(adj, start, within) is want
+        assert (_reach(adj, start, within) & within == within) is want
+
+    def test_symmetric_kappa_matches_brute_force(self):
+        rng = random.Random(29)
+        values = set()
+        for i in range(60):
+            n = rng.randint(2, 10)
+            g = random_digraph(n, rng.choice((0.2, 0.35, 0.5, 0.7)), seed=i).symmetrize()
+            want = vertex_connectivity_brute(g)
+            assert vertex_connectivity(g) == want
+            values.add(want)
+        assert len(values) >= 4
 
 
 class TestIndependence:

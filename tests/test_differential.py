@@ -1333,6 +1333,14 @@ class TestVertexConnectivity:
             values.add(want)
         assert len(values) >= 4
 
+    @pytest.mark.parametrize("n", [16, 18, 20, 22, 24])
+    def test_symmetric_scan_equals_two_way_scan(self, n):
+        # the rrg(n, 4) inputs of the benchmark's connectivity ops: seeds
+        # 0..15, the recorded pool
+        for seed in range(16):
+            g = random_regular_graph(n, 4, seed)
+            assert vertex_connectivity(g) == oracles.vertex_connectivity_two_way(g)
+
     @pytest.mark.parametrize("n", [11, 14, 17, 20, 24])
     def test_equal_on_tournaments_and_regular_graphs(self, n):
         for seed in range(3):
