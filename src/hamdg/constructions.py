@@ -179,6 +179,8 @@ def random_digraph(n: int, arc_prob: float, seed: int) -> Digraph:
     """Each ordered pair gets an arc independently with probability arc_prob."""
     if n < 0:
         raise BadParams(f"need n >= 0, got n={n}")
+    if not 0 <= arc_prob <= 1:  # NaN too
+        raise BadParams(f"need 0 <= arc_prob <= 1, got {arc_prob}")
     rng = seeded_rng(seed)
     keep = rng.random((n, n)) < arc_prob
     np.fill_diagonal(keep, False)

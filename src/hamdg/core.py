@@ -30,57 +30,20 @@ TRANSPOSE_MIN_N = 32
 _TRANSPOSE_BLOCK_BYTES = 8 << 20
 
 
-class _Refuted(Exception):
-    """A root refutation proved that the digraph has no Hamilton cycle."""
-
-
 class _Budget:
-    """The search nodes left; ``tick`` is called once per node.
+    """The search nodes left; ``tick`` is called once per node and raises
+    ``BudgetExceeded`` on the first node past the budget.  It holds no
+    other state, so searches sharing it see only each other's nodes."""
 
-    ``arm(nodes, refutes)`` adds a one-shot checkpoint: once the search has
-    expanded ``nodes`` more nodes and asks for another, ``refutes()`` runs,
-    and if it returns true the tick raises ``_Refuted``.  The nodes past the
-    checkpoint are held back until then, so ``tick`` stays one decrement
-    and one compare, the total stays the budget, and the checkpoint's own
-    work is not counted as nodes.  They come back before ``refutes()`` runs,
-    so after a refutation the budget less ``left`` is the nodes expanded.
-
-    ``decompose_exact``'s nested searches share one budget and each arm n^2
-    nodes on one n: under a pending checkpoint ``left <= n^2``, so an inner
-    ``arm`` is a no-op and no held node is lost.  A suspended search has
-    yielded a Hamilton cycle, so its checkpoint cannot refute; ``disarm``
-    drops whatever is pending when a search ends, so that a finished
-    digraph refutes no other."""
-
-    __slots__ = ("left", "held", "refutes")
+    __slots__ = ("left",)
 
     def __init__(self, nodes: int):
         if nodes < 0:
             raise BadParams(f"budget must be at least 0, got {nodes}")
         self.left = nodes
-        self.held = 0
-        self.refutes: Optional[Callable[[], bool]] = None
-
-    def arm(self, nodes: int, refutes: Callable[[], bool]) -> None:
-        if self.left > nodes:  # else the budget runs out first
-            self.held, self.left, self.refutes = self.left - nodes, nodes, refutes
-
-    def disarm(self) -> None:
-        self.left += self.held
-        self.held, self.refutes = 0, None
 
     def tick(self) -> None:
         self.left -= 1
-        if self.left < 0:
-            self._overrun()
-
-    def _overrun(self) -> None:
-        refutes, self.refutes = self.refutes, None
-        if refutes is not None:
-            self.left += self.held
-            self.held = 0
-            if refutes():
-                raise _Refuted
         if self.left < 0:
             raise BudgetExceeded("search node budget exhausted")
 

@@ -271,7 +271,7 @@ def cover_tournament(
     r = (n - 1) // 2
     if any(g.out_deg(v) != r for v in range(n)):
         raise BadParams("cover_tournament expects a regular tournament")
-    budget = as_budget(budget)
+    cap, budget = _cap(cap, n), as_budget(budget)
     if n <= EXACT_MAX_N:
         dec = decompose_exact(g, budget=budget)
         if dec is not None:
@@ -289,12 +289,17 @@ def cover_regular_graph(
         raise BadParams("cover_regular_graph expects a symmetric digraph")
     if len({popcount(row) for row in g.out}) != 1:
         raise BadParams("cover_regular_graph expects a regular graph")
-    return _cover(g, cap, budget, both_ways=True)
+    return _cover(g, _cap(cap, g.n), budget, both_ways=True)
 
 
-def _cover(
-    g: Digraph, cap: Optional[int], budget: int, *, both_ways: bool
-) -> CoverReport:
+def _cap(cap: Optional[int], n: int) -> int:
+    """The cover pipelines' matching size cap: ``cap``, or ceil(sqrt(n))."""
+    if cap is not None and cap < 1:
+        raise BadParams(f"need cap >= 1, got cap={cap}")
+    return math.isqrt(max(n - 1, 0)) + 1 if cap is None else cap
+
+
+def _cover(g: Digraph, cap: int, budget: int, *, both_ways: bool) -> CoverReport:
     """Extract Hamilton cycles greedily (removing reverses too if
     ``both_ways``), Vizing-colour the leftover's underlying graph, split the
     colour classes into matchings of size at most ``cap`` and finish each
@@ -306,8 +311,6 @@ def _cover(
     Each matching edge is oriented as the host has it, low -> high on a
     symmetric host.  The reverse arcs need not be removed there: contraction
     maps the reverse of a matching arc to a self-loop, which it drops."""
-    if cap is None:
-        cap = max(1, math.isqrt(g.n - 1) + 1)  # ceil(sqrt(n)) shape
     extract = greedy_extract_undirected if both_ways else greedy_extract
     budget = as_budget(budget)
     for attempt in range(RESTARTS + 1):
@@ -377,4 +380,3 @@ def _first_dup(items):
         if x in seen:
             return x
         seen.add(x)
-    return None

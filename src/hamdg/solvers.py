@@ -8,7 +8,6 @@ certificate found is reproducible.
 
 from __future__ import annotations
 
-from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -27,7 +26,6 @@ from .core import (
     _Budget,
     _reach,
     _reaches_all,
-    _Refuted,
     as_budget,
     bits,
     contract_matching,
@@ -127,7 +125,7 @@ def one_factor(g: Digraph) -> Optional[CycleFactor]:
 
 
 def _hamilton_orders(
-    g: Digraph, succ: Sequence[int], b: _Budget
+    g: Digraph, succ: Sequence[int], b: _Budget, has_cut: Callable[[], bool] = bool
 ) -> Iterator[tuple[int, ...]]:
     """Every Hamilton cycle of ``g`` as a vertex order from 0, in
     lexicographic order: the search kernel.
@@ -171,6 +169,10 @@ def _hamilton_orders(
     parent's only candidate.  So the first rule is checked at the root
     only.
 
+    ``has_cut``, a test that holds only if ``g`` has no Hamilton cycle (by
+    default ``bool``, never), runs once, uncounted, when the budget has paid
+    for the kernel's own (n^2 + 1)-th node; if it holds, the search ends.
+
     Every rule only cuts subtrees without a Hamilton cycle, so the orders
     come out as an unpruned search would give them.
     """
@@ -197,6 +199,7 @@ def _hamilton_orders(
     # and, on a graph, its unvisited vertices with two usable neighbours
     cands = [out[0]]
     frames = [(list(succ), match_r, two)]
+    scan = n * n  # has_cut runs at node n^2 + 1, the root being node 1
     while cands:
         cand = cands[-1]
         if not cand:
@@ -207,6 +210,9 @@ def _hamilton_orders(
         low = cand & -cand
         cands[-1] = cand ^ low
         b.tick()
+        scan -= 1
+        if not scan and has_cut():
+            return
         v = low.bit_length() - 1
         un = full ^ visited ^ low
         if not un:
@@ -358,13 +364,13 @@ def _enumerate(g: Digraph, b: _Budget) -> Iterator[HamiltonCycle]:
     never drop a cycle, so the cycles and their order are the unpruned
     search's.  Before the kernel, ``_forced_arcs`` deletes the arcs that
     forced arcs rule out (the kernel searches what is left) or refutes at
-    once.  Once the kernel has expanded n^2 nodes, ``_tough_cut`` scans the
-    underlying graph once for a vertex set S, |S| <= 2, with more than |S|
-    components left, which ends the search with no cycle.  The scan costs
-    O(n^3) bit-row operations, about what the n^2 nodes already cost, so
-    it at most roughly doubles a long search and a short one never pays
-    it.  It is skipped when the minimum degree rules a cut out, and its
-    work is not counted as nodes."""
+    once.  The kernel's cut test, after n^2 nodes, is ``_tough_cut``: one
+    scan of the underlying graph for a vertex set S, |S| <= 2, with more
+    than |S| components left, which ends the search with no cycle.  Every
+    search scans, nested ones too.  The scan costs O(n^3) bit-row
+    operations, about what the n^2 nodes already cost, so it at most
+    roughly doubles a long search and a short one never pays it.  It is
+    skipped when the minimum degree rules a cut out."""
     n = g.n
     if n < 2:
         return  # no self-loops, so no cycle on one vertex
@@ -377,14 +383,10 @@ def _enumerate(g: Digraph, b: _Budget) -> Iterator[HamiltonCycle]:
     succ = _bipartite_matching(n, out)  # any witness will do
     if succ is None:
         return
-    b.arm(n * n, lambda: _tough_cut([o | i for o, i in zip(out, inn)]) is not None)
-    try:
-        for order in _hamilton_orders(g, succ, b):
-            yield HamiltonCycle(order)
-    except _Refuted:
-        return
-    finally:
-        b.disarm()
+    for order in _hamilton_orders(
+        g, succ, b, lambda: _tough_cut([o | i for o, i in zip(out, inn)]) is not None
+    ):
+        yield HamiltonCycle(order)
 
 
 def find_hamilton_cycle(
@@ -392,12 +394,10 @@ def find_hamilton_cycle(
 ) -> Optional[HamiltonCycle]:
     """The first cycle of ``enumerate_hamilton_cycles``, or ``None``, with
     its two root refutations.  ``budget`` bounds the search nodes; there
-    is no size cap.  The search is closed before the cycle is returned,
-    which disarms its checkpoint on ``budget``."""
+    is no size cap.  The search, left suspended, holds nothing on it."""
     if g.n < 2 or not is_strongly_connected(g):
         return None
-    with closing(_enumerate(g, as_budget(budget))) as cycles:
-        return next(cycles, None)
+    return next(_enumerate(g, as_budget(budget)), None)
 
 
 def hamilton_cycle_through(

@@ -13,6 +13,7 @@ import pytest
 from hamdg.constructions import (
     circulant_tournament,
     complete_digraph,
+    fig1,
     random_digraph,
     random_regular_graph,
     random_tournament,
@@ -151,10 +152,30 @@ def test_pancyclicity_once_spent_more_than_its_budget(budgets):
 
 
 def test_a_found_cycle_leaves_no_checkpoint():
-    # the search is armed once it starts (n^2 = 900 below the budget); it
-    # is closed before the cycle is returned, which disarms it
+    # the search finds its cycle within n^2 = 900 nodes and leaves nothing
+    # on the budget: fig1(2) on it is refuted by its own cut scan, charged
+    # its n^2 + 1 = 401 nodes as on a budget of its own
     b = _Budget(10**6)
     g = random_tournament(30, 0)
     h = find_hamilton_cycle(g, budget=b)
     assert h is not None and h.is_valid(g)
-    assert b.refutes is None and b.held == 0 and 0 < 10**6 - b.left < 900
+    assert 0 < 10**6 - b.left < 900
+    left = b.left
+    assert find_hamilton_cycle(fig1(2)[0], budget=b) is None
+    assert left - b.left == 401
+
+
+@pytest.mark.parametrize("s,nodes", [(2, 401), (3, 842)])
+def test_a_nested_search_runs_its_own_cut_scan(s, nodes):
+    # K*7's search, suspended after 3 cycles, has not reached its own scan
+    # at n^2 + 1 = 50 nodes.  fig1(s) run on the same budget meanwhile is
+    # refuted by its scan at its n^2 + 1 nodes, as on a budget of its own;
+    # when the budget held the scan, fig1(2) took 31,220 nodes and fig1(3)
+    # ran out of 10^7
+    b = _Budget(10**5)
+    outer = enumerate_hamilton_cycles(complete_digraph(7), budget=b)
+    head = [next(outer) for _ in range(3)]
+    left = b.left
+    assert find_hamilton_cycle(fig1(s)[0], budget=b) is None
+    assert left - b.left == nodes
+    assert len(head) + len(list(outer)) == 720

@@ -305,6 +305,22 @@ class TestDecomposeCover:
         code, out, err = run(capsys, *cmd, "--input", path, "--budget", "5")
         assert code == 3 and out == "" and "budget exhausted" in err
 
+    @pytest.mark.parametrize("cap", ["0", "-2"])
+    @pytest.mark.parametrize(
+        "gen,cmd",
+        [
+            (("--family", "circulant", "--n", "9"), ("cover",)),
+            (("--family", "circulant", "--n", "11"), ("cover",)),
+            (("--family", "complete_graph", "--n", "7"), ("cover", "--graph")),
+        ],
+    )
+    def test_cover_cap_below_one_is_usage_error(self, capsys, tmp_path, gen, cmd, cap):
+        # circulant(9) and K7 once exited 0: their covers split no matching
+        path = str(tmp_path / "g.dg")
+        run(capsys, "gen", *gen, "--output", path)
+        code, out, err = run(capsys, *cmd, "--input", path, "--cap", cap)
+        assert code == 2 and out == "" and "cap >= 1" in err and "Traceback" not in err
+
     def test_cover_failure_exit_3(self, capsys, tmp_path, monkeypatch):
         # a valid input whose restarts all fail is not a usage error
         import hamdg.decomp as decomp
@@ -590,6 +606,13 @@ class TestUsage:
         monkeypatch.chdir(tmp_path)
         code, out, err = run(capsys, *argv)
         assert code == 2 and want in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("p", ["2", "-0.5", "nan"])
+    def test_arc_probability_out_of_range_is_usage_error(self, capsys, p):
+        # p=2 once exited 0 and wrote K*5
+        code, out, err = run(capsys, "gen", "--family", "random_digraph", "--n", "5",
+                             "--param", f"p={p}")
+        assert code == 2 and out == "" and "arc_prob" in err and "Traceback" not in err
 
     def test_negative_exceptional_is_usage_error(self, capsys):
         # an IndexError in the blow-up: exit 4 with a traceback

@@ -99,6 +99,12 @@ class TestRandomGraphs:
         assert random_digraph(5, 0.0, seed=0).m == 0
         assert random_digraph(5, 1.0, seed=0).m == 20
 
+    @pytest.mark.parametrize("p", [-0.1, 1.5, 2, float("nan")])
+    def test_random_digraph_probability_out_of_range(self, p):
+        # p = 2 once gave K*5 and p < 0 the empty digraph
+        with pytest.raises(BadParams, match="arc_prob"):
+            random_digraph(5, p, seed=0)
+
     @pytest.mark.parametrize("n,d", [(8, 3), (8, 4), (12, 7), (12, 8), (9, 4)])
     def test_random_regular_graph(self, n, d):
         g = random_regular_graph(n, d, seed=3)

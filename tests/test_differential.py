@@ -1826,9 +1826,9 @@ class TestRowBuiltSearchDigraphs:
     def test_forced_arc_digraph(self, monkeypatch):
         seen = []
 
-        def recording(g, succ, b):
+        def recording(g, succ, b, has_cut):
             seen.append(g)
-            return _hamilton_orders(g, succ, b)
+            return _hamilton_orders(g, succ, b, has_cut)
 
         monkeypatch.setattr(solvers, "_hamilton_orders", recording)
         forced = 0
@@ -1952,15 +1952,18 @@ class TestDecomposition:
     def test_a_finished_search_leaves_no_checkpoint(self):
         # two copies of K*4 glued at vertex 0: 0 is a cut vertex, and the
         # reach prune exhausts the search well inside n^2 = 49 nodes.  Run
-        # on a budget whose checkpoint another search has already spent,
-        # it arms its own; were that left behind, the cut scan would end
-        # the first search n^2 nodes later with cycles still to come
+        # inside a suspended search on the same budget, it costs what it
+        # costs alone, and no cut scan of it ends the first search later
+        # with cycles still to come
         bowtie = _glued_cliques((3, 3), 1)
+        alone = _Budget(10**6)
+        assert list(_enumerate(bowtie, alone)) == []
         b = _Budget(10**6)
         outer = _enumerate(complete_digraph(7), b)
         head = list(itertools.islice(outer, 60))
-        assert b.refutes is None
+        left = b.left
         assert list(_enumerate(bowtie, b)) == []
+        assert left - b.left == 10**6 - alone.left
         assert len(head) + len(list(outer)) == 720
 
 
