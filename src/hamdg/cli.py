@@ -179,13 +179,11 @@ def cmd_solve(args) -> int:
     g = _load(args.input)
     budget = _value("--budget", args.budget, _nodes, "a node count >= 0")
     if args.length is not None:
+        if args.length < 1:
+            raise HamdgError(f"--length wants a length >= 1, got {args.length}")
         cyc = find_cycle_of_length(g, args.length, budget=budget)
-        if cyc is None:
-            print("NONE")
-            return EXIT_NEGATIVE
-        print(" ".join(["CYCLE", "1", str(len(cyc))] + [str(v) for v in cyc]))
-        return EXIT_OK
-    if args.power is not None:
+        h = None if cyc is None else HamiltonCycle(cyc)  # printed as one cycle record
+    elif args.power is not None:
         h = kth_power_hamilton(g, args.power, budget=budget)
     elif args.pattern is not None:
         signs = _value("--pattern", args.pattern, _signs, "'+' and '-' only")
@@ -468,10 +466,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="find a Hamilton cycle or variant")
     p.add_argument("--input", required=True)
-    p.add_argument("--length", type=int)
-    p.add_argument("--power", type=int)
-    p.add_argument("--pattern", help="orientation signs, e.g. ++-+-")
-    p.add_argument("--through", help="matching arcs 'u,v u,v ...'")
+    variant = p.add_mutually_exclusive_group()
+    variant.add_argument("--length", type=int)
+    variant.add_argument("--power", type=int)
+    variant.add_argument("--pattern", help="orientation signs, e.g. ++-+-")
+    variant.add_argument("--through", help="matching arcs 'u,v u,v ...'")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(fn=cmd_solve)
 

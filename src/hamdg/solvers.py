@@ -24,6 +24,7 @@ from .core import (
     HamiltonCycle,
     Matching,
     _Budget,
+    _mapped,
     _reach,
     _reaches_all,
     as_budget,
@@ -125,7 +126,8 @@ def one_factor(g: Digraph) -> Optional[CycleFactor]:
 
 
 def _hamilton_orders(
-    g: Digraph, succ: Sequence[int], b: _Budget, has_cut: Callable[[], bool] = bool
+    g: Digraph, succ: Sequence[int], b: _Budget, has_cut: Callable[[], bool] = bool,
+    allow: Optional[Callable[[list[int], int], int]] = None,
 ) -> Iterator[tuple[int, ...]]:
     """Every Hamilton cycle of ``g`` as a vertex order from 0, in
     lexicographic order: the search kernel.
@@ -173,7 +175,10 @@ def _hamilton_orders(
     default ``bool``, never), runs once, uncounted, when the budget has paid
     for the kernel's own (n^2 + 1)-th node; if it holds, the search ends.
 
-    Every rule only cuts subtrees without a Hamilton cycle, so the orders
+    ``allow(path, visited)``, if given, masks the vertices that may follow
+    ``path``: it is ANDed into every candidate mask, the root's and a forced
+    degree-2 vertex's included (one not allowed empties the mask).  Every
+    rule only cuts subtrees without a Hamilton cycle, so the allowed orders
     come out as an unpruned search would give them.
     """
     n = g.n
@@ -197,7 +202,7 @@ def _hamilton_orders(
     visited = 1
     # per depth: the candidates left to try, the node's perfect matching
     # and, on a graph, its unvisited vertices with two usable neighbours
-    cands = [out[0]]
+    cands = [out[0] if allow is None else out[0] & allow(path, visited)]
     frames = [(list(succ), match_r, two)]
     scan = n * n  # has_cut runs at node n^2 + 1, the root being node 1
     while cands:
@@ -255,7 +260,8 @@ def _hamilton_orders(
             continue
         path.append(v)
         visited |= low
-        cands.append(nxt or p_row)
+        cand = nxt or p_row
+        cands.append(cand if allow is None else cand & allow(path, visited))
         frames.append((match_l, match_r, two))
 
 
@@ -357,8 +363,11 @@ def enumerate_hamilton_cycles(
     yield from _enumerate(g, as_budget(budget))
 
 
-def _enumerate(g: Digraph, b: _Budget) -> Iterator[HamiltonCycle]:
-    """``enumerate_hamilton_cycles`` on the caller's budget ``b``.
+def _enumerate(
+    g: Digraph, b: _Budget, allow: Optional[Callable[[list[int], int], int]] = None
+) -> Iterator[HamiltonCycle]:
+    """``enumerate_hamilton_cycles`` on the caller's budget ``b``; with
+    ``allow``, only the cycles the kernel's hook lets through.
 
     Two root refutations cut away digraphs without a Hamilton cycle; they
     never drop a cycle, so the cycles and their order are the unpruned
@@ -384,7 +393,7 @@ def _enumerate(g: Digraph, b: _Budget) -> Iterator[HamiltonCycle]:
     if succ is None:
         return
     for order in _hamilton_orders(
-        g, succ, b, lambda: _tough_cut([o | i for o, i in zip(out, inn)]) is not None
+        g, succ, b, lambda: _tough_cut([o | i for o, i in zip(out, inn)]) is not None, allow
     ):
         yield HamiltonCycle(order)
 
@@ -543,7 +552,8 @@ def _sequences(
     """Every sequence of ``length`` distinct vertices whose first vertex is
     a bit of ``first``, whose every next vertex is a bit of ``cand(seq,
     used)`` and for which ``closes(seq)`` holds, in lexicographic order:
-    the kernel of the searches below.
+    the unpruned kernel of the searches below that are not Hamilton cycles
+    of the host: shorter cycles, mixed patterns, paths, factors and trees.
 
     Depth first on an explicit stack, one candidate mask per depth, bits
     tried in ascending order.  ``used`` is the mask of ``seq``; the kernel
@@ -596,11 +606,14 @@ def find_cycle_of_length(
     """A directed cycle of exactly ``length`` vertices, or ``None``.
 
     Anchored enumeration: the smallest vertex of the cycle is tried in
-    ascending order, and only larger vertices may appear after it.
-    ``budget`` bounds the search nodes; there is no size cap.
+    ascending order, only larger vertices after it; length n is a Hamilton
+    cycle, ``find_hamilton_cycle``'s.  ``budget`` bounds the search nodes.
     """
     if length < 2 or length > g.n:
         return None
+    if length == g.n:
+        h = find_hamilton_cycle(g, budget=budget)
+        return None if h is None else h.order
     anchors = (1 << (g.n - length + 1)) - 1
     found = _cycles(g, length, anchors, (1 << g.n) - 1, as_budget(budget))
     return next(found, None)
@@ -681,9 +694,11 @@ def k_ordered_hamilton(
     g: Digraph, sequence: Sequence[int], *, budget: int = DEFAULT_BUDGET
 ) -> Optional[HamiltonCycle]:
     """Hamilton cycle visiting ``sequence`` in the given cyclic order,
-    searched from ``sequence[0]``: a vertex of the sequence may only be
-    entered when it is the next one due.  ``budget`` bounds the search
-    nodes."""
+    listed from ``sequence[0]``: the lexicographic first.  The kernel
+    searches ``g`` relabelled so that ``sequence[0]`` is 0 and the vertices
+    below it move up by one, which keeps the order of the rest; its
+    ``allow`` hook lets a sequence vertex in only when it is next due.
+    ``budget`` bounds the search nodes."""
     seq = list(sequence)
     if len(set(seq)) != len(seq):
         raise BadParams("sequence vertices must be distinct")
@@ -692,19 +707,16 @@ def k_ordered_hamilton(
     n = g.n
     if not all(0 <= v < n for v in seq):
         raise BadParams("sequence vertices must be vertices of the digraph")
-    out = g.out
-    seq_mask = sum(1 << v for v in seq)
+    s = seq[0]
+    back = [s, *range(s), *range(s + 1, n)]  # new label -> vertex
+    bit = [2 << v for v in range(s)] + [1] + [1 << v for v in range(s + 1, n)]
+    h = Digraph._from_rows(tuple(_mapped(g.out[v], bit) for v in back))
+    seq_mask = sum(bit[v] for v in seq)
     free = ((1 << n) - 1) ^ seq_mask
-    due = [1 << v for v in seq] + [0]  # by the number of them visited
-
-    def cand(path: list[int], used: int) -> int:
-        return out[path[-1]] & (free | due[popcount(used & seq_mask)])
-
-    def closes(path: list[int]) -> int:
-        return out[path[-1]] >> seq[0] & 1
-
-    order = next(_sequences(due[0], n, cand, closes, as_budget(budget)), None)
-    return None if order is None else HamiltonCycle(order)
+    due = [free | bit[v] for v in seq] + [free]  # by the number of them visited
+    cycles = _enumerate(h, as_budget(budget), lambda _, used: due[popcount(used & seq_mask)])
+    found = next(cycles, None)
+    return None if found is None else HamiltonCycle(tuple(back[w] for w in found.order))
 
 
 # --- arbitrarily oriented Hamilton cycles and paths ----------------------
@@ -764,8 +776,12 @@ def oriented_hamilton(
     g: Digraph, pattern: OrientationPattern, *, budget: int = DEFAULT_BUDGET
 ) -> Optional[tuple[int, ...]]:
     """Cyclic vertex order realizing the sign pattern: sign i applies to the
-    step from position i to i+1 (mod n).  ``budget`` bounds the search
-    nodes; there is no size cap."""
+    step from position i to i+1 (mod n), the first in lexicographic order:
+    ``find_hamilton_cycle``'s for an all-forward pattern.  ``budget`` bounds
+    the search nodes; there is no size cap."""
+    if pattern == OrientationPattern.forward(g.n):
+        h = find_hamilton_cycle(g, budget=budget)
+        return None if h is None else h.order
     return _pattern_search(g, pattern.signs, True, budget)
 
 

@@ -188,6 +188,16 @@ class TestSolveCount:
         code, out, _ = run(capsys, "solve", "--input", path, "--budget", str(29 * 29 + 1))
         assert code == 1 and out.strip() == "NONE"
 
+    @pytest.mark.parametrize("flag,value", [("--length", "20"), ("--pattern", "+" * 20)])
+    def test_hamilton_variants_on_fig1_none_exit_1(self, capsys, tmp_path, flag, value):
+        # n = 20: a cycle of length n and an all-forward pattern are Hamilton
+        # cycles, refuted by the kernel's cut scan in n^2 + 1 = 401 nodes;
+        # the sequence search exhausted the budget and exited 3
+        path = str(tmp_path / "fig1.dg")
+        run(capsys, "gen", "--family", "fig1", "--param", "s=2", "--output", path)
+        code, out, _ = run(capsys, "solve", "--input", path, flag, value, "--budget", "1000")
+        assert code == 1 and out.strip() == "NONE"
+
     def test_cycle_of_length_past_recursion_limit(self, capsys, tmp_path):
         path = str(tmp_path / "c.dg")
         run(capsys, "gen", "--family", "directed_cycle", "--n", "1200", "--output", path)
@@ -554,6 +564,8 @@ class TestUsage:
             (("decompose", "--budget", "-3"), "--budget"),
             (("expander", "--mode", "sampled", "--trials", "-5"), "trials"),
             (("cover", "--budget", "-3"), "--budget"),
+            (("solve", "--length", "-4"), "--length"),
+            (("solve", "--length", "0"), "--length"),
         ],
     )
     def test_out_of_domain_value_is_usage_error(self, capsys, tmp_path, argv, want):
@@ -575,6 +587,25 @@ class TestUsage:
     def test_bad_parameter_is_usage_error(self, capsys, argv, flag):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and flag in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--length", "3", "--power", "2"),
+            ("--power", "2", "--through", "0,1"),
+            ("--pattern", "+++++++", "--length", "7"),
+            ("--through", "0,1", "--pattern", "+++++++"),
+        ],
+    )
+    def test_conflicting_solve_variants_are_usage_error(self, capsys, tmp_path, argv):
+        # the first variant won silently: --length 3 --power 2 printed a
+        # 3-cycle and exited 0, and --through beside --power was ignored
+        path = str(tmp_path / "t.dg")
+        run(capsys, "gen", "--family", "circulant", "--n", "7", "--output", path)
+        with pytest.raises(SystemExit) as e:
+            main(["solve", "--input", path, *argv])
+        out, err = capsys.readouterr()
+        assert e.value.code == 2 and out == "" and argv[0] in err and argv[2] in err
 
     @pytest.mark.parametrize(
         "argv,want",

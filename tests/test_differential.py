@@ -1539,13 +1539,15 @@ def _random_lengths(rng, n):
 
 
 def _searches(rng, g):
-    """One call of each of the six sequence searches on ``g``: its name,
-    the library call, the recursive oracle and the arguments."""
+    """One call of each of the seven searches with a recursive oracle on
+    ``g``: its name, the library call, the oracle and the arguments."""
     n = g.n
     seq = rng.sample(range(n), rng.randint(1, min(n, 4)))
     if rng.random() < 0.1:
         seq.append(seq[0])
     signs = tuple(rng.choice((1, -1)) for _ in range(n))
+    if rng.random() < 0.25:
+        signs = (1,) * n  # a Hamilton cycle: the pruned kernel's question
     bad = rng.random() < 0.05  # a pattern of the wrong length
     yield ("cycle", find_cycle_of_length, oracles.find_cycle_of_length,
            (g, rng.randint(0, n + 1)))
@@ -1566,6 +1568,18 @@ def _searches(rng, g):
            (g, _random_tree(rng, rng.randint(1, n + 1))))
 
 
+def _moved(name, args):
+    """Whether the call asks for a Hamilton cycle of the host, with or
+    without a side condition, and so runs on the pruned Hamilton kernel
+    instead of the sequence search."""
+    g = args[0]
+    return (
+        name == "ordered"
+        or name == "cycle" and args[1] == g.n
+        or name == "oriented" and args[1] == (1,) * g.n
+    )
+
+
 def _kind(outcome):
     if isinstance(outcome, tuple) and outcome and isinstance(outcome[0], type):
         return outcome[0].__name__
@@ -1575,11 +1589,16 @@ def _kind(outcome):
 class TestSequenceSearches:
     @pytest.mark.parametrize("family", ["digraph", "tournament"])
     def test_equal_results_and_nodes(self, counted, family):
-        # the same certificate or exception, under ample and under small
-        # budgets, from the same number of nodes; the recursive tree
-        # embedding also counts its empty root, place(0)
+        # on the sequence search: the same certificate or exception, under
+        # ample and under small budgets, from the same number of nodes (the
+        # recursive tree embedding also counts its empty root, place(0)).
+        # On the pruned kernel: under an ample budget the same certificate
+        # or exception from no more nodes; under a small one the oracle's
+        # outcome if the oracle finished within it, else the ample answer
+        # or BudgetExceeded
         rng = random.Random(41 if family == "digraph" else 43)
         kinds: dict[str, set] = {}
+        moved = set()
         for i in range(500):
             n = rng.randint(1, 11)
             if family == "digraph":
@@ -1591,9 +1610,21 @@ class TestSequenceSearches:
                 got, nodes = counted(fn, *args, budget=budget)
                 root = name == "tree"
                 want, want_nodes = _oracle(oracle, *args, budget=budget + root)
-                assert got == want, (name, args)
-                assert want_nodes - nodes == (root and want_nodes > 0), (name, args)
                 kinds.setdefault(name, set()).add(_kind(got))
+                if not _moved(name, args):
+                    assert got == want, (name, args)
+                    assert want_nodes - nodes == (root and want_nodes > 0), (name, args)
+                    continue
+                moved.add(name)
+                ample, ample_nodes = counted(fn, *args, budget=10**6)
+                full, full_nodes = _oracle(oracle, *args, budget=10**6)
+                assert _kind(full) != "BudgetExceeded", (name, args)
+                assert ample == full and ample_nodes <= full_nodes, (name, args)
+                if _kind(want) == "BudgetExceeded":
+                    assert got == ample or _kind(got) == "BudgetExceeded", (name, args)
+                else:
+                    assert got == want, (name, args)
+        assert moved == {"cycle", "ordered", "oriented"}
         for name, seen in kinds.items():
             assert {"found", "none", "BudgetExceeded"} <= seen, (name, seen)
             assert name in ("cycle", "power") or "BadParams" in seen, (name, seen)
@@ -1610,6 +1641,101 @@ class TestSequenceSearches:
                 else:
                     assert rep.missing == length and want is None
                     break
+
+
+def _forward(g, signs, budget):
+    return oriented_hamilton(g, OrientationPattern(signs), budget=budget)
+
+
+def _forward_oracle(g, signs, b):
+    return oracles.pattern_search(g, signs, True, b)
+
+
+class TestHamiltonQuestionsOnTheKernel:
+    """k-ordered cycles, all-forward patterns and cycles of length n ask for
+    a Hamilton cycle of the host, so they run on the pruned kernel with an
+    ``allow`` hook; the sequence search's oracles give the same
+    certificates from at least as many nodes."""
+
+    # each ran out of 2 * 10^6 nodes on the sequence search, except
+    # rrg(40, 3), which took 208,884; fig1(s) is refuted by the cut scan
+    # at its (n^2 + 1)-th node and nw_extremal(n, 2) by the forcing.  On
+    # rrg(40, 3) a forced degree-2 vertex that is not allowed falling back
+    # to the node's other neighbours costs 443 nodes
+    PINNED = {
+        "k_ordered fig1(2)": (k_ordered_hamilton, lambda: (fig1(2)[0], [0, 1]), 401),
+        "k_ordered fig1(3)": (k_ordered_hamilton, lambda: (fig1(3)[0], [0, 1]), 842),
+        "k_ordered rrg(40, 3)": (
+            k_ordered_hamilton, lambda: (random_regular_graph(40, 3, 0), [0, 5, 3]), 347
+        ),
+        "length n fig1(2)": (find_cycle_of_length, lambda: (fig1(2)[0], 20), 401),
+        "length n fig1(3)": (find_cycle_of_length, lambda: (fig1(3)[0], 29), 842),
+        "forward fig1(2)": (_forward, lambda: (fig1(2)[0], (1,) * 20), 401),
+        "forward nw_extremal(10, 2)": (_forward, lambda: (nw_extremal(10, 2)[0], (1,) * 10), 7),
+        "forward nw_extremal(11, 2)": (_forward, lambda: (nw_extremal(11, 2)[0], (1,) * 11), 7),
+        "forward nw_extremal(12, 2)": (_forward, lambda: (nw_extremal(12, 2)[0], (1,) * 12), 7),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_pinned_counts(self, counted, name):
+        fn, make, nodes = self.PINNED[name]
+        args = make()
+        got, used = counted(fn, *args, budget=10**5)
+        assert used == nodes
+        if name.startswith("k_ordered rrg"):
+            assert got == oracles.k_ordered_hamilton(*args, oracles.Nodes())
+        else:
+            assert got is None
+
+    @pytest.mark.parametrize("family", ["digraph", "tournament", "graph"])
+    def test_same_certificates_from_no_more_nodes(self, counted, family):
+        rng = random.Random({"digraph": 59, "tournament": 61, "graph": 67}[family])
+        nodes = want_nodes = 0
+        for i in range(1000):
+            n = rng.randint(1, 10)
+            if family == "tournament":
+                g = random_tournament(n, seed=i)
+            else:
+                g = random_digraph(n, rng.choice((0.2, 0.35, 0.5, 0.7)), seed=i)
+                if family == "graph":
+                    g = g.symmetrize()
+            seq = rng.sample(range(n), rng.randint(1, min(n, 4)))
+            for fn, oracle, args in (
+                (k_ordered_hamilton, oracles.k_ordered_hamilton, (g, seq)),
+                (_forward, _forward_oracle, (g, (1,) * n)),
+                (find_cycle_of_length, oracles.find_cycle_of_length, (g, n)),
+            ):
+                got, used = counted(fn, *args, budget=10**6)
+                want, want_used = _oracle(oracle, *args, budget=10**6)
+                assert got == want and used <= want_used, (fn, args)
+                nodes += used
+                want_nodes += want_used
+        assert nodes < want_nodes
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_allow_keeps_the_allowed_cycles_in_order(self, symmetric):
+        # a random table of allowed next vertices per (end, depth): the
+        # kernel yields exactly the allowed cycles of the unhooked kernel,
+        # in its order, from no more nodes; on graphs a forced degree-2
+        # vertex that is not allowed must empty the node's candidates
+        rng = random.Random(71 + symmetric)
+        for i in range(300):
+            n = rng.randint(2, 8)
+            g = random_digraph(n, rng.choice((0.4, 0.6, 0.8)), seed=i)
+            if symmetric:
+                g = g.symmetrize()
+            table = {
+                (v, d): sum(1 << w for w in range(n) if rng.random() < 0.8)
+                for v in range(n)
+                for d in range(1, n)
+            }
+            plain, hooked = _Budget(10**6), _Budget(10**6)
+            want = [
+                c for c in _enumerate(g, plain)
+                if all(table[c.order[d - 1], d] >> c.order[d] & 1 for d in range(1, n))
+            ]
+            got = list(_enumerate(g, hooked, lambda path, _: table[path[-1], len(path)]))
+            assert got == want and hooked.left >= plain.left
 
 
 class TestSequenceSearchesPastOldLimits:
@@ -1826,9 +1952,9 @@ class TestRowBuiltSearchDigraphs:
     def test_forced_arc_digraph(self, monkeypatch):
         seen = []
 
-        def recording(g, succ, b, has_cut):
+        def recording(g, succ, b, has_cut, allow):
             seen.append(g)
-            return _hamilton_orders(g, succ, b, has_cut)
+            return _hamilton_orders(g, succ, b, has_cut, allow)
 
         monkeypatch.setattr(solvers, "_hamilton_orders", recording)
         forced = 0
