@@ -182,7 +182,7 @@ def cmd_solve(args) -> int:
         if args.length < 1:
             raise HamdgError(f"--length wants a length >= 1, got {args.length}")
         cyc = find_cycle_of_length(g, args.length, budget=budget)
-        h = None if cyc is None else HamiltonCycle(cyc)  # printed as one cycle record
+        h = None if cyc is None else HamiltonCycle(cyc)  # the same record format
     elif args.power is not None:
         h = kth_power_hamilton(g, args.power, budget=budget)
     elif args.pattern is not None:

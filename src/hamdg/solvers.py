@@ -552,8 +552,8 @@ def _sequences(
     """Every sequence of ``length`` distinct vertices whose first vertex is
     a bit of ``first``, whose every next vertex is a bit of ``cand(seq,
     used)`` and for which ``closes(seq)`` holds, in lexicographic order:
-    the unpruned kernel of the searches below that are not Hamilton cycles
-    of the host: shorter cycles, mixed patterns, paths, factors and trees.
+    the unpruned kernel of the shorter cycles, cycle powers, mixed
+    patterns, paths, cycle factors and trees below.
 
     Depth first on an explicit stack, one candidate mask per depth, bits
     tried in ascending order.  ``used`` is the mask of ``seq``; the kernel
