@@ -1538,6 +1538,14 @@ def _random_lengths(rng, n):
     return lengths
 
 
+def _oriented(g, signs, budget):
+    return oriented_hamilton(g, OrientationPattern(signs), budget=budget)
+
+
+def _oriented_oracle(g, signs, b):
+    return oracles.pattern_search(g, signs, True, b)
+
+
 def _searches(rng, g):
     """One call of each of the seven searches with a recursive oracle on
     ``g``: its name, the library call, the oracle and the arguments."""
@@ -1554,10 +1562,7 @@ def _searches(rng, g):
     yield ("power", kth_power_hamilton, oracles.kth_power_hamilton,
            (g, rng.choice((2, 3))))
     yield ("ordered", k_ordered_hamilton, oracles.k_ordered_hamilton, (g, seq))
-    yield ("oriented",
-           lambda g, s, budget: oriented_hamilton(g, OrientationPattern(s), budget=budget),
-           lambda g, s, b: oracles.pattern_search(g, s, True, b),
-           (g, signs[: n - bad]))
+    yield ("oriented", _oriented, _oriented_oracle, (g, signs[: n - bad]))
     yield ("oriented_path",
            lambda g, s, budget: oriented_hamilton_path(g, OrientationPattern(s), budget=budget),
            lambda g, s, b: oracles.pattern_search(g, s, False, b),
@@ -1643,14 +1648,6 @@ class TestSequenceSearches:
                     break
 
 
-def _forward(g, signs, budget):
-    return oriented_hamilton(g, OrientationPattern(signs), budget=budget)
-
-
-def _forward_oracle(g, signs, b):
-    return oracles.pattern_search(g, signs, True, b)
-
-
 class TestHamiltonQuestionsOnTheKernel:
     """k-ordered cycles, all-forward patterns and cycles of length n ask for
     a Hamilton cycle of the host, so they run on the pruned kernel with an
@@ -1670,10 +1667,10 @@ class TestHamiltonQuestionsOnTheKernel:
         ),
         "length n fig1(2)": (find_cycle_of_length, lambda: (fig1(2)[0], 20), 401),
         "length n fig1(3)": (find_cycle_of_length, lambda: (fig1(3)[0], 29), 842),
-        "forward fig1(2)": (_forward, lambda: (fig1(2)[0], (1,) * 20), 401),
-        "forward nw_extremal(10, 2)": (_forward, lambda: (nw_extremal(10, 2)[0], (1,) * 10), 7),
-        "forward nw_extremal(11, 2)": (_forward, lambda: (nw_extremal(11, 2)[0], (1,) * 11), 7),
-        "forward nw_extremal(12, 2)": (_forward, lambda: (nw_extremal(12, 2)[0], (1,) * 12), 7),
+        "forward fig1(2)": (_oriented, lambda: (fig1(2)[0], (1,) * 20), 401),
+        "forward nw_extremal(10, 2)": (_oriented, lambda: (nw_extremal(10, 2)[0], (1,) * 10), 7),
+        "forward nw_extremal(11, 2)": (_oriented, lambda: (nw_extremal(11, 2)[0], (1,) * 11), 7),
+        "forward nw_extremal(12, 2)": (_oriented, lambda: (nw_extremal(12, 2)[0], (1,) * 12), 7),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
@@ -1702,7 +1699,7 @@ class TestHamiltonQuestionsOnTheKernel:
             seq = rng.sample(range(n), rng.randint(1, min(n, 4)))
             for fn, oracle, args in (
                 (k_ordered_hamilton, oracles.k_ordered_hamilton, (g, seq)),
-                (_forward, _forward_oracle, (g, (1,) * n)),
+                (_oriented, _oriented_oracle, (g, (1,) * n)),
                 (find_cycle_of_length, oracles.find_cycle_of_length, (g, n)),
             ):
                 got, used = counted(fn, *args, budget=10**6)
