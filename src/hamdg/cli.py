@@ -310,8 +310,6 @@ def _emit_table(rows: list[dict], jsonl: bool) -> None:
             sys.stdout.write("\n")
         return
     print("# schema=1")
-    if not rows:
-        return
     writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0].keys()))
     writer.writeheader()
     writer.writerows(rows)

@@ -8,6 +8,7 @@ so structural claims can be asserted without recomputation.  Identical
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from itertools import combinations, permutations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -246,25 +247,17 @@ def _bipartite_tournament_arcs(
     """Orient the complete bipartite graph as regularly as possible:
     left[i] -> right[j] iff (i + j) even, else the reverse.  Per-vertex
     in/out imbalance is at most 1."""
-    arcs = []
-    for i, u in enumerate(left):
-        for j, v in enumerate(right):
-            if (i + j) % 2 == 0:
-                arcs.append((u, v))
-            else:
-                arcs.append((v, u))
-    return arcs
+    return [
+        (u, v) if (i + j) % 2 == 0 else (v, u)
+        for i, u in enumerate(left)
+        for j, v in enumerate(right)
+    ]
 
 
 def _regular_tournament_arcs(part: Sequence[int]) -> list[tuple[int, int]]:
-    """Circulant regular tournament on the given vertex list (odd-sized in
-    every caller: fig3's A and C, fig4's B, C and D)."""
-    k = len(part)
-    return [
-        (part[i], part[(i + s) % k])
-        for i in range(k)
-        for s in range(1, (k - 1) // 2 + 1)
-    ]
+    """The circulant tournament on the given vertex list, regular since
+    every caller's part is odd-sized (fig3's A and C, fig4's B, C and D)."""
+    return [(part[u], part[v]) for u, v in circulant_tournament(len(part)).arcs()]
 
 
 # --- extremal families ---------------------------------------------------
@@ -277,81 +270,44 @@ def fig1(s: int) -> tuple[Digraph, PartMap]:
     if s < 2:
         raise BadParams("s >= 2")
     parts: PartMap = {}
-    arcs = []
-    a_sizes = [s, s, s - 1]
-    base = 0
-    for i in range(3):
-        clique = list(range(base, base + 3 * s))
-        base += 3 * s
-        parts[f"K{i+1}"] = clique
-        ai = clique[: a_sizes[i]]
-        bi = clique[a_sizes[i] : 2 * a_sizes[i]]
-        parts[f"A{i+1}"] = ai
-        parts[f"B{i+1}"] = bi
+    a, b = 9 * s, 9 * s + 1
+    edges = []
+    for i, size in enumerate([s, s, s - 1]):
+        clique = list(range(3 * s * i, 3 * s * (i + 1)))
+        ai, bi = clique[:size], clique[size : 2 * size]
+        parts[f"K{i+1}"], parts[f"A{i+1}"], parts[f"B{i+1}"] = clique, ai, bi
         removed = set(zip(ai, bi))
-        for x in range(len(clique)):
-            for y in range(x + 1, len(clique)):
-                u, v = clique[x], clique[y]
-                if (u, v) in removed:
-                    continue
-                arcs.append((u, v))
-                arcs.append((v, u))
-    a, b = base, base + 1
-    parts["a"] = [a]
-    parts["b"] = [b]
-    for i in range(3):
-        for v in parts[f"A{i+1}"]:
-            arcs += [(a, v), (v, a)]
-        for v in parts[f"B{i+1}"]:
-            arcs += [(b, v), (v, b)]
-    return Digraph(base + 2, arcs), parts
+        edges += [e for e in combinations(clique, 2) if e not in removed]
+        edges += [(a, v) for v in ai] + [(b, v) for v in bi]
+    parts["a"], parts["b"] = [a], [b]
+    return Digraph(9 * s + 2, edges + [(v, u) for u, v in edges]), parts
 
 
 def fig2(n: int) -> tuple[Digraph, PartMap]:
     """Non-Hamiltonian strongly connected digraph whose only non-adjacent
     (dominated) pairs {z,u}, u in the big complete part, sit exactly at
-    total degree sum 2n-2."""
+    total degree sum 2n-2: the complete digraph less x -> z, every arc
+    into y from K and both arcs between K and z."""
     if n < 5:
         raise BadParams("n >= 5")
     k = list(range(n - 3))
     x, y, z = n - 3, n - 2, n - 1
-    arcs = []
-    for u in k:
-        for v in k:
-            if u != v:
-                arcs.append((u, v))
-    # complete digraph on {x,y,z} minus the arc x -> z
-    for u in (x, y, z):
-        for v in (x, y, z):
-            if u != v and not (u == x and v == z):
-                arcs.append((u, v))
-    for u in k:
-        arcs += [(x, u), (u, x), (y, u)]
-    return Digraph(n, arcs), {"K": k, "x": [x], "y": [y], "z": [z]}
+    cut = [(x, z)] + [arc for u in k for arc in ((u, y), (u, z), (z, u))]
+    return complete_digraph(n).without_arcs(cut), {"K": k, "x": [x], "y": [y], "z": [z]}
 
 
 def fig3_haggkvist(m: int) -> tuple[Digraph, PartMap]:
     """Oriented graph on n=4m+3 (m odd) with minimum semidegree one below
-    the Hamiltonicity threshold and no 1-factor: parts A,B,C,D with
-    A->B->C->D->A complete and B,D joined by a balanced bipartite
-    tournament."""
+    the Hamiltonicity threshold and no 1-factor: the blow-up A->B->C->D->A
+    of a directed 4-cycle, regular tournaments on A and C, and B,D joined
+    by a balanced bipartite tournament."""
     if m < 1 or m % 2 == 0:
         raise BadParams("m must be odd and >= 1")
-    sizes = {"A": m, "B": m + 1, "C": m, "D": m + 2}
-    parts: PartMap = {}
-    base = 0
-    for name in "ABCD":
-        parts[name] = list(range(base, base + sizes[name]))
-        base += sizes[name]
-    arcs = []
-    arcs += _regular_tournament_arcs(parts["A"])
-    arcs += _regular_tournament_arcs(parts["C"])
-    arcs += _bipartite_tournament_arcs(parts["B"], parts["D"])
-    for src, dst in (("A", "B"), ("B", "C"), ("C", "D"), ("D", "A")):
-        for u in parts[src]:
-            for v in parts[dst]:
-                arcs.append((u, v))
-    return Digraph(base, arcs), parts
+    g, parts = blow_up(directed_cycle(4), [m, m + 1, m, m + 2])
+    a, b, c, d = parts
+    arcs = _regular_tournament_arcs(a) + _regular_tournament_arcs(c)
+    arcs += _bipartite_tournament_arcs(b, d)
+    return g.with_arcs(arcs), dict(zip("ABCD", parts))
 
 
 def fig4_square(m: int) -> tuple[Digraph, PartMap]:
@@ -359,59 +315,33 @@ def fig4_square(m: int) -> tuple[Digraph, PartMap]:
 
     Sizes |A|=m, |B|=m-1, |C|=2m+1, |D|=m-1, |E|=m+1 (m even).  B, C, D
     induce regular tournaments; A and E are independent.  One-way complete
-    orientations: A->C, B->C, C->D, C->E, D->A, D->B, E->A, E->D; balanced
-    two-way bipartite orientations between A,B and between B,E.  Any squared
-    Hamilton cycle would need a B-vertex between consecutive E-visits, and
-    |B| < |E|.
+    orientations (the blow-up of a 5-vertex digraph): A->C, B->C, C->D,
+    C->E, D->A, D->B, E->A, E->D; balanced two-way bipartite orientations
+    between A,B and between B,E.  Any squared Hamilton cycle would need a
+    B-vertex between consecutive E-visits, and |B| < |E|.
     """
     if m < 2 or m % 2:
         raise BadParams("m must be even and >= 2")
-    sizes = {"A": m, "B": m - 1, "C": 2 * m + 1, "D": m - 1, "E": m + 1}
-    parts: PartMap = {}
-    base = 0
-    for name in "ABCDE":
-        parts[name] = list(range(base, base + sizes[name]))
-        base += sizes[name]
-    arcs = []
-    for name in "BCD":
-        arcs += _regular_tournament_arcs(parts[name])
-    one_way = [
-        ("A", "C"),
-        ("B", "C"),
-        ("C", "D"),
-        ("C", "E"),
-        ("D", "A"),
-        ("D", "B"),
-        ("E", "A"),
-        ("E", "D"),
-    ]
-    for src, dst in one_way:
-        for u in parts[src]:
-            for v in parts[dst]:
-                arcs.append((u, v))
-    arcs += _bipartite_tournament_arcs(parts["A"], parts["B"])
-    arcs += _bipartite_tournament_arcs(parts["B"], parts["E"])
-    return Digraph(base, arcs), parts
+    one_way = Digraph(5, [(0, 2), (1, 2), (2, 3), (2, 4), (3, 0), (3, 1), (4, 0), (4, 3)])
+    g, parts = blow_up(one_way, [m, m - 1, 2 * m + 1, m - 1, m + 1])
+    a, b, c, d, e = parts
+    arcs = [arc for part in (b, c, d) for arc in _regular_tournament_arcs(part)]
+    arcs += _bipartite_tournament_arcs(a, b) + _bipartite_tournament_arcs(b, e)
+    return g.with_arcs(arcs), dict(zip("ABCDE", parts))
 
 
 def nw_extremal(n: int, k: int) -> tuple[Digraph, PartMap]:
     """Strongly connected non-Hamiltonian digraph with out- and in-degree
     sequence (k,...,k, n-1-k,...,n-1-k, n-1,...,n-1): independent set I of
-    size k fully joined (both ways) to a k-subset X of a complete digraph."""
+    size k fully joined (both ways) to a k-subset X of a complete digraph
+    K, that is the complete digraph less the arcs inside I and the arcs
+    between I and K - X."""
     if not 0 < k < n / 2:
         raise BadParams("need 0 < k < n/2")
-    i_part = list(range(k))
-    k_part = list(range(k, n))
-    x_part = k_part[:k]
-    arcs = []
-    for u in k_part:
-        for v in k_part:
-            if u != v:
-                arcs.append((u, v))
-    for u in i_part:
-        for v in x_part:
-            arcs += [(u, v), (v, u)]
-    return Digraph(n, arcs), {"I": i_part, "K": k_part, "X": x_part}
+    i_part, k_part = list(range(k)), list(range(k, n))
+    cut = list(permutations(i_part, 2))
+    cut += [arc for u in i_part for v in range(2 * k, n) for arc in ((u, v), (v, u))]
+    return complete_digraph(n).without_arcs(cut), {"I": i_part, "K": k_part, "X": k_part[:k]}
 
 
 def two_regular_tournaments(d: int) -> tuple[Digraph, PartMap]:

@@ -308,12 +308,9 @@ def build_closed_walk(
             seq.append(("exc", i))
             links.append(("exc_out", i, t_i))
             entry[t_i] += 1
+            # a repeated waypoint's shifted walk is empty and adds nothing
             waypoints = [t_i] + (reps if i == 0 else []) + [f.succ[u_j]]
-            dedup = [waypoints[0]]
-            for wp in waypoints[1:]:
-                if wp != dedup[-1]:
-                    dedup.append(wp)
-            for a, b in zip(dedup, dedup[1:]):
+            for a, b in zip(waypoints, waypoints[1:]):
                 add_shifted(a, b)
             for c in f.wind(f.succ[u_j]):
                 seq.append(("cluster", c))

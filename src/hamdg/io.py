@@ -30,6 +30,10 @@ _MAX_DIGITS = 18
 _BIT = np.array([1 << k for k in range(8)], np.uint8)
 _SEPARATORS = np.frombuffer(b" \n", np.uint8)
 _DECIMAL = re.compile(r"-?[0-9]+")
+# the most bytes that one side's n packed rows of ceil(n/8) bytes may take
+# (n <= 8192), so that a header alone cannot make ``parse`` allocate
+# memory in proportion to n^2
+_MAX_ROW_BYTES = 1 << 23
 
 
 def serialize(g: Digraph, *, as_graph: bool = False) -> str:
@@ -85,6 +89,8 @@ def _parse_canonical(text: str) -> Optional[Digraph]:
     if head is None:
         return None
     n, m = int(head[2]), int(head[3])
+    if n * ((n + 7) // 8) > _MAX_ROW_BYTES:
+        return None  # the line loop refuses it
     body = np.frombuffer(buf, np.uint8, offset=head.end())
     digits = body - np.uint8(ord("0"))
     # m lines "<digits> <digits>\n": the non-digits alternate space and
@@ -133,6 +139,8 @@ def _parse_lines(text: str) -> Digraph:
         raise FormatError(f"bad header {lines[0]!r}") from None
     if n < 0 or m < 0:
         raise FormatError("negative counts in header")
+    if n * ((n + 7) // 8) > _MAX_ROW_BYTES:
+        raise FormatError(f"n={n}: its rows pass the parse limit of {_MAX_ROW_BYTES} bytes")
     if len(lines) - 1 != m:
         raise FormatError(f"header promises {m} lines, found {len(lines) - 1}")
     undirected = head[0] == "GRAPH"

@@ -553,7 +553,7 @@ def _sequences(
     a bit of ``first``, whose every next vertex is a bit of ``cand(seq,
     used)`` and for which ``closes(seq)`` holds, in lexicographic order:
     the unpruned kernel of the shorter cycles, cycle powers, mixed
-    patterns, paths, cycle factors and trees below.
+    patterns, mixed paths, cycle factors and trees below.
 
     Depth first on an explicit stack, one candidate mask per depth, bits
     tried in ascending order.  ``used`` is the mask of ``seq``; the kernel
@@ -788,7 +788,16 @@ def oriented_hamilton(
 def oriented_hamilton_path(
     g: Digraph, pattern: OrientationPattern, *, budget: int = DEFAULT_BUDGET
 ) -> Optional[tuple[int, ...]]:
-    """Vertex order realizing a path orientation pattern of length n-1."""
+    """Vertex order realizing a path orientation pattern of length n-1, the
+    first in lexicographic order.  An all-forward pattern on n >= 2
+    vertices asks for a Hamilton path: ``find_hamilton_cycle`` on ``g``
+    shifted up by one beside a hub 0 joined both ways to every vertex,
+    less the hub."""
+    n = g.n
+    if n > 1 and pattern == OrientationPattern.forward(n - 1):
+        rows = ((1 << n + 1) - 2,) + tuple(row << 1 | 1 for row in g.out)
+        h = find_hamilton_cycle(Digraph._from_rows(rows), budget=budget)
+        return None if h is None else tuple(v - 1 for v in h.order[1:])
     return _pattern_search(g, pattern.signs, False, budget)
 
 

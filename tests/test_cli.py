@@ -577,6 +577,16 @@ class TestUsage:
         assert code == 2 and out == "" and want in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "argv", [("solve",), ("check", "--rule", "ghouila_houri"), ("count",)]
+    )
+    def test_header_over_the_parse_limit_is_usage_error(self, capsys, tmp_path, argv):
+        # 22 bytes that once built 12,000 rows of 1,500 bytes a side
+        path = tmp_path / "big.dg"
+        path.write_text("DIGRAPH 1 12000 1\n0 1\n")
+        code, out, err = run(capsys, *argv, "--input", str(path))
+        assert code == 2 and out == "" and "parse limit" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "argv,flag",
         [
             (("experiment", "cover", "--n", "5,x"), "--n"),

@@ -1,7 +1,10 @@
 """Generators: classical families, tournaments, extremal examples."""
 
+import hashlib
+
 import pytest
 
+from hamdg import io as hio
 from hamdg.constructions import (
     circulant_tournament,
     complete_bipartite_digraph,
@@ -191,6 +194,54 @@ class TestExtremal:
         g, parts = generate_extremal("cycle_blowup", 3, [2, 2, 2])
         assert g.n == 6
         assert find_hamilton_cycle(g) is not None
+
+    # sha256 of serialize(g) + serialize_parts(parts): the arcs, the part
+    # names in key order and each part's vertex order
+    @pytest.mark.parametrize(
+        "family,params,digest",
+        [
+            ("fig1", (2,),
+             "b97eadd8e177b9e829fc149b342f3b92c487cd98c389fc269bbb03c4f1b8099c"),
+            ("fig1", (3,),
+             "9d188b82985a13145dcebc598306cf31ccba3feaee4365e52c817dd7d4371c09"),
+            ("fig2", (5,),
+             "966ce715e97d73088778d75f9f1136a2a643598aab1e24513a96f037fef133b4"),
+            ("fig2", (9,),
+             "ae4135330fd275729c60135c021c3b05e4001f624832ef96c127faefd7035827"),
+            ("fig3_haggkvist", (1,),
+             "89a182587909851085808f724151d54f4f4d2a936a059a1bb6c6fa2aee550312"),
+            ("fig3_haggkvist", (3,),
+             "756adc27eb769c5f2c3bc306a20231a6969ca835ede58c0b9b25b5bd33d870ed"),
+            ("fig3_haggkvist", (5,),
+             "04d76d69b069b5418dd510d867bafbb9401ebceb9b2e56bfd734a5237dc8aa5f"),
+            ("fig4_square", (2,),
+             "09865ed5cef9f3fe3a630c5e6038ad3847e11071cae60e4e2d26e1327c73dd94"),
+            ("fig4_square", (4,),
+             "0a9efed571e07d67823fd7fb4270fcbc7138ffa2b3e8010021940dc417e89fb0"),
+            ("nw_extremal", (10, 2),
+             "e17c4b5eaa59ec635d330411d150fc6e80abdb8cdb2268f82ea17befed292098"),
+            ("nw_extremal", (11, 5),
+             "71ac5e18acd2dda617157a1d4f40dd7c842d1aef85c7d12781ce777e5f8a4f83"),
+            ("nw_extremal", (22, 2),
+             "0da1f724f69e824270b4364d95a4e27473759c0d5dba50bbc3cc57da050126e4"),
+            ("two_regular_tournaments", (1,),
+             "624e719e725cb8ffa4668a4584faf3bf950cb909887e1276e87a9aa552c22012"),
+            ("two_regular_tournaments", (3,),
+             "8eda4f25edb92d4fd73b8b3516fee5d237e17c16c418ac3d16470559e2352d6b"),
+            ("pancyclic_bipartite", (5,),
+             "a3164d8d4d26f633fab70f6ca8c673f652017c56893aa0080754592bc3bb38f7"),
+            ("pancyclic_bipartite", (8,),
+             "3363b2a83986f1997efe89c82108e65b36281af28fb241ca6cd259002dbf1e07"),
+            ("cycle_blowup", (3, (1, 2, 3)),
+             "884661b522aec93e0363701b7f5cde8662691a066db1d28cc2f2fddeac8de602"),
+            ("cycle_blowup", (4, (2, 3, 2, 3)),
+             "eaebc3981f8aaa6f059aae3042a14277dc77ade09bf8a56686e6dc249b1eb0ec"),
+        ],
+    )
+    def test_family_golden(self, family, params, digest):
+        g, parts = generate_extremal(family, *params)
+        text = hio.serialize(g) + hio.serialize_parts(parts)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_unknown_family(self):
         with pytest.raises(BadParams):

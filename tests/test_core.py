@@ -95,6 +95,13 @@ class TestDigraph:
     def test_undirected_edges(self):
         assert complete_graph(3).undirected_edges() == [(0, 1), (0, 2), (1, 2)]
 
+    def test_hash_and_repr(self):
+        # equal out-rows hash alike however the digraph was built
+        g = circulant_tournament(5)
+        assert {g, Digraph(5, reversed(g.arcs()))} == {g}
+        assert hash(g) == hash(Digraph.from_out_masks(g.out))
+        assert repr(g) == "Digraph(n=5, m=10)"
+
 
 def _fresh_facts(g: Digraph) -> tuple:
     """The degree facts of ``g`` counted from its out-rows alone."""
@@ -316,6 +323,9 @@ class TestMatchingAndCycles:
     def test_matching_rejects_shared_vertex(self):
         with pytest.raises(NotAMatching):
             Matching(((0, 1), (1, 2)))
+
+    def test_matching_length_counts_arcs(self):
+        assert len(Matching(((0, 1), (3, 2)))) == 2 and len(Matching(())) == 0
 
     def test_hamilton_cycle_validity(self):
         h = HamiltonCycle((0, 1, 2, 3))

@@ -1546,6 +1546,10 @@ def _oriented_oracle(g, signs, b):
     return oracles.pattern_search(g, signs, True, b)
 
 
+def _oriented_path(g, signs, budget):
+    return oriented_hamilton_path(g, OrientationPattern(signs), budget=budget)
+
+
 def _searches(rng, g):
     """One call of each of the seven searches with a recursive oracle on
     ``g``: its name, the library call, the oracle and the arguments."""
@@ -1563,8 +1567,7 @@ def _searches(rng, g):
            (g, rng.choice((2, 3))))
     yield ("ordered", k_ordered_hamilton, oracles.k_ordered_hamilton, (g, seq))
     yield ("oriented", _oriented, _oriented_oracle, (g, signs[: n - bad]))
-    yield ("oriented_path",
-           lambda g, s, budget: oriented_hamilton_path(g, OrientationPattern(s), budget=budget),
+    yield ("oriented_path", _oriented_path,
            lambda g, s, b: oracles.pattern_search(g, s, False, b),
            (g, signs[: n - 1 + bad]))
     yield ("factor", disjoint_cycle_factor, oracles.disjoint_cycle_factor,
@@ -1575,13 +1578,15 @@ def _searches(rng, g):
 
 def _moved(name, args):
     """Whether the call asks for a Hamilton cycle of the host, with or
-    without a side condition, and so runs on the pruned Hamilton kernel
-    instead of the sequence search."""
+    without a side condition, or for a Hamilton path (a cycle through a
+    hub), and so runs on the pruned Hamilton kernel instead of the
+    sequence search."""
     g = args[0]
     return (
         name == "ordered"
         or name == "cycle" and args[1] == g.n
         or name == "oriented" and args[1] == (1,) * g.n
+        or name == "oriented_path" and g.n > 1 and args[1] == (1,) * (g.n - 1)
     )
 
 
@@ -1598,8 +1603,9 @@ class TestSequenceSearches:
         # ample and under small budgets, from the same number of nodes (the
         # recursive tree embedding also counts its empty root, place(0)).
         # On the pruned kernel: under an ample budget the same certificate
-        # or exception from no more nodes; under a small one the oracle's
-        # outcome if the oracle finished within it, else the ample answer
+        # or exception from no more nodes (a Hamilton path one more, its
+        # hub's); under a small one the oracle's outcome if the oracle
+        # finished within it (less the hub's node), else the ample answer
         # or BudgetExceeded
         rng = random.Random(41 if family == "digraph" else 43)
         kinds: dict[str, set] = {}
@@ -1614,7 +1620,9 @@ class TestSequenceSearches:
                 budget = rng.choice((rng.randint(1, 60), 3000, 10**5))
                 got, nodes = counted(fn, *args, budget=budget)
                 root = name == "tree"
-                want, want_nodes = _oracle(oracle, *args, budget=budget + root)
+                # the kernel's Hamilton path search also visits its hub
+                hub = name == "oriented_path" and _moved(name, args)
+                want, want_nodes = _oracle(oracle, *args, budget=budget + root - hub)
                 kinds.setdefault(name, set()).add(_kind(got))
                 if not _moved(name, args):
                     assert got == want, (name, args)
@@ -1624,12 +1632,12 @@ class TestSequenceSearches:
                 ample, ample_nodes = counted(fn, *args, budget=10**6)
                 full, full_nodes = _oracle(oracle, *args, budget=10**6)
                 assert _kind(full) != "BudgetExceeded", (name, args)
-                assert ample == full and ample_nodes <= full_nodes, (name, args)
+                assert ample == full and ample_nodes <= full_nodes + hub, (name, args)
                 if _kind(want) == "BudgetExceeded":
                     assert got == ample or _kind(got) == "BudgetExceeded", (name, args)
                 else:
                     assert got == want, (name, args)
-        assert moved == {"cycle", "ordered", "oriented"}
+        assert moved == {"cycle", "ordered", "oriented", "oriented_path"}
         for name, seen in kinds.items():
             assert {"found", "none", "BudgetExceeded"} <= seen, (name, seen)
             assert name in ("cycle", "power") or "BadParams" in seen, (name, seen)
@@ -1658,7 +1666,9 @@ class TestHamiltonQuestionsOnTheKernel:
     # rrg(40, 3), which took 208,884; fig1(s) is refuted by the cut scan
     # at its (n^2 + 1)-th node and nw_extremal(n, 2) by the forcing.  On
     # rrg(40, 3) a forced degree-2 vertex that is not allowed falling back
-    # to the node's other neighbours costs 443 nodes
+    # to the node's other neighbours costs 443 nodes.  A Hamilton path is a
+    # cycle through a hub: on the sequence search fig1(2)'s took 133,688
+    # nodes, and fig1(3)'s ran out of 2 * 10^6
     PINNED = {
         "k_ordered fig1(2)": (k_ordered_hamilton, lambda: (fig1(2)[0], [0, 1]), 401),
         "k_ordered fig1(3)": (k_ordered_hamilton, lambda: (fig1(3)[0], [0, 1]), 842),
@@ -1671,6 +1681,8 @@ class TestHamiltonQuestionsOnTheKernel:
         "forward nw_extremal(10, 2)": (_oriented, lambda: (nw_extremal(10, 2)[0], (1,) * 10), 7),
         "forward nw_extremal(11, 2)": (_oriented, lambda: (nw_extremal(11, 2)[0], (1,) * 11), 7),
         "forward nw_extremal(12, 2)": (_oriented, lambda: (nw_extremal(12, 2)[0], (1,) * 12), 7),
+        "path fig1(2)": (_oriented_path, lambda: (fig1(2)[0], (1,) * 19), 38),
+        "path fig1(3)": (_oriented_path, lambda: (fig1(3)[0], (1,) * 28), 58),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))
@@ -1681,6 +1693,8 @@ class TestHamiltonQuestionsOnTheKernel:
         assert used == nodes
         if name.startswith("k_ordered rrg"):
             assert got == oracles.k_ordered_hamilton(*args, oracles.Nodes())
+        elif name.startswith("path"):
+            assert solvers.validate_oriented(args[0], got, OrientationPattern(args[1]), False)
         else:
             assert got is None
 

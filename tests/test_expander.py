@@ -278,6 +278,15 @@ class TestAssembly:
         a, b = blowup.exceptional
         assert abs(pos[a] - pos[b]) not in (1, len(order) - 1)
 
+    def test_clusters_of_one_vertex_need_no_merge(self):
+        # at m = 1 each cluster's matching is one arc: nothing to merge
+        r = complete_digraph(3)
+        red = ReducedDigraph(r, 1)
+        f = OneFactorF(CycleFactor(((0, 1, 2),)), r)
+        blowup, demands = make_cluster_blowup(red)
+        trace = assemble_hamilton(blowup, red, f, build_closed_walk(red, f, demands))
+        assert trace.cycle.order == (0, 1, 2) and trace.merges == ()
+
     def test_empty_pair_matching_failure(self):
         r = directed_cycle(3)
         red = ReducedDigraph(r, 4)

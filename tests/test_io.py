@@ -1,5 +1,8 @@
 """Exchange format: round trips and parser rejections."""
 
+import io
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 
@@ -31,6 +34,15 @@ class TestRoundTrip:
         hio.dump(g, path)
         assert hio.load(path) == g
 
+    @pytest.mark.parametrize("as_graph", [False, True])
+    def test_file_object_round_trip(self, as_graph):
+        g = complete_graph(5) if as_graph else circulant_tournament(7)
+        f = io.StringIO()
+        hio.dump(g, f, as_graph=as_graph)
+        assert f.getvalue() == hio.serialize(g, as_graph=as_graph)
+        f.seek(0)
+        assert hio.load(f) == g
+
 
 class TestRejections:
     def test_asymmetric_as_graph(self):
@@ -53,6 +65,37 @@ class TestRejections:
     def test_bad_inputs(self, text):
         with pytest.raises(FormatError):
             hio.parse(text)
+
+
+class TestRowLimit:
+    """A header whose n needs more than ``_MAX_ROW_BYTES`` of packed rows
+    (n * ceil(n/8) bytes a side) is refused before anything is built."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "DIGRAPH 1 12000 1\n0 1\n",  # once peaked at 51.7 MiB
+            "GRAPH 1 1000000 1\n0 1\n",
+            "DIGRAPH 1 8193 0\n",
+            "DIGRAPH  1 12000 1\n0 1\n",  # the line loop's layout
+            "DIGRAPH 1 1000000000000 1\n0 1\n",
+        ],
+    )
+    def test_refused_in_little_memory(self, text):
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="parse limit"):
+                hio.parse(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("text", ["DIGRAPH 1 8192 1\n0 8191\n", "DIGRAPH  1 8192 0\n"])
+    def test_largest_order_parses(self, text):
+        g = hio.parse(text)
+        assert g.n == 8192 and g.n * g.n // 8 == hio._MAX_ROW_BYTES
+        assert g.m == text.count("\n") - 1
 
 
 class TestParts:

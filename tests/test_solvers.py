@@ -364,3 +364,7 @@ class TestRotationExtension:
     def test_finds_on_complete(self):
         h = rotation_extension(complete_digraph(15))
         assert h is not None and h.is_valid(complete_digraph(15))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_no_cycle_below_two_vertices(self, n):
+        assert rotation_extension(Digraph(n)) is None
