@@ -352,6 +352,9 @@ def make_cluster_blowup(
     bipartite arc set whose rows below ceil(m/2) arcs become complete;
     exceptional vertex i is wired to all of its demand clusters
     (2i mod k, 2i+1 mod k).  Returns the blow-up plus the demand list.
+    Below density 1 each arc's pair draws m^2 doubles from the seeded
+    generator; at density 1 every draw would be kept, so the pairs are
+    complete with no draw and the host does not depend on the seed.
     The arcs go into one n x n boolean matrix, packed once into out-rows and
     once, through a transposed copy, into in-rows: a transient 2n^2 bytes,
     1.2 MB at n = 772 and 19 MB for the triangle at m = 1024.
@@ -370,12 +373,16 @@ def make_cluster_blowup(
     min_pair_degree = max(1, (m + 1) // 2)
     adj = np.zeros((n_core + exceptional,) * 2, dtype=bool)
     for ci, cj in r.arcs():
+        block = adj[ci * m : (ci + 1) * m, cj * m : (cj + 1) * m]
+        if pair_density == 1:
+            block[:] = True  # every draw would be kept
+            continue
         # one double per host pair, in the order of drawing them one at a
         # time (Philox yields the same stream either way); rows below the
         # degree floor become complete
         keep = rng.random((m, m)) < pair_density
         keep[keep.sum(axis=1) < min_pair_degree] = True
-        adj[ci * m : (ci + 1) * m, cj * m : (cj + 1) * m] = keep
+        block[:] = keep
     for a, (t_c, u_c) in zip(exc, demands):
         adj[a, t_c * m : (t_c + 1) * m] = True
         adj[u_c * m : (u_c + 1) * m, a] = True
@@ -446,7 +453,11 @@ def assemble_hamilton(
     ``exc_out`` or ``exc_in`` link takes the lowest free vertex with the
     arc it needs; a ``jump`` takes the lowest free exit with an arc to a
     free entry, then the lowest such entry.  Clusters list their vertices
-    in ascending order, as ``make_cluster_blowup`` builds them."""
+    in ascending order, as ``make_cluster_blowup`` builds them.
+
+    Each cluster's host rows are restricted to its matching's rights once;
+    the merge builds the auxiliary digraph from those same rows, since a
+    cluster's rights and matching stay as they were until it is merged."""
     host = blowup.host
     cmask = [sum(1 << v for v in cl) for cl in blowup.clusters]
     k = len(cmask)
@@ -481,8 +492,11 @@ def assemble_hamilton(
         else:
             raise BadParams(f"unknown link kind {kind!r}")
 
-    # 2. per-cluster perfect matchings A \ A_exit -> A+ \ A+_entry
+    # 2. per-cluster perfect matchings A \ A_exit -> A+ \ A+_entry; each
+    # cluster keeps its rights, its rows restricted to them and each left
+    # vertex's row index for the merge
     matchings: dict[int, dict[int, int]] = {}
+    restricted: list[tuple[list[int], list[int], dict[int, int]]] = []
     for ca in range(k):
         cb = f.succ[ca]
         left = list(bits(cmask[ca] & ~exited))
@@ -498,6 +512,7 @@ def assemble_hamilton(
         if match is None:
             raise MatchingFailure(f"cluster {ca}: no perfect matching to {cb}")
         matchings[ca] = {left[i]: right[match[i]] for i in range(len(left))}
+        restricted.append((right, rows, {a: i for i, a in enumerate(left)}))
 
     # 3. the 1-factor
     succ: dict[int, int] = dict(fixed_succ)
@@ -511,22 +526,19 @@ def assemble_hamilton(
     merges = []
     methods = []
     for ca in range(k):
-        left_set = set(matchings[ca].keys())
-        right = sorted(matchings[ca].values())
+        # ca's matching and rights are step 2's until ca itself is merged
+        right, rows, pos = restricted[ca]
         if len(right) <= 1:
             continue
         fmap: dict[int, int] = {}
         for a in right:
             x = a
-            while x not in left_set:
+            while x not in pos:
                 x = succ[x]
             fmap[a] = x
-        runs = _runs(right)
-        rows = [
-            _restrict(host.out[fmap[a]], runs) & ~(1 << i)
-            for i, a in enumerate(right)
-        ]
-        j_digraph = Digraph.from_out_masks(rows)
+        j_digraph = Digraph.from_out_masks(
+            [rows[pos[fmap[a]]] & ~(1 << i) for i, a in enumerate(right)]
+        )
         h = rotation_extension(j_digraph)
         method = "rotation"
         if h is None:

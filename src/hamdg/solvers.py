@@ -95,15 +95,24 @@ def _bipartite_matching(n_left: int, adj: Sequence[int]) -> Optional[list[int]]:
     """Perfect matching in a bipartite graph given as left->right bit rows.
 
     Returns ``match[l] = r`` or ``None`` if no perfect matching exists.
-    One ``_augment`` per left vertex, in ascending order, whose lookahead
-    is every right not matched yet: a left takes its lowest unmatched
-    right, and only one whose row has none runs Kuhn's search, so dense
-    rows skip its alternating chains.  The matching is an output
-    (``one_factor``, the expander's per-cluster matchings)."""
+    The lefts go in ascending order, and ``free`` is every right not
+    matched yet: a left whose row meets it takes its lowest unmatched
+    right in place, and only one whose row has none calls ``_augment``
+    for Kuhn's search, so dense rows skip both its alternating chains and
+    the call.  The matching is an output (``one_factor``, the expander's
+    per-cluster matchings)."""
     match_l = [-1] * n_left
-    match_r = [-1] * max((row.bit_length() for row in adj), default=0)
+    match_r = [-1] * max(adj, default=0).bit_length()
     free = (1 << len(match_r)) - 1
     for root in range(n_left):
+        hit = adj[root] & free
+        if hit:
+            low = hit & -hit
+            r = low.bit_length() - 1
+            match_l[root] = r
+            match_r[r] = root
+            free ^= low
+            continue
         r = _augment(match_l, match_r, root, adj, 0, free)
         if r < 0:
             return None
@@ -651,13 +660,18 @@ def kth_power_hamilton(
     """Cyclic order where every vertex sends an arc to each of the next k,
     searched from vertex 0 (cyclic symmetry makes other starts redundant).
     A vertex must receive arcs from each of the previous k; the order must
-    also wrap round.  ``budget`` bounds the search nodes."""
+    also wrap round.  Every k-th power holds a Hamilton cycle, so the
+    kernel's search for one runs first, on the same budget, and a digraph
+    it refutes has none.  ``budget`` bounds the search nodes."""
     if k < 1:
         raise BadParams("k >= 1 required")
     if k == 1:
         return find_hamilton_cycle(g, budget=budget)
     n = g.n
     if n < k + 1:
+        return None
+    b = as_budget(budget)
+    if find_hamilton_cycle(g, budget=b) is None:
         return None
     out = g.out
 
@@ -674,7 +688,7 @@ def kth_power_hamilton(
             for j in range(n - i, k + 1)
         )
 
-    order = next(_sequences(1, n, cand, closes, as_budget(budget)), None)
+    order = next(_sequences(1, n, cand, closes, b), None)
     return None if order is None else HamiltonCycle(order)
 
 

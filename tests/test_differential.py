@@ -123,6 +123,31 @@ class TestBipartiteMatching:
         if p == 0.15:
             assert outcomes == {True, False}
 
+    @pytest.mark.parametrize("p", [0.9, 0.97, 1.0])
+    def test_equal_match_lists_at_merge_size(self, monkeypatch, p):
+        # the assembly matches 64 to 260 lefts per cluster.  A few rights
+        # are in no row, so every other right must be used; below p = 1
+        # some late left then finds no unmatched right in its row and falls
+        # back to Kuhn's search
+        augment = solvers._augment
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return augment(*args)
+
+        monkeypatch.setattr(solvers, "_augment", counted)
+        rng = random.Random(int(p * 100) + 1)
+        for _ in range(12):
+            n_left = rng.randint(64, 260)
+            n_right = n_left + rng.randint(0, 3)
+            zero = sum(1 << r for r in rng.sample(range(n_right), n_right - n_left))
+            adj = [row & ~zero for row in _random_rows(rng, n_left, n_right, p)]
+            want = oracles.seeded_matching(n_left, adj)
+            assert _bipartite_matching(n_left, adj) == want
+            assert (want is None) == (oracles.bipartite_matching(n_left, adj) is None)
+        assert bool(calls) == (p < 1)
+
     def test_one_factor_equal(self):
         rng = random.Random(7)
         for _ in range(40):
@@ -1546,6 +1571,19 @@ def _oriented_oracle(g, signs, b):
     return oracles.pattern_search(g, signs, True, b)
 
 
+def _power_oracle(g, k, b):
+    """The recursive k-th power search behind the kernel's Hamilton cycle
+    search, which runs first on the same nodes: its nodes are ticked on
+    ``b`` one by one, and a digraph it refutes has no k-th power."""
+    if g.n < k + 1:
+        return None
+    kernel = _Budget(10**6)
+    h = find_hamilton_cycle(g, budget=kernel)
+    for _ in range(10**6 - kernel.left):
+        b.tick()
+    return None if h is None else oracles.kth_power_hamilton(g, k, b)
+
+
 def _oriented_path(g, signs, budget):
     return oriented_hamilton_path(g, OrientationPattern(signs), budget=budget)
 
@@ -1563,8 +1601,7 @@ def _searches(rng, g):
     bad = rng.random() < 0.05  # a pattern of the wrong length
     yield ("cycle", find_cycle_of_length, oracles.find_cycle_of_length,
            (g, rng.randint(0, n + 1)))
-    yield ("power", kth_power_hamilton, oracles.kth_power_hamilton,
-           (g, rng.choice((2, 3))))
+    yield ("power", kth_power_hamilton, _power_oracle, (g, rng.choice((2, 3))))
     yield ("ordered", k_ordered_hamilton, oracles.k_ordered_hamilton, (g, seq))
     yield ("oriented", _oriented, _oriented_oracle, (g, signs[: n - bad]))
     yield ("oriented_path", _oriented_path,
@@ -1660,7 +1697,8 @@ class TestHamiltonQuestionsOnTheKernel:
     """k-ordered cycles, all-forward patterns and cycles of length n ask for
     a Hamilton cycle of the host, so they run on the pruned kernel with an
     ``allow`` hook; the sequence search's oracles give the same
-    certificates from at least as many nodes."""
+    certificates from at least as many nodes.  A k-th power search asks
+    the kernel first, since every k-th power holds a Hamilton cycle."""
 
     # each ran out of 2 * 10^6 nodes on the sequence search, except
     # rrg(40, 3), which took 208,884; fig1(s) is refuted by the cut scan
@@ -1683,6 +1721,11 @@ class TestHamiltonQuestionsOnTheKernel:
         "forward nw_extremal(12, 2)": (_oriented, lambda: (nw_extremal(12, 2)[0], (1,) * 12), 7),
         "path fig1(2)": (_oriented_path, lambda: (fig1(2)[0], (1,) * 19), 38),
         "path fig1(3)": (_oriented_path, lambda: (fig1(3)[0], (1,) * 28), 58),
+        # every k-th power holds a Hamilton cycle, so the kernel refutes
+        # these squares first; the square search took 219,207 nodes on
+        # nw_extremal(12, 2) and ran out of 2 * 10^6 on nw_extremal(14, 2)
+        "power nw_extremal(12, 2)": (kth_power_hamilton, lambda: (nw_extremal(12, 2)[0], 2), 7),
+        "power nw_extremal(14, 2)": (kth_power_hamilton, lambda: (nw_extremal(14, 2)[0], 2), 7),
     }
 
     @pytest.mark.parametrize("name", sorted(PINNED))

@@ -229,6 +229,62 @@ class TestBlowupParams:
         assert blowup.host.out == make_cluster_blowup(self.RED)[0].host.out
 
 
+class TestBlowupPins:
+    """Blow-up hosts pinned by sha256 of ``repr((host.out, host.inn))`` over
+    exceptional in (0, 4) and seed in (0, 7), in that order."""
+
+    BASES = {
+        "triangle": complete_digraph(3),
+        "pentagon": circulant_tournament(5, (1, 2)),
+    }
+
+    @staticmethod
+    def hosts(base, m, density):
+        red = ReducedDigraph(TestBlowupPins.BASES[base], m)
+        for exceptional in (0, 4):
+            for seed in (0, 7):
+                blowup, _ = make_cluster_blowup(
+                    red, exceptional=exceptional, pair_density=density, seed=seed
+                )
+                yield blowup.host
+
+    @pytest.mark.parametrize(
+        "base, m, density, digest",
+        [
+        ("triangle", 8, 1.0, "3588dfdfc9f539576c08f65ea8680e930ec346b372e447dc324edf029cc4e78e"),
+        ("triangle", 8, 0.8, "5683690f162470b0d73220b49d50bbcd10a468f82cc209168248f9fb8d800c63"),
+        ("triangle", 8, 0.5, "1f63b4ae800909df5197037de8e401451f9a48794c06fc74e5b697a32b812321"),
+        ("triangle", 40, 1.0, "19c862bcd8796db4870ea0bb55246cad2b64d3e3e8dfe79b4501f984c463f1ba"),
+        ("triangle", 40, 0.8, "14b9645c7f4ad8f350c74cf22471902043d7cb13818085dd5193693326f63e3e"),
+        ("triangle", 40, 0.5, "42fae8979a89e665d567681c474a5d5ded6440d752d6461262f292e4dc9625d3"),
+        ("triangle", 128, 1.0, "9d15f37f46f42afebd1e9a67f262f452f344f8df48aee4367c315b5c8c3e3849"),
+        ("triangle", 128, 0.8, "18c391b63597f9b341089bd80dea2da4d95e4e8e300ff8ddc1535a0939ecf346"),
+        ("triangle", 128, 0.5, "ad7511a0cb41711253b81616ef5b5dcb8a08a9d3843034eeffd9765628eb7638"),
+        ("pentagon", 8, 1.0, "dab7c402ef2f60cf53a5b9167364892e6cc2c18ae3e4cc76ef1568da2ccd6ed8"),
+        ("pentagon", 8, 0.8, "c90a9621598ce9b0689bee171b2e9fa0d25081c7927f669d666d5ed0f0f54244"),
+        ("pentagon", 8, 0.5, "6a0b8d8daf03c61037bf09a76b094078a92a4b0e953bbeea6c0c7c99aca60d3f"),
+        ("pentagon", 40, 1.0, "8967332ed48c28be9651da6daf264a40e432ab89792e6120d53f16520fc5bbb7"),
+        ("pentagon", 40, 0.8, "de4b80681e4681c5e768ac7e8fca4fec444f2cb8b39e649a613524904dc1803c"),
+        ("pentagon", 40, 0.5, "718eb623a526eb56d43333ccc73cf1affdb2fafe146801f571d3ff1eb2765960"),
+        ("pentagon", 128, 1.0, "ded10b433d5f24b0ecc95964fa0dbba96e96e2803af422b91d20400f3e580148"),
+        ("pentagon", 128, 0.8, "470d23a1ed99c4d58923860aa5b888e3813ece30d400338b47a7040b4e068836"),
+        ("pentagon", 128, 0.5, "d6ac46814197c1b630360abf97709bdb3319b91de32627eed43dfb33f5e2a699"),
+        ],
+    )
+    def test_hosts_pinned(self, base, m, density, digest):
+        h = hashlib.sha256()
+        for host in self.hosts(base, m, density):
+            h.update(repr((host.out, host.inn)).encode())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("base", ["triangle", "pentagon"])
+    def test_density_one_ignores_the_seed(self, base):
+        # every pair is complete, so no seed can change the host
+        hosts = list(self.hosts(base, 40, 1.0))
+        assert hosts[0].out == hosts[1].out and hosts[2].out == hosts[3].out
+        assert hosts[0].inn == hosts[1].inn and hosts[2].inn == hosts[3].inn
+
+
 def _bogus_link():
     red, f = _pentagon()
     blowup, demands = make_cluster_blowup(red)
