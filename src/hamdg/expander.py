@@ -553,7 +553,6 @@ def assemble_hamilton(
             new_matching.append((fmap[a], b))
         for x, b in new_matching:
             succ[x] = b
-        matchings[ca] = dict(new_matching)
         merges.append((ca, tuple(sorted(new_matching))))
         methods.append(method)
 
