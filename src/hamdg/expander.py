@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -52,28 +53,53 @@ def robust_out_nbhd(g: Digraph, s: set[int] | int, nu) -> set[int]:
     return {x for x in range(g.n) if popcount(g.inn[x] & mask) >= t}
 
 
-_SCAN_BLOCK = 1 << 16
-# Largest order the exact robust-expansion scan accepts; it costs O(2^n n).
+_LOW_BITS = 16  # the scan's blocks: the 2^16 masks that share their higher bits
+# Largest order the exact robust-expansion scan accepts; it costs O(2^n t)
+# word operations, t = ceil(nu*n).
 ROBUST_EXACT_CAP = 20
+
+
+@cache
+def _low_sizes() -> np.ndarray:
+    """|S| for every mask S of the _LOW_BITS low bits, built on first use;
+    intp, so that ``take`` reads it with no conversion per block."""
+    return np.bitwise_count(np.arange(1 << _LOW_BITS)).astype(np.intp)
 
 
 def _first_robust_violation(g: Digraph, t: int, sizes: list[int]) -> Optional[int]:
     """Smallest mask S with |S| in ``sizes`` and |RN(S)| - |S| < ``t``,
-    where RN(S) holds the x with at least ``t`` in-neighbours in S."""
+    where RN(S) holds the x with at least ``t`` >= 1 in-neighbours in S.
+
+    ``at[j][S]`` holds the x with at least j+1 in-neighbours in S, for every
+    S over the k low bits; adding v to each S below 2^v doubles it.  The
+    masks of a block share their high bits H, whose counters ``hr`` are
+    built the same way, and x has at least t in-neighbours in S | H when it
+    has at least i in S and t - i in H for some 0 <= i <= t.  The rows are
+    uint32, as n is at most ROBUST_EXACT_CAP."""
     n = g.n
     if not sizes:
         return None
-    allowed = np.zeros(n + 1, dtype=bool)
-    allowed[sizes] = True
-    for lo in range(1, 1 << n, _SCAN_BLOCK):
-        masks = np.arange(lo, min(lo + _SCAN_BLOCK, 1 << n), dtype=np.int64)
-        size = np.bitwise_count(masks)
-        rn = np.zeros(len(masks), dtype=np.int64)
-        for x in range(n):
-            rn += np.bitwise_count(masks & g.inn[x]) >= t
-        bad = np.flatnonzero(allowed[size] & (rn - size < t))
+    k = min(n, _LOW_BITS)
+    at = np.zeros((t, 1 << k), dtype=np.uint32)
+    for v in range(k):
+        old, new = at[:, : 1 << v], at[:, 1 << v : 2 << v]
+        new[0] = old[0] | g.out[v]
+        for j in range(1, t):
+            new[j] = old[j] | (old[j - 1] & g.out[v])
+    limit = np.zeros(n + 1, dtype=np.int64)  # |S| + t where |S| is tested, else 0
+    limit[sizes] = np.add(sizes, t)
+    low_sizes = _low_sizes()[: 1 << k]
+    for high in range(1 << (n - k)):
+        hr = [0] * t
+        for v in bits(high << k):
+            hr[1:] = [a | (b & g.out[v]) for a, b in zip(hr[1:], hr)]
+            hr[0] |= g.out[v]
+        rn = at[t - 1] | hr[t - 1]
+        for i in range(1, t):
+            rn |= at[i - 1] & hr[t - 1 - i]
+        bad = np.flatnonzero(np.bitwise_count(rn) < limit[popcount(high) :].take(low_sizes))
         if len(bad):
-            return int(masks[bad[0]])
+            return high << k | int(bad[0])
     return None
 
 
@@ -88,19 +114,24 @@ def is_robust_outexpander(
 ) -> Verdict:
     """Check |RN+_nu(S)| >= |S| + nu*n for all S with tau*n < |S| < (1-tau)*n.
 
-    Exact mode enumerates every qualifying S and returns the first violating
-    one in ascending mask order.  It scans the masks in numpy blocks: for
-    each vertex x, ``bitwise_count(masks & inn[x]) >= ceil(nu*n)`` marks the
-    masks that robustly reach x, and the marks summed over x give |RN(S)|.
-    The test |RN(S)| - |S| < nu*n is made in integers as
-    ``rn - size < ceil(nu*n)``, exact because the left side is an integer;
-    no float touches it.  Sampled mode tests each sample the same way.
-    Cost: O(2^n n) word operations, stopping at the first violating block.
+    Both nu and tau must lie strictly between 0 and 1.  Exact mode
+    enumerates every qualifying S and returns the first violating one in
+    ascending mask order.  It scans the masks in numpy blocks of bit rows:
+    t = ceil(nu*n) threshold tables, built once by doubling over the low
+    mask bits and combined with each block's high bits, give the row
+    RN(S), and one ``bitwise_count`` gives |RN(S)|.  The test
+    |RN(S)| - |S| < nu*n is made in integers as ``rn - size < t``, exact
+    because the left side is an integer; no float touches it.  Sampled mode
+    tests each sample the same way.  Cost: O(2^n t) word operations,
+    stopping at the first violating block.
     Sampled mode is one-sided (a failing verdict carries a genuine witness,
     a holding verdict only says no violation was found in the given number
     of trials).
     """
     nu, tau = _frac(nu, "nu"), _frac(tau, "tau")
+    for name, x in (("nu", nu), ("tau", tau)):
+        if not 0 < x < 1:
+            raise BadParams(f"{name} must lie strictly between 0 and 1, got {x}")
     if trials < 1:
         raise BadParams(f"trials must be at least 1, got {trials}")
     n = g.n

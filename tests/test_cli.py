@@ -566,6 +566,9 @@ class TestUsage:
             (("cover", "--budget", "-3"), "--budget"),
             (("solve", "--length", "-4"), "--length"),
             (("solve", "--length", "0"), "--length"),
+            (("expander", "--nu=-1/5"), "nu must lie strictly between 0 and 1"),
+            (("expander", "--nu", "3/2"), "nu must lie strictly between 0 and 1"),
+            (("expander", "--mode", "sampled", "--tau", "1"), "tau must lie strictly"),
         ],
     )
     def test_out_of_domain_value_is_usage_error(self, capsys, tmp_path, argv, want):

@@ -75,6 +75,7 @@ from hamdg.expander import (
     build_closed_walk,
     is_robust_outexpander,
     make_cluster_blowup,
+    robust_threshold,
 )
 from hamdg.solvers import (
     OrientationPattern,
@@ -1496,6 +1497,29 @@ class TestRobustOutexpander:
         want = oracles.is_robust_outexpander_exact(g, "1/5", "1/5")
         assert 16 in want.witness["S"]
         assert is_robust_outexpander(g, "1/5", "1/5") == want
+
+    @pytest.mark.parametrize(
+        "n, nu, tau, p, seed, mute, t",
+        [
+            (17, "1/20", "1/5", 0.3, 2, 16, 1),
+            (18, "1/10", "1/5", 0.5, 0, None, 2),
+            (17, "3/20", "1/5", 0.8, 0, None, 3),
+            (19, "3/20", "1/5", 0.8, 0, 18, 3),
+            (17, "1/5", "1/5", 0.95, 1, None, 4),
+            (17, "1/5", "1/4", 0.9, 1, None, 4),
+        ],
+    )
+    def test_equal_past_the_low_bits(self, n, nu, tau, p, seed, mute, t):
+        # each case holds (every block is scanned) or fails first on a set
+        # with a vertex above 15, so the scan combines the low-bit tables
+        # with the counters of nonzero high bits, for t = 1 .. 4
+        g = random_digraph(n, p, seed=seed)
+        if mute is not None:
+            g = g.without_arcs([(mute, v) for v in range(n)])
+        assert robust_threshold(n, nu) == t
+        want = oracles.is_robust_outexpander_exact(g, nu, tau)
+        assert want.holds or max(want.witness["S"]) >= 16
+        assert is_robust_outexpander(g, nu, tau) == want
 
 
 # --- the sequence-search kernel against the recursive searches -------------

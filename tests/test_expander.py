@@ -112,6 +112,26 @@ class TestRobustExpander:
         assert is_robust_outexpander(g, "1/4", "1/2").holds
 
 
+    @pytest.mark.parametrize("mode", ["exact", "sampled"])
+    @pytest.mark.parametrize(
+        "nu, tau, name",
+        [
+            ("-1/5", "1/5", "nu"),
+            ("0", "1/5", "nu"),
+            ("1", "1/5", "nu"),
+            ("3/2", "1/5", "nu"),
+            ("1/20", "0", "tau"),
+            ("1/20", "-1/2", "tau"),
+            ("1/20", "1", "tau"),
+            ("1/20", "5/4", "tau"),
+        ],
+    )
+    def test_parameters_outside_the_open_unit_interval(self, nu, tau, name, mode):
+        # nu = -1/5 once held on every input, and nu = 3/2 failed with a
+        # "witness", since ceil(nu*n) was 0 or above n
+        with pytest.raises(BadParams, match=f"{name} must lie strictly between 0 and 1"):
+            is_robust_outexpander(circulant_tournament(9), nu, tau, mode=mode)
+
     @pytest.mark.parametrize("tau, holds", [("2/9", True), ("1/9", False)])
     def test_sampled_threshold_is_the_exact_one(self, tau, holds):
         # on K*9 with nu = 1/4 (nu*n = 9/4, not an integer) a set of 3 or 6
