@@ -18,6 +18,7 @@ import numpy as np
 
 from .conditions import Verdict, _frac
 from .core import (
+    DEFAULT_BUDGET,
     CycleFactor,
     Digraph,
     HamiltonCycle,
@@ -41,8 +42,12 @@ from .solvers import _bipartite_matching, find_hamilton_cycle, rotation_extensio
 
 
 def robust_threshold(n: int, nu) -> int:
-    """ceil(nu * n): the in-neighbour count making a vertex robustly reached."""
-    f = _frac(nu, "nu") * n
+    """ceil(nu * n): the in-neighbour count making a vertex robustly reached,
+    for nu strictly between 0 and 1."""
+    nu = _frac(nu, "nu")
+    if not 0 < nu < 1:
+        raise BadParams(f"nu must lie strictly between 0 and 1, got {nu}")
+    f = nu * n
     return -(-f.numerator // f.denominator)
 
 
@@ -54,9 +59,6 @@ def robust_out_nbhd(g: Digraph, s: set[int] | int, nu) -> set[int]:
 
 
 _LOW_BITS = 16  # the scan's blocks: the 2^16 masks that share their higher bits
-# Largest order the exact robust-expansion scan accepts; it costs O(2^n t)
-# word operations, t = ceil(nu*n).
-ROBUST_EXACT_CAP = 20
 
 
 @cache
@@ -75,7 +77,8 @@ def _first_robust_violation(g: Digraph, t: int, sizes: list[int]) -> Optional[in
     masks of a block share their high bits H, whose counters ``hr`` are
     built the same way, and x has at least t in-neighbours in S | H when it
     has at least i in S and t - i in H for some 0 <= i <= t.  The rows are
-    uint32, as n is at most ROBUST_EXACT_CAP."""
+    uint32: the caller admits at most DEFAULT_BUDGET = 10^8 < 2^27 mask
+    words 2^n t, so n is at most 26."""
     n = g.n
     if not sizes:
         return None
@@ -103,74 +106,41 @@ def _first_robust_violation(g: Digraph, t: int, sizes: list[int]) -> Optional[in
     return None
 
 
-def is_robust_outexpander(
-    g: Digraph,
-    nu,
-    tau,
-    *,
-    mode: str = "exact",
-    trials: int = 10_000,
-    seed: int = 0,
-) -> Verdict:
+def is_robust_outexpander(g: Digraph, nu, tau) -> Verdict:
     """Check |RN+_nu(S)| >= |S| + nu*n for all S with tau*n < |S| < (1-tau)*n.
 
-    Both nu and tau must lie strictly between 0 and 1.  Exact mode
-    enumerates every qualifying S and returns the first violating one in
-    ascending mask order.  It scans the masks in numpy blocks of bit rows:
+    Both nu and tau must lie strictly between 0 and 1.  Every qualifying S
+    is enumerated, and the first violating one in ascending mask order is
+    the witness.  The masks are scanned in numpy blocks of bit rows:
     t = ceil(nu*n) threshold tables, built once by doubling over the low
     mask bits and combined with each block's high bits, give the row
     RN(S), and one ``bitwise_count`` gives |RN(S)|.  The test
     |RN(S)| - |S| < nu*n is made in integers as ``rn - size < t``, exact
-    because the left side is an integer; no float touches it.  Sampled mode
-    tests each sample the same way.  Cost: O(2^n t) word operations,
-    stopping at the first violating block.
-    Sampled mode is one-sided (a failing verdict carries a genuine witness,
-    a holding verdict only says no violation was found in the given number
-    of trials).
+    because the left side is an integer; no float touches it.  Cost:
+    2^n t mask words, stopping at the first violating block; past
+    DEFAULT_BUDGET words, ``BudgetExceeded`` is raised before any table is
+    built.
     """
     nu, tau = _frac(nu, "nu"), _frac(tau, "tau")
-    for name, x in (("nu", nu), ("tau", tau)):
-        if not 0 < x < 1:
-            raise BadParams(f"{name} must lie strictly between 0 and 1, got {x}")
-    if trials < 1:
-        raise BadParams(f"trials must be at least 1, got {trials}")
     n = g.n
-    lo, hi = tau * n, (1 - tau) * n
-    sizes = [s for s in range(1, n) if lo < s < hi]
-    need = nu * n
     t = robust_threshold(n, nu)  # ceil(nu*n), which bounds rn - size too
-
-    def violates(mask: int) -> Optional[dict]:
-        size = popcount(mask)
-        rn = sum(1 for x in range(n) if popcount(g.inn[x] & mask) >= t)
-        if rn - size < t:
-            return {"S": sorted(bits(mask)), "rn_size": rn, "needed": str(size + need)}
-        return None
-
-    if mode == "exact":
-        if n > ROBUST_EXACT_CAP:
-            raise BudgetExceeded(f"exact mode capped at n <= {ROBUST_EXACT_CAP}")
-        mask = _first_robust_violation(g, t, sizes)
-        if mask is not None:
-            return Verdict("robust_outexpander", False, violates(mask))
-        return Verdict("robust_outexpander", True)
-    if mode == "sampled":
-        if not sizes:
-            return Verdict("robust_outexpander", True, reason="no qualifying sizes")
-        rng = seeded_rng(seed)
-        for _ in range(trials):
-            size = int(rng.choice(sizes))
-            chosen = rng.choice(n, size=size, replace=False)
-            mask = 0
-            for v in chosen:
-                mask |= 1 << int(v)
-            w = violates(mask)
-            if w is not None:
-                return Verdict("robust_outexpander", False, w)
-        return Verdict(
-            "robust_outexpander", True, reason=f"no violation in {trials} samples"
+    if not 0 < tau < 1:
+        raise BadParams(f"tau must lie strictly between 0 and 1, got {tau}")
+    if t << n > DEFAULT_BUDGET:
+        raise BudgetExceeded(
+            f"the robust-expansion scan's 2^{n} * {t} = {t << n} mask words "
+            f"pass the budget of {DEFAULT_BUDGET}"
         )
-    raise BadParams(f"unknown mode {mode!r}")
+    lo, hi = tau * n, (1 - tau) * n
+    mask = _first_robust_violation(g, t, [s for s in range(1, n) if lo < s < hi])
+    if mask is None:
+        return Verdict("robust_outexpander", True)
+    witness = {
+        "S": sorted(bits(mask)),
+        "rn_size": len(robust_out_nbhd(g, mask, nu)),
+        "needed": str(popcount(mask) + nu * n),
+    }
+    return Verdict("robust_outexpander", False, witness)
 
 
 # --- reduced digraphs, 1-factors, shifted walks --------------------------

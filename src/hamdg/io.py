@@ -8,8 +8,9 @@ Hamilton cycle serializes as one line ``CYCLE 1 <n> v0 ... v_{n-1}``.
 
 ``parse`` reads text laid out exactly as ``serialize`` writes it in bulk,
 on the byte buffer; every other text, and every text with a fault, goes to
-the line loop, which alone raises ``FormatError``, so the bulk path changes
-no message and no order of the checks.
+the line loop, which raises ``FormatError``, so the bulk path changes no
+message and no order of the checks.  Both paths refuse an order past the
+row limit through ``check_order``, at the same point of the checks.
 """
 
 from __future__ import annotations
@@ -34,6 +35,13 @@ _DECIMAL = re.compile(r"-?[0-9]+")
 # (n <= 8192), so that a header alone cannot make ``parse`` allocate
 # memory in proportion to n^2
 _MAX_ROW_BYTES = 1 << 23
+
+
+def check_order(n: int) -> None:
+    """Refuse, as ``parse`` does, an order n whose packed rows pass the
+    parse limit: a digraph of that order could not be read back."""
+    if n > 0 and n * ((n + 7) // 8) > _MAX_ROW_BYTES:
+        raise FormatError(f"n={n}: its rows pass the parse limit of {_MAX_ROW_BYTES} bytes")
 
 
 def serialize(g: Digraph, *, as_graph: bool = False) -> str:
@@ -80,7 +88,8 @@ def _packed_rows(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
 def _parse_canonical(text: str) -> Optional[Digraph]:
     """The digraph of ``text`` if it is laid out exactly as ``serialize``
     writes it (leading zeros and any arc order aside) and has no fault;
-    otherwise ``None``.  Apart from the text's bytes and one index per
+    otherwise ``None``, or for an order past the limit the line loop's
+    ``FormatError``.  Apart from the text's bytes and one index per
     token, the only arrays are the n packed rows of n/8 bytes per side."""
     if not text.isascii():
         return None
@@ -89,8 +98,7 @@ def _parse_canonical(text: str) -> Optional[Digraph]:
     if head is None:
         return None
     n, m = int(head[2]), int(head[3])
-    if n * ((n + 7) // 8) > _MAX_ROW_BYTES:
-        return None  # the line loop refuses it
+    check_order(n)
     body = np.frombuffer(buf, np.uint8, offset=head.end())
     digits = body - np.uint8(ord("0"))
     # m lines "<digits> <digits>\n": the non-digits alternate space and
@@ -139,8 +147,7 @@ def _parse_lines(text: str) -> Digraph:
         raise FormatError(f"bad header {lines[0]!r}") from None
     if n < 0 or m < 0:
         raise FormatError("negative counts in header")
-    if n * ((n + 7) // 8) > _MAX_ROW_BYTES:
-        raise FormatError(f"n={n}: its rows pass the parse limit of {_MAX_ROW_BYTES} bytes")
+    check_order(n)
     if len(lines) - 1 != m:
         raise FormatError(f"header promises {m} lines, found {len(lines) - 1}")
     undirected = head[0] == "GRAPH"

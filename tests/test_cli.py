@@ -6,6 +6,7 @@ import io
 import pytest
 
 from hamdg import cli, conditions, core
+from hamdg import constructions as cons
 from hamdg import io as hio
 from hamdg.cli import main
 from hamdg.conditions import DEGREE_RULES, SEQUENCE_RULES
@@ -562,13 +563,13 @@ class TestUsage:
             (("check", "--rule", "power_tournament", "--param", "eps=1/0"), "eps"),
             (("solve", "--budget", "-3"), "--budget"),
             (("decompose", "--budget", "-3"), "--budget"),
-            (("expander", "--mode", "sampled", "--trials", "-5"), "trials"),
+            (("expander", "--pipeline", "--m", "0"), "cluster size"),
             (("cover", "--budget", "-3"), "--budget"),
             (("solve", "--length", "-4"), "--length"),
             (("solve", "--length", "0"), "--length"),
             (("expander", "--nu=-1/5"), "nu must lie strictly between 0 and 1"),
             (("expander", "--nu", "3/2"), "nu must lie strictly between 0 and 1"),
-            (("expander", "--mode", "sampled", "--tau", "1"), "tau must lie strictly"),
+            (("expander", "--tau", "1"), "tau must lie strictly"),
         ],
     )
     def test_out_of_domain_value_is_usage_error(self, capsys, tmp_path, argv, want):
@@ -657,6 +658,32 @@ class TestUsage:
         code, out, err = run(capsys, "gen", "--family", "random_digraph", "--n", "5",
                              "--param", f"p={p}")
         assert code == 2 and out == "" and "arc_prob" in err and "Traceback" not in err
+
+    def test_gen_refuses_an_order_parse_refuses(self, capsys, monkeypatch):
+        # gen --n 9000 wrote a file that solve --input then refused
+        def make(n):
+            raise AssertionError("the graph was built")
+
+        monkeypatch.setitem(cons.FAMILIES, "directed_cycle", cons.Family(make, ("n",)))
+        code, out, err = run(capsys, "gen", "--family", "directed_cycle", "--n", "8193")
+        assert code == 2 and out == "" and "n=8193: its rows pass the parse limit" in err
+
+    def test_gen_writes_the_largest_order_parse_reads(self, capsys, tmp_path):
+        path = str(tmp_path / "c.dg")
+        code, out, err = run(capsys, "gen", "--family", "directed_cycle", "--n", "8192",
+                             "--output", path)
+        assert code == 0 and err == "" and hio.load(path).n == 8192
+
+    def test_pipeline_refuses_a_host_order_parse_refuses(self, capsys, monkeypatch):
+        # 3 clusters of 2730 and 3 exceptional vertices: an 8193-vertex host,
+        # whose blow-up is an 8193 x 8193 boolean matrix
+        def blowup(*args, **kwargs):
+            raise AssertionError("the host was built")
+
+        monkeypatch.setattr(cli, "make_cluster_blowup", blowup)
+        code, out, err = run(capsys, "expander", "--pipeline", "--base", "triangle",
+                             "--m", "2730", "--exceptional", "3")
+        assert code == 2 and out == "" and "n=8193: its rows pass the parse limit" in err
 
     def test_negative_exceptional_is_usage_error(self, capsys):
         # an IndexError in the blow-up: exit 4 with a traceback

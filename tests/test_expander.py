@@ -60,6 +60,15 @@ class TestRobustNbhd:
         }
         assert robust_out_nbhd(g, s, Fraction(1, 5)) == want
 
+    @pytest.mark.parametrize("nu", ["-1/5", "0", "1", "3/2"])
+    def test_nu_outside_the_open_unit_interval(self, nu):
+        # ceil(nu*n) was -1 at nu = -1/5, so the empty set robustly reached
+        # every vertex, and 9 at nu = 3/2 on 6 vertices
+        with pytest.raises(BadParams, match="nu must lie strictly between 0 and 1"):
+            robust_threshold(6, nu)
+        with pytest.raises(BadParams, match="nu must lie strictly between 0 and 1"):
+            robust_out_nbhd(directed_cycle(6), set(), nu)
+
     def test_monotone_in_nu(self):
         rng = np.random.Generator(np.random.Philox(1))
         for _ in range(50):
@@ -88,31 +97,50 @@ class TestRobustExpander:
             range(7, 14)
         )
 
-    def test_exact_cap(self):
-        with pytest.raises(BudgetExceeded):
-            is_robust_outexpander(complete_digraph(21), "1/20", "1/5")
+    def test_exact_cap(self, monkeypatch):
+        # n = 26 at t = ceil(26/20) = 2 scans 2^27 mask words, past the
+        # budget of 10^8: refused before the scan runs
+        def scan(*args):
+            raise AssertionError("the scan ran")
 
-    def test_sampled_finds_gross_violation(self):
-        g = directed_cycle(12)
-        v = is_robust_outexpander(g, "1/4", "1/6", mode="sampled", trials=200, seed=0)
-        assert not v.holds
+        monkeypatch.setattr("hamdg.expander._first_robust_violation", scan)
+        with pytest.raises(BudgetExceeded, match="134217728 mask words pass the budget of 100000000"):
+            is_robust_outexpander(complete_digraph(26), "1/20", "1/5")
 
-    def test_sampled_holds_on_a_robust_expander(self):
-        # one-sided: a holding sampled verdict says only what it sampled
-        g = circulant_tournament(13)
-        v = is_robust_outexpander(g, Fraction(1, 20), Fraction(1, 5), mode="sampled", trials=50)
-        assert v.holds and v.witness is None and v.reason == "no violation in 50 samples"
+    @pytest.mark.parametrize(
+        "n, nu, admitted",
+        [(25, "1/20", True), (26, "1/30", True), (27, "1/30", False)],
+    )
+    def test_budget_counts_mask_words(self, monkeypatch, n, nu, admitted):
+        # 2^n * t words against 10^8: t = 2 admits n = 25, t = 1 admits
+        # n = 26 and refuses n = 27
+        monkeypatch.setattr("hamdg.expander._first_robust_violation", lambda *a: None)
+        g = Digraph(n, [])
+        if admitted:
+            assert is_robust_outexpander(g, nu, "1/5").holds
+        else:
+            with pytest.raises(BudgetExceeded, match="pass the budget of 100000000"):
+                is_robust_outexpander(g, nu, "1/5")
 
-    def test_sampled_without_qualifying_sizes(self):
+    def test_circulant_past_twenty_holds(self):
+        # n = 25 at t = 2 scans 2^26 mask words, inside the budget
+        assert is_robust_outexpander(circulant_tournament(25), "1/20", "1/5").holds
+
+    def test_witness_past_twenty(self):
+        # only sets holding the out-isolated vertex 22 fail; the smallest
+        # mask of an admitted size (5 .. 18) that holds it is {0, 1, 2, 3, 22}
+        g = complete_digraph(23).without_arcs([(22, v) for v in range(22)])
+        v = is_robust_outexpander(g, "1/5", "1/5")
+        assert not v.holds and v.witness["S"] == [0, 1, 2, 3, 22]
+        assert v.witness["rn_size"] == len(robust_out_nbhd(g, {0, 1, 2, 3, 22}, "1/5")) == 0
+        assert v.witness["needed"] == "48/5"
+
+    def test_without_qualifying_sizes(self):
         # tau = 1/2 leaves no size strictly between n/2 and n/2, so nothing
-        # is drawn, as in exact mode, which finds nothing to violate
-        g = directed_cycle(7)
-        v = is_robust_outexpander(g, "1/4", "1/2", mode="sampled", trials=5)
-        assert v.holds and v.witness is None and v.reason == "no qualifying sizes"
-        assert is_robust_outexpander(g, "1/4", "1/2").holds
+        # is scanned and nothing violates
+        v = is_robust_outexpander(directed_cycle(7), "1/4", "1/2")
+        assert v.holds and v.witness is None
 
-
-    @pytest.mark.parametrize("mode", ["exact", "sampled"])
     @pytest.mark.parametrize(
         "nu, tau, name",
         [
@@ -126,24 +154,25 @@ class TestRobustExpander:
             ("1/20", "5/4", "tau"),
         ],
     )
-    def test_parameters_outside_the_open_unit_interval(self, nu, tau, name, mode):
+    def test_parameters_outside_the_open_unit_interval(self, nu, tau, name):
         # nu = -1/5 once held on every input, and nu = 3/2 failed with a
         # "witness", since ceil(nu*n) was 0 or above n
         with pytest.raises(BadParams, match=f"{name} must lie strictly between 0 and 1"):
-            is_robust_outexpander(circulant_tournament(9), nu, tau, mode=mode)
+            is_robust_outexpander(circulant_tournament(9), nu, tau)
 
     @pytest.mark.parametrize("tau, holds", [("2/9", True), ("1/9", False)])
-    def test_sampled_threshold_is_the_exact_one(self, tau, holds):
+    def test_threshold_when_nu_n_is_not_an_integer(self, tau, holds):
         # on K*9 with nu = 1/4 (nu*n = 9/4, not an integer) a set of 3 or 6
         # vertices clears the bound by 3/4, and one of 2 or 7 misses it
         g, nu = complete_digraph(9), Fraction(1, 4)
-        v = is_robust_outexpander(g, nu, tau, mode="sampled", trials=400)
-        assert v.holds == is_robust_outexpander(g, nu, tau).holds == holds
+        v = is_robust_outexpander(g, nu, tau)
+        assert v.holds == holds
         if not holds:
             S, rn = v.witness["S"], v.witness["rn_size"]
+            assert (S, rn) == ([0, 1], 0)
             assert rn == len(robust_out_nbhd(g, set(S), nu))
             assert Fraction(rn - len(S)) < nu * 9
-            assert v.witness["needed"] == str(len(S) + nu * 9)
+            assert v.witness["needed"] == str(len(S) + nu * 9) == "17/4"
 
 
 def _pentagon():
@@ -315,8 +344,6 @@ def _bogus_link():
 @pytest.mark.parametrize(
     "call, match",
     [
-        (lambda: is_robust_outexpander(directed_cycle(5), "1/4", "1/5", mode="fast"),
-         "unknown mode"),
         (lambda: ReducedDigraph(complete_digraph(3), 0), "cluster size"),
         (lambda: OneFactorF(CycleFactor(((0, 2, 1),)), directed_cycle(3)), "1-factor"),
         (lambda: build_closed_walk(*_pentagon(), [(0, 5)]), "out of range"),

@@ -97,6 +97,12 @@ class TestRowLimit:
         assert g.n == 8192 and g.n * g.n // 8 == hio._MAX_ROW_BYTES
         assert g.m == text.count("\n") - 1
 
+    def test_check_order_is_the_parse_limit(self):
+        # the CLI refuses orders with it before building anything
+        hio.check_order(8192)
+        with pytest.raises(FormatError, match="n=8193: its rows pass the parse limit"):
+            hio.check_order(8193)
+
 
 class TestParts:
     def test_round_trip(self):
