@@ -117,7 +117,6 @@ def _build_family(family: str, n: Optional[int], seed: int, params: dict):
         if name == "seed":
             args.append(seed)
         elif name == "n" and n is not None:
-            hio.check_order(n)  # refused before anything is built
             args.append(n)
         elif name in p:
             flag, text = f"--param {name}", p.pop(name)
@@ -138,6 +137,7 @@ def _build_family(family: str, n: Optional[int], seed: int, params: dict):
         raise HamdgError(f"{family} takes no --n")
     if p:
         raise HamdgError(f"{family} takes no parameter {', '.join(map(repr, sorted(p)))}")
+    hio.check_order(fam.order(*args))  # refused before anything is built
     made = fam.make(*args)
     return made if fam.parts else (made, None)
 

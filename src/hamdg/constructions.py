@@ -376,22 +376,31 @@ def cycle_blowup(k: int, sizes: Sequence[int]) -> tuple[Digraph, PartMap]:
 # --- the family table ----------------------------------------------------
 
 
+def _first(n: int, *rest) -> int:
+    return n
+
+
 @dataclass(frozen=True)
 class Family:
     """A generator and the names of its positional parameters, in call
     order; ``seed`` is the caller's seed.  ``defaults`` holds the optional
-    parameters, and a ``parts`` family also returns a part map."""
+    parameters, and a ``parts`` family also returns a part map.  ``order``
+    gives the digraph's order from the same arguments, before it is built
+    (by default the first, n)."""
 
     make: Callable
     params: tuple[str, ...]
     parts: bool = False
     defaults: dict = field(default_factory=dict)
+    order: Callable[..., int] = _first
 
 
 FAMILIES: dict[str, Family] = {
     "complete_digraph": Family(complete_digraph, ("n",)),
     "complete_graph": Family(complete_graph, ("n",)),
-    "complete_bipartite": Family(complete_bipartite_digraph, ("a", "b")),
+    "complete_bipartite": Family(
+        complete_bipartite_digraph, ("a", "b"), order=lambda a, b: a + b
+    ),
     "directed_cycle": Family(directed_cycle, ("n",)),
     "transitive": Family(transitive_tournament, ("n",)),
     "circulant": Family(circulant_tournament, ("n", "shifts"), defaults={"shifts": None}),
@@ -399,14 +408,18 @@ FAMILIES: dict[str, Family] = {
     "random_regular_tournament": Family(random_regular_tournament, ("n", "seed")),
     "random_digraph": Family(random_digraph, ("n", "p", "seed"), defaults={"p": 0.5}),
     "random_regular_graph": Family(random_regular_graph, ("n", "d", "seed")),
-    "fig1": Family(fig1, ("s",), parts=True),
+    "fig1": Family(fig1, ("s",), parts=True, order=lambda s: 9 * s + 2),
     "fig2": Family(fig2, ("n",), parts=True),
-    "fig3_haggkvist": Family(fig3_haggkvist, ("m",), parts=True),
-    "fig4_square": Family(fig4_square, ("m",), parts=True),
+    "fig3_haggkvist": Family(fig3_haggkvist, ("m",), parts=True, order=lambda m: 4 * m + 3),
+    "fig4_square": Family(fig4_square, ("m",), parts=True, order=lambda m: 6 * m),
     "nw_extremal": Family(nw_extremal, ("n", "k"), parts=True),
-    "two_regular_tournaments": Family(two_regular_tournaments, ("d",), parts=True),
+    "two_regular_tournaments": Family(
+        two_regular_tournaments, ("d",), parts=True, order=lambda d: 4 * d + 2
+    ),
     "pancyclic_bipartite": Family(pancyclic_bipartite, ("n",), parts=True),
-    "cycle_blowup": Family(cycle_blowup, ("k", "sizes"), parts=True),
+    "cycle_blowup": Family(
+        cycle_blowup, ("k", "sizes"), parts=True, order=lambda k, sizes: sum(sizes)
+    ),
 }
 
 

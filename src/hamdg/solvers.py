@@ -8,6 +8,7 @@ certificate found is reproducible.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -448,22 +449,42 @@ class CountReport:
 # below 2**63 up to p = 20, so int64 is exact for the rest (see _end_counts).
 COUNT_CAP = 21
 PLAN_K = 16  # DP orders k <= PLAN_K move between layers by the cached plans
+# OpenBLAS runs a dgemm of m * n * k <= 65536 * 4 multiply-adds on one thread;
+# products split to that size never wait for a second thread, which on a busy
+# host stalled whole processes
+SOLO_GEMM = 262_144
+_scratch = threading.local()
 
 
 @cache
 def _take_plans() -> tuple[np.ndarray, ...]:
-    """The take-plans of ``_end_counts``, one per layer of PLAN_K-bit masks."""
+    """The take-plans of ``_end_counts``, one per layer q = 0..PLAN_K of
+    PLAN_K-bit masks, as int32 offsets into the flat product buffer: row w
+    of layer q's plan reads row w of the layer-(q-1) product, whose rows
+    lie C(PLAN_K, q-1) + 1 entries apart, so each offset is already
+    shifted by w * (C(PLAN_K, q-1) + 1)."""
     pc = np.bitwise_count(np.arange(1 << PLAN_K))
     order = np.argsort(pc, kind="stable")  # by popcount, numeric within a layer
     rank = np.zeros(1 << PLAN_K, dtype=np.int64)
     bit = 1 << np.arange(PLAN_K)[:, None]
-    plans = []
+    plans, below = [], 1  # the row width of the product one layer below
     for masks in np.split(order, np.cumsum(np.bincount(pc))[:-1]):  # layers 0..PLAN_K
         rank[masks] = np.arange(1, len(masks) + 1)  # 1 + rank within the layer
-        plan = np.where(masks & bit != 0, rank[masks ^ bit], 0).astype(np.uint16)
-        plans.append(np.pad(plan, ((0, 0), (1, 0))))
+        plan = np.pad(np.where(masks & bit != 0, rank[masks ^ bit], 0), ((0, 0), (1, 0)))
+        plans.append((plan + np.arange(PLAN_K)[:, None] * below).astype(np.int32))
         plans[-1].flags.writeable = False
+        below = len(masks) + 1
     return tuple(plans)
+
+
+def _buffers() -> np.ndarray:
+    """This thread's two float64 rows, each of PLAN_K x (C(PLAN_K, PLAN_K/2)
+    + 1) entries (1.6 MB): the products and the tables of ``_end_counts``.
+    A DP reads only entries it wrote itself, so no call sees another's."""
+    bufs = getattr(_scratch, "bufs", None)
+    if bufs is None:
+        bufs = _scratch.bufs = np.empty((2, PLAN_K * (comb(PLAN_K, PLAN_K // 2) + 1)))
+    return bufs
 
 
 def _end_counts(adj: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -474,11 +495,17 @@ def _end_counts(adj: np.ndarray, start: np.ndarray) -> np.ndarray:
     ``table[w, i]`` counts the paths ending at w over a layer's i-th mask in
     numeric order.  Adding w maps the masks without w onto the next layer's
     masks with w in order (M < M' gives M|w < M'|w).  For k <= PLAN_K a table
-    leads with a zero column, and ``step.take`` through a cached plan gives
-    the next: in layer q's plan, [w, 1 + j] is 1 + the layer-(q-1) rank of
-    mask_j without w if w is in mask_j, else 0.  The 16-bit plans (uint16,
-    2 MB) serve any k <= 16 as ``[:k, :C(k, q) + 1]``: masks below 2**k come
-    first.  Above PLAN_K, ``step[~held]`` fills ``table[held]`` (w in mask).
+    leads with a zero column.  Layer p's product is written into the first
+    k rows of a PLAN_K-row buffer whose rows lie C(PLAN_K, p) + 1 entries
+    apart, and one ``take`` through a cached plan gives the next table: in
+    layer q's plan, [w, 1 + j] is row w's offset plus 1 + the layer-(q-1)
+    rank of mask_j without w if w is in mask_j, else row w's offset (its
+    zero column).  The plans of 16-bit masks (int32, 4 MB) serve any
+    k <= 16 as ``[:k, :C(k, q) + 1]``: masks below 2**k come first.  The
+    products and tables live in two kept per-thread buffers, so a DP
+    allocates neither.  Each product runs in column blocks of at most
+    SOLO_GEMM / k**2 columns, which OpenBLAS runs on one thread.  Above
+    PLAN_K, ``step[~held]`` fills ``table[held]`` (w in mask).
 
     Every entry is a nonnegative integer.  Before the product on layer p no
     entry passes ``max(start) * (p-1)!`` and after it none passes
@@ -492,12 +519,20 @@ def _end_counts(adj: np.ndarray, start: np.ndarray) -> np.ndarray:
     k = len(start)
     big = int(start.max(initial=0))
     if k <= PLAN_K:
+        plans, (prod, nxt) = _take_plans(), _buffers()
+        block = SOLO_GEMM // k**2
         table = np.diag(np.append(0, start))[1:]  # column 0, then masks 1, 2, 4, ...
         for p in range(1, k):
             dtype = np.float64 if big * factorial(p) < 2**53 else np.int64
-            step = adj.T.astype(dtype) @ table.astype(dtype, copy=False)
-            plan = _take_plans()[p + 1][:k, : comb(k, p + 1) + 1]
-            table = step.take(plan + np.arange(k)[:, None] * step.shape[1])
+            a, b = adj.T.astype(dtype), table.astype(dtype, copy=False)
+            width = comb(PLAN_K, p) + 1
+            step = prod.view(dtype)[: PLAN_K * width].reshape(PLAN_K, width)[:k, : b.shape[1]]
+            for c in range(0, b.shape[1], block):
+                np.matmul(a, b[:, c : c + block], out=step[:, c : c + block])
+            cols = comb(k, p + 1) + 1
+            table = nxt.view(dtype)[: k * cols].reshape(k, cols)
+            # every offset is in range; "clip" writes straight into out, "raise" copies
+            prod.view(dtype).take(plans[p + 1][:k, :cols], out=table, mode="clip")
         return table[:, 1].astype(np.int64)
     pc = np.bitwise_count(np.arange(1 << k))
     order = np.argsort(pc, kind="stable")  # by popcount, numeric within a layer
@@ -523,11 +558,14 @@ def count_hamilton(g: Digraph) -> CountReport:
     Paths run the DP from every vertex; cycles run it over the other n-1
     vertices only, anchored at vertex 0, so each cyclic arc set is counted
     exactly once.  Costs O(2^n n^2) arithmetic operations; memory peaks at one
-    layer and its product, 2 x C(n, n/2) x n 8-byte entries, beside 2 MB of
-    take-plans (16 x (C(16, q) + 1) uint16 per layer q) kept from the first
-    DP at k <= PLAN_K = 16.  Max RSS: 233 MB for ``complete_digraph(21)``,
-    134 MB for ``random_tournament(20, 1)``; the order in which temporaries
-    are freed moves it.  The final sums, up to n!, are Python ints.  Above
+    layer and its product, 2 x C(n, n/2) x n 8-byte entries.  The first DP
+    at k <= PLAN_K = 16 builds 4 MB of take-plans (16 x (C(16, q) + 1)
+    int32 offsets per layer q), kept for the process, and each thread's
+    first such DP two 1.6 MB buffers for the products and tables, kept for
+    the thread, so those DPs allocate no product or table per layer.  Max
+    RSS: 233 MB for ``complete_digraph(21)``, 134 MB for
+    ``random_tournament(20, 1)``; the order in which temporaries are freed
+    moves it.  The final sums, up to n!, are Python ints.  Above
     COUNT_CAP = 21 it raises ``BudgetExceeded`` at once."""
     n = g.n
     if n > COUNT_CAP:

@@ -1,5 +1,6 @@
 """CLI: exit codes, round trips, deterministic experiment tables."""
 
+import dataclasses
 import hashlib
 import io
 
@@ -667,6 +668,27 @@ class TestUsage:
         monkeypatch.setitem(cons.FAMILIES, "directed_cycle", cons.Family(make, ("n",)))
         code, out, err = run(capsys, "gen", "--family", "directed_cycle", "--n", "8193")
         assert code == 2 and out == "" and "n=8193: its rows pass the parse limit" in err
+
+    @pytest.mark.parametrize("family,params,n", [
+        ("complete_bipartite", ["a=8192", "b=1"], 8193),
+        ("fig1", ["s=911"], 8201),
+        ("fig3_haggkvist", ["m=2049"], 8199),
+        ("fig4_square", ["m=1366"], 8196),
+        ("two_regular_tournaments", ["d=2048"], 8194),
+        ("cycle_blowup", ["k=2", "sizes=4096,4097"], 8193),
+    ])
+    def test_gen_refuses_a_param_order_parse_refuses(self, capsys, monkeypatch,
+                                                     family, params, n):
+        # each family's order from its --param values, just past the limit:
+        # complete_bipartite a=8200 b=1 wrote a file that solve --input refused
+        def make(*args):
+            raise AssertionError("the graph was built")
+
+        fam = cons.FAMILIES[family]
+        monkeypatch.setitem(cons.FAMILIES, family, dataclasses.replace(fam, make=make))
+        argv = [arg for param in params for arg in ("--param", param)]
+        code, out, err = run(capsys, "gen", "--family", family, *argv)
+        assert code == 2 and out == "" and f"n={n}: its rows pass the parse limit" in err
 
     def test_gen_writes_the_largest_order_parse_reads(self, capsys, tmp_path):
         path = str(tmp_path / "c.dg")

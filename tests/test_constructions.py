@@ -6,6 +6,7 @@ import pytest
 
 from hamdg import io as hio
 from hamdg.constructions import (
+    FAMILIES,
     circulant_tournament,
     complete_bipartite_digraph,
     complete_digraph,
@@ -273,3 +274,33 @@ class TestExtremal:
 def test_bad_parameters_refused(make, args, match):
     with pytest.raises(BadParams, match=match):
         make(*args)
+
+
+SMALL_ARGS = {
+    "complete_digraph": (5,),
+    "complete_graph": (5,),
+    "complete_bipartite": (2, 3),
+    "directed_cycle": (5,),
+    "transitive": (5,),
+    "circulant": (7, None),
+    "random_tournament": (6, 1),
+    "random_regular_tournament": (7, 1),
+    "random_digraph": (6, 0.5, 1),
+    "random_regular_graph": (8, 3, 1),
+    "fig1": (2,),
+    "fig2": (6,),
+    "fig3_haggkvist": (3,),
+    "fig4_square": (2,),
+    "nw_extremal": (7, 2),
+    "two_regular_tournaments": (2,),
+    "pancyclic_bipartite": (7,),
+    "cycle_blowup": (3, [2, 3, 4]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_family_order_is_the_built_order(family):
+    # the order gen checks against the parse limit before building
+    fam = FAMILIES[family]
+    made = fam.make(*SMALL_ARGS[family])
+    assert fam.order(*SMALL_ARGS[family]) == (made[0] if fam.parts else made).n

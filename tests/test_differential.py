@@ -11,6 +11,7 @@ import itertools
 import random
 import re
 from fractions import Fraction
+from math import factorial
 from types import SimpleNamespace
 
 import numpy as np
@@ -1303,6 +1304,20 @@ class TestCountHamilton:
         rng = np.random.default_rng(5 if k == 20 else k)
         adj = (rng.random((k, k)) < 0.9).astype(np.int64) * (1 - np.eye(k, dtype=np.int64))
         self._same_ends(adj, rng.integers(0, top, k))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_widest_plan_in_int64(self, seed):
+        # k = 16 reads the whole plans and buffer; a start weight of
+        # 2**35 - 1 moves the int64 switch down to layer 9, so layers 9-15
+        # pass through the buffer as int64; at density 0.3 every entry
+        # stays far below 2**63
+        rng = np.random.default_rng(seed)
+        adj = (rng.random((16, 16)) < 0.3).astype(np.int64) * (1 - np.eye(16, dtype=np.int64))
+        start = rng.integers(0, 2**35, 16)
+        start[seed] = 2**35 - 1
+        assert start.max() * factorial(9) >= 2**53
+        self._same_ends(adj, start)
+        assert oracles.end_counts_scatter(adj, start).max() < 2**62
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8, 11, 14, 16, 17])
     def test_count_calls_equal_scatter(self, n):

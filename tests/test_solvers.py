@@ -3,11 +3,13 @@
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -176,6 +178,34 @@ class TestCounting:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "[0, 0, 1]"
+
+    def test_plan_offsets_stay_in_their_row(self):
+        # layer q's plan reads the layer-(q-1) product, whose rows lie
+        # W = C(16, q-1) + 1 entries apart in the product buffer: row w's
+        # offsets lie in [w * W, (w + 1) * W), its column 0 at w * W (the
+        # zero column), and every offset inside the buffer
+        plans, size = solvers._take_plans(), solvers._buffers().shape[1]
+        assert len(plans) == solvers.PLAN_K + 1 == 17
+        for q in range(1, 17):
+            width = comb(16, q - 1) + 1
+            rows = np.arange(16)[:, None] * width
+            plan = plans[q]
+            assert plan.dtype == np.int32 and plan.shape == (16, comb(16, q) + 1)
+            assert ((rows <= plan) & (plan < rows + width)).all()
+            assert (plan[:, :1] == rows).all() and plan.max() < size
+
+    def test_counts_in_threads_equal_serial(self):
+        # each thread keeps its own product and table buffers
+        graphs = [random_tournament(n, s) for n in (12, 13, 14, 15) for s in range(3)]
+        want = [count_hamilton(g) for g in graphs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                got = list(pool.map(count_hamilton, graphs * 3, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want * 3
 
     def test_cap(self):
         with pytest.raises(BudgetExceeded, match="cap"):
