@@ -4,6 +4,11 @@ covers, expander checks, and reproducible experiment tables.
 Exit codes: 0 success, 1 negative verdict (e.g. no Hamilton cycle),
 2 usage error, 3 no answer within the search limits (node budget or cover
 restarts exhausted), 4 internal error (the traceback goes to stderr).
+
+``solve``, ``decompose`` and ``cover`` take ``--stats``: when the command
+ends, also by an error, one JSON line ``{"nodes": N, "seconds": s}`` goes
+to stderr, the search nodes of its one budget and the seconds they took.
+Stdout does not change.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import json
 import sys
 import time
 import traceback
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -21,7 +27,14 @@ from . import constructions as cons
 from . import io as hio
 from .conditions import RULE_PARAMS, check
 from .core import (
-    DEFAULT_BUDGET, CycleFactor, Digraph, HamiltonCycle, Matching, classify, is_strongly_connected
+    DEFAULT_BUDGET,
+    CycleFactor,
+    Digraph,
+    HamiltonCycle,
+    Matching,
+    _Budget,
+    classify,
+    is_strongly_connected,
 )
 from .decomp import (
     cover_regular_graph,
@@ -93,6 +106,21 @@ def _parse_params(items: list[str]) -> dict:
         except ValueError:
             out[k] = v
     return out
+
+
+@contextmanager
+def _counted(args) -> Iterator[_Budget]:
+    """The command's one node budget, of ``--budget`` nodes; with
+    ``--stats``, its nodes and the seconds spent go to stderr as one JSON
+    line when the block ends, by an answer or by an exception."""
+    budget = _Budget(_value("--budget", args.budget, _nodes, "a node count >= 0"))
+    start = time.perf_counter()
+    try:
+        yield budget
+    finally:
+        if args.stats:
+            seconds = round(time.perf_counter() - start, 6)
+            print(json.dumps({"nodes": budget.nodes, "seconds": seconds}), file=sys.stderr)
 
 
 def _load(path: str) -> Digraph:
@@ -178,25 +206,25 @@ def cmd_check(args) -> int:
 
 def cmd_solve(args) -> int:
     g = _load(args.input)
-    budget = _value("--budget", args.budget, _nodes, "a node count >= 0")
-    if args.length is not None:
-        if args.length < 1:
-            raise HamdgError(f"--length wants a length >= 1, got {args.length}")
-        cyc = find_cycle_of_length(g, args.length, budget=budget)
-        h = None if cyc is None else HamiltonCycle(cyc)  # the same record format
-    elif args.power is not None:
-        h = kth_power_hamilton(g, args.power, budget=budget)
-    elif args.pattern is not None:
-        signs = _value("--pattern", args.pattern, _signs, "'+' and '-' only")
-        order = oriented_hamilton(g, OrientationPattern(signs), budget=budget)
-        h = None if order is None else HamiltonCycle(order)
-    elif args.through:
-        pairs = tuple(
-            _value("--through", tok, _pair, "arcs u,v") for tok in args.through.split()
-        )
-        h = hamilton_cycle_through(g, Matching(pairs), budget=budget)
-    else:
-        h = find_hamilton_cycle(g, budget=budget)
+    with _counted(args) as budget:
+        if args.length is not None:
+            if args.length < 1:
+                raise HamdgError(f"--length wants a length >= 1, got {args.length}")
+            cyc = find_cycle_of_length(g, args.length, budget=budget)
+            h = None if cyc is None else HamiltonCycle(cyc)  # the same record format
+        elif args.power is not None:
+            h = kth_power_hamilton(g, args.power, budget=budget)
+        elif args.pattern is not None:
+            signs = _value("--pattern", args.pattern, _signs, "'+' and '-' only")
+            order = oriented_hamilton(g, OrientationPattern(signs), budget=budget)
+            h = None if order is None else HamiltonCycle(order)
+        elif args.through:
+            pairs = tuple(
+                _value("--through", tok, _pair, "arcs u,v") for tok in args.through.split()
+            )
+            h = hamilton_cycle_through(g, Matching(pairs), budget=budget)
+        else:
+            h = find_hamilton_cycle(g, budget=budget)
     if h is None:
         print("NONE")
         return EXIT_NEGATIVE
@@ -233,9 +261,8 @@ def cmd_decompose(args) -> int:
         raise HamdgError("decompose needs --input (a digraph to decompose) or --walecki")
     else:
         g = _load(args.input)
-        dec = decompose_exact(
-            g, budget=_value("--budget", args.budget, _nodes, "a node count >= 0")
-        )
+        with _counted(args) as budget:
+            dec = decompose_exact(g, budget=budget)
         if dec is None:
             print("NONE")
             return EXIT_NEGATIVE
@@ -247,9 +274,9 @@ def cmd_decompose(args) -> int:
 
 def cmd_cover(args) -> int:
     g = _load(args.input)
-    budget = _value("--budget", args.budget, _nodes, "a node count >= 0")
     cover = cover_regular_graph if args.graph else cover_tournament
-    rep = cover(g, cap=args.cap, budget=budget)
+    with _counted(args) as budget:
+        rep = cover(g, cap=args.cap, budget=budget)
     for cyc in rep.cover.cycles:
         print(hio.serialize_cycle(cyc))
     bench = " ".join(f"{k}={v}" for k, v in sorted(rep.benchmark.items()))
@@ -439,6 +466,8 @@ def cmd_experiment(args) -> int:
 
 # --- wiring ---------------------------------------------------------------
 
+STATS_HELP = 'write {"nodes": N, "seconds": s} to stderr'
+
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -470,6 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     variant.add_argument("--pattern", help="orientation signs, e.g. ++-+-")
     variant.add_argument("--through", help="matching arcs 'u,v u,v ...'")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--stats", action="store_true", help=STATS_HELP)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("count", help="count Hamilton paths or cycles")
@@ -481,6 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input")
     p.add_argument("--walecki", type=int, metavar="N", help="K_N construction")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--stats", action="store_true", help=STATS_HELP)
     p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("cover", help="Hamilton cover pipeline")
@@ -488,6 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", action="store_true", help="undirected host")
     p.add_argument("--cap", type=int)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--stats", action="store_true", help=STATS_HELP)
     p.set_defaults(fn=cmd_cover)
 
     p = sub.add_parser("expander", help="robust outexpansion / blow-up pipeline")

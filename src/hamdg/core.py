@@ -31,21 +31,23 @@ _TRANSPOSE_BLOCK_BYTES = 8 << 20
 
 
 class _Budget:
-    """The search nodes left; ``tick`` is called once per node and raises
-    ``BudgetExceeded`` on the first node past the budget.  It holds no
-    other state, so searches sharing it see only each other's nodes."""
+    """The search nodes left and the nodes ticked; ``tick`` is called once
+    per node and raises ``BudgetExceeded``, carrying ``nodes``, on the first
+    node past the budget.  It holds no other state, so searches sharing it
+    see only each other's nodes."""
 
-    __slots__ = ("left",)
+    __slots__ = ("left", "nodes")
 
     def __init__(self, nodes: int):
         if nodes < 0:
             raise BadParams(f"budget must be at least 0, got {nodes}")
-        self.left = nodes
+        self.left, self.nodes = nodes, 0
 
     def tick(self) -> None:
+        self.nodes += 1
         self.left -= 1
         if self.left < 0:
-            raise BudgetExceeded("search node budget exhausted")
+            raise BudgetExceeded("search node budget exhausted", nodes=self.nodes)
 
 
 def as_budget(budget: int | _Budget) -> _Budget:
@@ -645,29 +647,63 @@ def contract_matching(
     """Contract each matching arc x->y into a vertex with x's in-set and
     y's out-set.  Returns the contraction plus a lift from Hamilton cycles
     of the contraction to Hamilton cycles of ``g`` containing the matching.
-    """
+    An arc that is not in ``g``, an endpoint outside 0..n-1 included,
+    raises ``ArcMissing``, the first such arc in matching order.
+
+    The untouched vertices come first, in order, then one vertex per
+    matching arc.  An arc into v enters v's new vertex only if v is kept or
+    a tail, and an arc out of u leaves u's new vertex only if u is kept or
+    a head; arcs at the discarded side vanish, and a new vertex's own bit is
+    the dropped self-loop.  So each new row is its source row with the kept
+    bits moved down to their ranks and the tail (out-rows) or head (in-rows)
+    of arc i moved to bit k + i, k the number kept.  All m source rows of a
+    side are packed into one int, a row every n + 1 bits, and each move is
+    one shift and mask of the whole int: one per run of kept vertices (at
+    most 2|M| + 1 runs), one per matching arc."""
+    n, out, inn = g.n, g.out, g.inn
     touched = 0
     for u, v in matching.arcs:
-        if not g.has_arc(u, v):
+        if not (0 <= u < n and 0 <= v < n and out[u] >> v & 1):
             raise ArcMissing(f"({u},{v}) not in host")
         touched |= 1 << u | 1 << v
-    # new vertex order: untouched vertices first, then one per matching arc
-    expansion: list[tuple[int, ...]] = [
-        (v,) for v in range(g.n) if not touched >> v & 1
-    ]
+    kept = [v for v in range(n) if not touched >> v & 1]
+    expansion: list[tuple[int, ...]] = [(v,) for v in kept]
     expansion.extend(matching.arcs)
+    k, m, stride = len(kept), len(expansion), n + 1
+    ones = ((1 << m * stride) - 1) // ((1 << stride) - 1)  # bit 0 of every row
+    full = (1 << n) - 1
+    runs = []  # (the run's mask in every row, how far down it moves)
+    rest, rank = full ^ touched, 0
+    while rest:
+        lo = (rest & -rest).bit_length() - 1
+        above = rest >> lo
+        length = (~above & above + 1).bit_length() - 1  # the run's ones
+        run = (1 << length) - 1 << lo
+        runs.append((run * ones, lo - rank))
+        rest ^= run
+        rank += length
 
-    # An arc into v enters v's new vertex only if v is kept or a tail
-    # (tgt[v] is that vertex's bit, else 0); an arc out of u leaves u's new
-    # vertex only if u is kept or a head (src[u]).  Arcs at the discarded
-    # side vanish, and a new vertex's own bit is the dropped self-loop.
-    tgt, src = [0] * g.n, [0] * g.n
-    for i, exp in enumerate(expansion):
-        tgt[exp[0]] = src[exp[-1]] = 1 << i
-    own = [1 << i for i in range(len(expansion))]
+    def moved(rows: list[int], ends: list[int]) -> tuple[int, ...]:
+        packed = 0
+        for row in reversed(rows):
+            packed = packed << stride | row
+        new = 0
+        for mask, down in runs:
+            new |= (packed & mask) >> down
+        for i, x in enumerate(ends, k):  # bit x of each row to bit i
+            part = packed & ones << x
+            new |= part << i - x if i >= x else part >> x - i
+        split = []
+        for i in range(m):
+            split.append(new & full & ~(1 << i))
+            new >>= stride
+        return tuple(split)
+
+    tails = [u for u, _ in matching.arcs]
+    heads = [v for _, v in matching.arcs]
     contracted = Digraph._from_rows(
-        tuple(_mapped(g.out[e[-1]], tgt) & ~b for e, b in zip(expansion, own)),
-        tuple(_mapped(g.inn[e[0]], src) & ~b for e, b in zip(expansion, own)),
+        moved([out[v] for v in kept + heads], tails),
+        moved([inn[v] for v in kept + tails], heads),
     )
 
     def lift(h: HamiltonCycle) -> HamiltonCycle:

@@ -352,31 +352,37 @@ def _benchmarks(n: int) -> dict[str, int]:
 
 
 def validate(obj, g: Digraph, *, directed: bool = True) -> Verdict:
-    """Check all invariants of a Decomposition or Cover against a host."""
+    """Check all invariants of a Decomposition or Cover against a host: the
+    first invalid cycle; then, for a Decomposition, the first arc in list
+    order used before; then the least arc left uncovered.
+
+    The covered arcs are bit rows, one OR per arc in list order; with
+    ``directed=False`` an edge is stored as (min, max), in the row of its
+    lower end.  The valid cycles cover only arcs of ``g``, so what is
+    missing is each host row less its covered row, and the lowest bit of the
+    first non-empty one is the least missing arc."""
     kind = "decomposition" if isinstance(obj, Decomposition) else "cover"
     for i, h in enumerate(obj.cycles):
         if not h.is_valid(g):
             return Verdict(kind, False, {"cycle_index": i}, "invalid Hamilton cycle")
+    once = isinstance(obj, Decomposition)
+    covered = [0] * g.n
+    for h in obj.cycles:
+        o = h.order
+        for u, v in zip(o, o[1:] + o[:1]):
+            if not directed and v < u:
+                u, v = v, u
+            bit = 1 << v
+            if once and covered[u] & bit:
+                return Verdict(kind, False, {"arc": (u, v)}, "arc used twice")
+            covered[u] |= bit
     if directed:
-        universe = set(g.arcs())
-        covered: list[tuple[int, int]] = [a for h in obj.cycles for a in h.arcs()]
+        rows = g.out
     else:
-        universe = set(g.undirected_edges())
-        covered = [
-            (min(u, v), max(u, v)) for h in obj.cycles for u, v in h.arcs()
-        ]
-    if isinstance(obj, Decomposition) and len(covered) != len(set(covered)):
-        return Verdict(kind, False, {"arc": _first_dup(covered)}, "arc used twice")
-    # valid cycles cover only arcs of g, so what is left is what is missing
-    missing = universe - set(covered)
-    if missing:
-        return Verdict(kind, False, {"arc": min(missing)}, "arc uncovered")
+        rows = [(o | i) & -2 << u for u, (o, i) in enumerate(zip(g.out, g.inn))]
+    for u, (row, got) in enumerate(zip(rows, covered)):
+        missing = row & ~got
+        if missing:
+            v = (missing & -missing).bit_length() - 1
+            return Verdict(kind, False, {"arc": (u, v)}, "arc uncovered")
     return Verdict(kind, True)
-
-
-def _first_dup(items):
-    seen = set()
-    for x in items:
-        if x in seen:
-            return x
-        seen.add(x)

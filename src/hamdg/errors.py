@@ -13,8 +13,13 @@ class BudgetExceeded(HamdgError):
     """An exact search ran past its configured node/size budget.
 
     Distinct from a negative answer: callers must never treat this as
-    "does not exist".
+    "does not exist".  ``nodes`` is the search nodes ticked when a node
+    budget ran out, and ``None`` for a size cap.
     """
+
+    def __init__(self, message: str = "", *, nodes: int | None = None):
+        super().__init__(message)
+        self.nodes = nodes
 
 
 class ClassMismatch(HamdgError):

@@ -54,14 +54,15 @@ def _augment(
     free right it ends at, or -1, leaving the matching as it was, if there
     is none.
 
-    ``free`` holds rights the caller knows to be unmatched.  When the
-    root's unseen row meets it, the lowest of them ends the path at once.
-    Otherwise, and when that right is matched after all, this is Kuhn's
-    depth-first search on an explicit stack, rights tried in ascending
-    order, each entered at most once (``seen`` grows as a bitmask).
-    Whether an augmenting path exists does not depend on the route; only
-    which path is taken does.  The lookahead is the root's alone: checked
-    at every left, it would cost each step of the plain search."""
+    This is Kuhn's depth-first search on an explicit stack, rights tried in
+    ascending order, each entered at most once (``seen`` grows as a
+    bitmask), with a lookahead: ``free`` holds rights the caller knows to be
+    unmatched, and at every left the path enters, the root included, the
+    lowest of them in the left's unseen row ends the path at once if it is
+    unmatched indeed.  A matched one (a wrong hint) is not taken there, and
+    the plain search goes on.  Whether an augmenting path exists does not
+    depend on the route; only which path is taken does.  With ``free`` 0
+    the route is Kuhn's plain one."""
     hit = adj[root] & free & ~seen
     if hit:
         r = (hit & -hit).bit_length() - 1
@@ -85,11 +86,18 @@ def _augment(
         rights.append(r)
         owner = match_r[r]
         if owner < 0:
-            for l, x in zip(lefts, rights):
-                match_l[l] = x
-                match_r[x] = l
-            return r
+            break
         lefts.append(owner)
+        hit = adj[owner] & free & ~seen
+        if hit:
+            r = (hit & -hit).bit_length() - 1
+            if match_r[r] < 0:
+                rights.append(r)
+                break
+    for l, x in zip(lefts, rights):
+        match_l[l] = x
+        match_r[x] = l
+    return r
 
 
 def _bipartite_matching(n_left: int, adj: Sequence[int]) -> Optional[list[int]]:
@@ -99,9 +107,10 @@ def _bipartite_matching(n_left: int, adj: Sequence[int]) -> Optional[list[int]]:
     The lefts go in ascending order, and ``free`` is every right not
     matched yet: a left whose row meets it takes its lowest unmatched
     right in place, and only one whose row has none calls ``_augment``
-    for Kuhn's search, so dense rows skip both its alternating chains and
-    the call.  The matching is an output (``one_factor``, the expander's
-    per-cluster matchings)."""
+    with no hint for Kuhn's plain search, so dense rows skip both its
+    alternating chains and the call.  The matching is an output
+    (``one_factor``, the expander's per-cluster matchings), so its route
+    stays this one."""
     match_l = [-1] * n_left
     match_r = [-1] * max(adj, default=0).bit_length()
     free = (1 << len(match_r)) - 1
@@ -114,7 +123,7 @@ def _bipartite_matching(n_left: int, adj: Sequence[int]) -> Optional[list[int]]:
             match_r[r] = root
             free ^= low
             continue
-        r = _augment(match_l, match_r, root, adj, 0, free)
+        r = _augment(match_l, match_r, root, adj, 0, 0)
         if r < 0:
             return None
         free &= ~(1 << r)
@@ -161,7 +170,8 @@ def _hamilton_orders(
     exists exactly when each of those augmenting paths does (Berge), so the
     prune does not depend on which matching the parent held, and each
     ``_augment`` may take the shortest route: the rights just freed (v's
-    old partner, and P's if dropped) are its lookahead.
+    old partner, and P's if dropped) are its lookahead at every left it
+    enters.
 
     On a symmetric host of n >= 3 vertices, a graph, a Hamilton cycle uses
     two distinct edges at every vertex, and 0 and ``end`` each have one
@@ -383,13 +393,18 @@ def _enumerate(
     never drop a cycle, so the cycles and their order are the unpruned
     search's.  Before the kernel, ``_forced_arcs`` deletes the arcs that
     forced arcs rule out (the kernel searches what is left) or refutes at
-    once.  The kernel's cut test, after n^2 nodes, is ``_tough_cut``: one
-    scan of the underlying graph for a vertex set S, |S| <= 2, with more
-    than |S| components left, which ends the search with no cycle.  Every
-    search scans, nested ones too.  The scan costs O(n^3) bit-row
-    operations, about what the n^2 nodes already cost, so it at most
-    roughly doubles a long search and a short one never pays it.  It is
-    skipped when the minimum degree rules a cut out."""
+    once.  The kernel's root witness, a perfect matching of the double
+    cover, is built by one ``_augment`` per left with every right not yet
+    matched as its lookahead, so a left whose row meets them takes its
+    lowest at once (the greedy step), and the alternating path of any
+    other ends at the first left that sees one; a left with no augmenting
+    path leaves no 1-factor and no cycle.  The kernel's cut test, after n^2
+    nodes, is ``_tough_cut``: one scan of the underlying graph for a vertex
+    set S, |S| <= 2, with more than |S| components left, which ends the
+    search with no cycle.  Every search scans, nested ones too.  The scan
+    costs O(n^3) bit-row operations, about what the n^2 nodes already cost,
+    so it at most roughly doubles a long search and a short one never pays
+    it.  It is skipped when the minimum degree rules a cut out."""
     n = g.n
     if n < 2:
         return  # no self-loops, so no cycle on one vertex
@@ -399,9 +414,14 @@ def _enumerate(
     out, inn = rows
     if out is not g.out:  # _forced_arcs keeps both row sets in step
         g = Digraph._from_rows(tuple(out), tuple(inn))
-    succ = _bipartite_matching(n, out)  # any witness will do
-    if succ is None:
-        return
+    succ = [-1] * n  # the kernel's root witness: any perfect matching
+    match_r = [-1] * n
+    free = (1 << n) - 1
+    for root in range(n):
+        r = _augment(succ, match_r, root, out, 0, free)
+        if r < 0:
+            return
+        free ^= 1 << r
     for order in _hamilton_orders(
         g, succ, b, lambda: _tough_cut([o | i for o, i in zip(out, inn)]) is not None, allow
     ):

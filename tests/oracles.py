@@ -12,7 +12,8 @@ exact-cover decomposition search over every Hamilton cycle, the six
 recursive sequence searches (fixed-length cycles, cycle powers, k-ordered
 cycles, oriented patterns, cycle factors, tree embedding), the two cover
 pipelines, each with its own restart loop, the arc-list matching
-contraction, the Misra-Gries colouring that rescans every neighbourhood for
+contraction and the bit-by-bit one, the set-based cover validation, the
+Misra-Gries colouring that rescans every neighbourhood for
 free colours, the per-arc in-row derivation, the Hamilton cycle check
 through the arc list,
 the arc-list builds of the dense constructions, the seeded random
@@ -1173,6 +1174,47 @@ def contract_matching(
     return contracted, lift
 
 
+def contract_matching_bitwise(
+    g: Digraph, matching: Matching
+) -> tuple[Digraph, Callable[[HamiltonCycle], HamiltonCycle]]:
+    """The bit-row contraction before it packed the rows: each new row is
+    the union of the target bits of its source row's set bits, mapped one
+    bit at a time.  An arc not in ``g``, an endpoint outside 0..n-1
+    included, raises ``ArcMissing``, the first such arc in matching order."""
+    n = g.n
+    touched = 0
+    for u, v in matching.arcs:
+        if not (0 <= u < n and 0 <= v < n and g.has_arc(u, v)):
+            raise ArcMissing(f"({u},{v}) not in host")
+        touched |= 1 << u | 1 << v
+    # new vertex order: untouched vertices first, then one per matching arc
+    expansion: list[tuple[int, ...]] = [(v,) for v in range(n) if not touched >> v & 1]
+    expansion.extend(matching.arcs)
+
+    def mapped(row: int, table: Sequence[int]) -> int:
+        return sum(table[v] for v in bits(row))  # the bits are disjoint
+
+    # An arc into v enters v's new vertex only if v is kept or a tail
+    # (tgt[v] is that vertex's bit, else 0); an arc out of u leaves u's new
+    # vertex only if u is kept or a head (src[u]).
+    tgt, src = [0] * n, [0] * n
+    for i, exp in enumerate(expansion):
+        tgt[exp[0]] = src[exp[-1]] = 1 << i
+    own = [1 << i for i in range(len(expansion))]
+    contracted = Digraph._from_rows(
+        tuple(mapped(g.out[e[-1]], tgt) & ~b for e, b in zip(expansion, own)),
+        tuple(mapped(g.inn[e[0]], src) & ~b for e, b in zip(expansion, own)),
+    )
+
+    def lift(h: HamiltonCycle) -> HamiltonCycle:
+        order: list[int] = []
+        for w in h.order:
+            order.extend(expansion[w])
+        return HamiltonCycle(tuple(order))
+
+    return contracted, lift
+
+
 def vizing_color(f: Digraph) -> EdgeColoring:
     """Proper edge colouring of a simple undirected graph (symmetric
     digraph) with at most Delta+1 colours, by Misra-Gries fan rotation."""
@@ -1263,6 +1305,35 @@ def coloring_is_proper(f: Digraph, coloring: EdgeColoring) -> bool:
             endpoints.add(v)
             seen.add((min(u, v), max(u, v)))
     return seen == set(f.undirected_edges())
+
+
+# --- the set-based cover validation --------------------------------------
+
+
+def validate(obj, g: Digraph, *, directed: bool = True) -> Verdict:
+    """``decomp.validate`` on sets of arc tuples: the first invalid cycle,
+    then (for a ``Decomposition``) the first arc in list order used before,
+    then the least arc left uncovered."""
+    kind = "decomposition" if isinstance(obj, Decomposition) else "cover"
+    for i, h in enumerate(obj.cycles):
+        if not h.is_valid(g):
+            return Verdict(kind, False, {"cycle_index": i}, "invalid Hamilton cycle")
+    if directed:
+        universe = set(g.arcs())
+        covered = [a for h in obj.cycles for a in h.arcs()]
+    else:
+        universe = set(g.undirected_edges())
+        covered = [(min(u, v), max(u, v)) for h in obj.cycles for u, v in h.arcs()]
+    if isinstance(obj, Decomposition):
+        seen: set[tuple[int, int]] = set()
+        for arc in covered:
+            if arc in seen:
+                return Verdict(kind, False, {"arc": arc}, "arc used twice")
+            seen.add(arc)
+    missing = universe - set(covered)
+    if missing:
+        return Verdict(kind, False, {"arc": min(missing)}, "arc uncovered")
+    return Verdict(kind, True)
 
 
 # --- the two cover pipelines ---------------------------------------------

@@ -143,6 +143,31 @@ def test_budget_bounds_the_whole_call(budgets, name):
     assert budgets.ticks == nodes
 
 
+# the searches behind ``hamdg solve``, ``hamdg cover`` and a call of many
+# sub-searches, for the node counter
+COUNTED = {
+    "find_hamilton_cycle": lambda b: find_hamilton_cycle(random_tournament(30, 1), budget=b),
+    "cover_tournament": BOUNDED["cover_tournament"],
+    "is_pancyclic": BOUNDED["is_pancyclic"],
+}
+
+
+@pytest.mark.parametrize("name", COUNTED)
+def test_nodes_count_every_tick(budgets, name):
+    # one input counts the same nodes twice, as many as ticked; a budget
+    # one short of them runs out on its budget + 1-th node and says so
+    run = COUNTED[name]
+    first, second = _Budget(DEFAULT_BUDGET), _Budget(DEFAULT_BUDGET)
+    run(first)
+    run(second)
+    assert first.nodes == second.nodes == DEFAULT_BUDGET - first.left > 0
+    assert budgets.ticks == 2 * first.nodes
+    short = first.nodes - 1
+    with pytest.raises(BudgetExceeded) as e:
+        run(short)
+    assert e.value.nodes == short + 1
+
+
 def test_pancyclicity_once_spent_more_than_its_budget(budgets):
     # each length once had 100 nodes of its own, and the report cost 564;
     # it costs 502 since its last length, a Hamilton cycle, is searched by

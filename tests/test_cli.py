@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -225,6 +226,16 @@ class TestSolveCount:
         assert h.is_valid(circulant_tournament(7))
         assert {(0, 1), (3, 4)} <= set(h.arcs())
 
+    @pytest.mark.parametrize("through", ["5,6", "-1,0", "1,-1"])
+    def test_through_outside_the_host_is_usage_error(self, capsys, tmp_path, through):
+        # these exited 4: IndexError for 5,6, a negative shift count for the
+        # others
+        path = str(tmp_path / "c3.dg")
+        run(capsys, "gen", "--family", "directed_cycle", "--n", "3", "--output", path)
+        code, out, err = run(capsys, "solve", "--input", path, f"--through={through}")
+        assert code == 2 and out == ""
+        assert f"({through}) not in host" in err and "Traceback" not in err
+
     def test_power_emits_a_cycle_whose_square_is_present(self, capsys, tmp_path):
         path = str(tmp_path / "c7.dg")
         run(capsys, "gen", "--family", "circulant", "--n", "7", "--output", path)
@@ -359,7 +370,7 @@ class TestDecomposeCover:
 
 class TestGolden:
     # sha256 of stdout: every cycle of a cover, or the solver's certificate
-    @pytest.mark.parametrize(
+    OUTPUTS = pytest.mark.parametrize(
         "gen,cmd,digest",
         [
             (("--family", "circulant", "--n", "21"), ("cover",),
@@ -375,12 +386,25 @@ class TestGolden:
              "c30e4ba9208cfc8eb6dce83888893435dc2d4419fdfd6cd82e61819f6c80f925"),
         ],
     )
+
+    @OUTPUTS
     def test_output_golden(self, capsys, tmp_path, gen, cmd, digest):
         path = str(tmp_path / "g.dg")
         assert run(capsys, "gen", *gen, "--output", path)[0] == 0
         code, out, _ = run(capsys, *cmd, "--input", path)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @OUTPUTS
+    def test_output_golden_with_stats(self, capsys, tmp_path, gen, cmd, digest):
+        # --stats adds one JSON line to stderr and leaves stdout as it was
+        path = str(tmp_path / "g.dg")
+        assert run(capsys, "gen", *gen, "--output", path)[0] == 0
+        code, out, err = run(capsys, *cmd, "--input", path, "--stats")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        stats = json.loads(err)
+        assert set(stats) == {"nodes", "seconds"} and stats["nodes"] > 0
 
     # sha256 of the generator's stdout: the seeded generators' streams
     @pytest.mark.parametrize(
@@ -429,6 +453,51 @@ class TestGolden:
         assert len(transcript) == 14
         digest_got = hashlib.sha256("".join(transcript).encode()).hexdigest()
         assert digest_got == digest
+
+
+class TestStats:
+    @staticmethod
+    def stats(err: str) -> dict:
+        return json.loads(err.splitlines()[0])
+
+    @pytest.mark.parametrize(
+        "gen,cmd",
+        [
+            (("--family", "random_tournament", "--n", "30"), ("solve",)),
+            (("--family", "fig1", "--param", "s=2"), ("solve",)),
+            (("--family", "circulant", "--n", "9"), ("decompose",)),
+            (("--family", "circulant", "--n", "21"), ("cover",)),
+        ],
+    )
+    def test_same_nodes_twice(self, capsys, tmp_path, gen, cmd):
+        path = str(tmp_path / "g.dg")
+        run(capsys, "gen", *gen, "--output", path)
+        first = run(capsys, *cmd, "--input", path, "--stats")
+        second = run(capsys, *cmd, "--input", path, "--stats")
+        assert first[:2] == second[:2]
+        assert self.stats(first[2])["nodes"] == self.stats(second[2])["nodes"] > 0
+
+    @pytest.mark.parametrize(
+        "gen,cmd",
+        [
+            (("--family", "complete_digraph", "--n", "12"), ("solve",)),
+            (("--family", "circulant", "--n", "13"), ("decompose",)),
+            (("--family", "circulant", "--n", "11"), ("cover",)),
+            (("--family", "random_regular_graph", "--n", "12", "--param", "d=4",
+              "--graph"), ("cover", "--graph")),
+        ],
+    )
+    def test_budget_exit_3_counts_budget_plus_one(self, capsys, tmp_path, gen, cmd):
+        path = str(tmp_path / "g.dg")
+        run(capsys, "gen", *gen, "--output", path)
+        code, out, err = run(capsys, *cmd, "--input", path, "--budget", "5", "--stats")
+        assert code == 3 and out == "" and "budget exhausted" in err
+        assert self.stats(err)["nodes"] == 6
+
+    def test_no_stats_without_the_flag(self, capsys, tmp_path):
+        path = str(tmp_path / "g.dg")
+        run(capsys, "gen", "--family", "circulant", "--n", "7", "--output", path)
+        assert run(capsys, "solve", "--input", path)[2] == ""
 
 
 class TestExpander:

@@ -40,6 +40,7 @@ from hamdg.core import (
     vertex_connectivity,
 )
 from hamdg.errors import ArcMissing, BadParams, BudgetExceeded, NotAMatching
+from hamdg.solvers import hamilton_cycle_through
 from oracles import derive_in, vertex_connectivity_brute
 
 
@@ -348,6 +349,15 @@ class TestContraction:
     def test_missing_arc_rejected(self):
         with pytest.raises(ArcMissing):
             contract_matching(directed_cycle(4), Matching(((0, 2),)))
+
+    @pytest.mark.parametrize("arc", [(5, 6), (7, 1), (1, 7), (-1, 0), (1, -1)])
+    def test_endpoint_outside_the_host_is_arc_missing(self, arc):
+        # (5, 6) and (7, 1) raised IndexError; (-1, 0), an arc 2 -> 0 as row
+        # -1 read it, and (1, -1) raised ValueError (a negative shift count)
+        g = directed_cycle(3)
+        for call in (contract_matching, hamilton_cycle_through):
+            with pytest.raises(ArcMissing, match=rf"^\({arc[0]},{arc[1]}\) not in host$"):
+                call(g, Matching((arc,)))
 
     def test_contract_and_lift(self):
         g = complete_digraph(6)

@@ -51,11 +51,14 @@ from hamdg.core import (
     vertex_connectivity,
 )
 from hamdg.decomp import (
+    Cover,
+    Decomposition,
     cover_regular_graph,
     cover_tournament,
     decompose_exact,
     validate,
     vizing_color,
+    walecki,
 )
 from hamdg.errors import (
     ArcMissing,
@@ -478,8 +481,8 @@ def _run_kernel(kernel, g, succ, first):
 
 def _kernel(g, first=False, forcing=True):
     """The kernel's cycle orders (only the first when ``first``) and the
-    nodes it expanded, from the root matching ``enumerate_hamilton_cycles``
-    builds; ``forcing=False`` runs it with the degree-2 forcing off."""
+    nodes it expanded, from ``_bipartite_matching``'s root matching;
+    ``forcing=False`` runs it with the degree-2 forcing off."""
     succ = _bipartite_matching(g.n, g.out)
     return _run_kernel(_hamilton_orders, g if forcing else _digraph_view(g), succ, first)
 
@@ -964,6 +967,36 @@ class TestAugment:
                 if r < 0:
                     break
                 assert match_l[root] >= 0 and match_r[r] >= 0
+
+    def test_root_witness_moves_no_node(self, monkeypatch):
+        # ``_enumerate``'s witness, one ``_augment`` per left with every
+        # unmatched right as its lookahead, is a perfect matching, and the
+        # kernel finds the same first orders in the same nodes from it as
+        # from ``_bipartite_matching``'s
+        kernel, calls = solvers._hamilton_orders, []
+
+        def spy(g, succ, *rest):
+            calls.append((g, list(succ), rest))
+            return kernel(g, succ, *rest)
+
+        monkeypatch.setattr(solvers, "_hamilton_orders", spy)
+        rng = random.Random(38)
+        for _ in range(300):
+            n = rng.randint(2, 14)
+            g = random_digraph(n, rng.choice((0.2, 0.4, 0.7)), rng.randrange(10**6))
+            b = _Budget(10**9)
+            got = [h.order for h in itertools.islice(solvers._enumerate(g, b), 5)]
+            if not calls:
+                assert oracles.bipartite_matching(n, g.out) is None or not got
+                continue
+            (h, succ, (_, has_cut, _)), = calls
+            calls.clear()
+            assert sorted(succ) == list(range(n))
+            assert all(h.out[l] >> r & 1 for l, r in enumerate(succ))
+            plain = _Budget(10**9)
+            orders = kernel(h, _bipartite_matching(n, h.out), plain, has_cut)
+            want = list(itertools.islice(orders, 5))
+            assert (got, 10**9 - b.left) == (want, 10**9 - plain.left)
 
     def test_root_matchings(self):
         rng = random.Random(17)
@@ -2011,6 +2044,132 @@ class TestContraction:
     def test_missing_arc(self):
         with pytest.raises(ArcMissing):
             contract_matching(directed_cycle(5), Matching(((0, 2),)))
+
+    def test_equal_to_the_bitwise_contraction(self):
+        # n up to 70, so a side's packed rows span many machine words, and
+        # matchings of every size from 0 to floor(n/2) arcs, a perfect one
+        # leaving no vertex kept
+        rng = random.Random(38)
+        for _ in range(600):
+            n = rng.randint(1, 70)
+            g = random_digraph(n, rng.choice((0.1, 0.5, 0.9, 1.0)), rng.randrange(10**6))
+            size = rng.randint(0, n // 2)
+            free, arcs = (1 << n) - 1, []
+            for u, v in rng.sample(g.arcs(), g.m):
+                if len(arcs) == size:
+                    break
+                if free >> u & 1 and free >> v & 1:
+                    free &= ~(1 << u | 1 << v)
+                    arcs.append((u, v))
+            m = Matching(tuple(arcs))
+            got, lift = contract_matching(g, m)
+            want, want_lift = oracles.contract_matching_bitwise(g, m)
+            _same_rows(got, want)
+            h = HamiltonCycle(tuple(rng.sample(range(got.n), got.n)))
+            assert lift(h) == want_lift(h)
+
+    def test_no_vertex_kept(self):
+        for n in (2, 4, 10, 64, 70):
+            for g in (complete_digraph(n), directed_cycle(n)):
+                m = Matching(tuple((v, v + 1) for v in range(0, n, 2)))
+                got, lift = contract_matching(g, m)
+                assert got.n == n // 2
+                _same_rows(got, oracles.contract_matching_bitwise(g, m)[0])
+                h = HamiltonCycle(tuple(range(n // 2)))
+                assert lift(h).order == tuple(range(n))
+
+    def test_arc_missing_in_matching_order(self):
+        # missing arcs and endpoints outside 0..n-1 among good arcs: the same
+        # first arc is refused
+        rng = random.Random(7)
+        for _ in range(400):
+            n = rng.randint(2, 40)
+            g = random_digraph(n, rng.random(), rng.randrange(10**6))
+            ends = rng.sample(range(-3, n + 3), min(2 * rng.randint(1, 4), n + 6))
+            m = Matching(tuple(zip(ends[::2], ends[1::2])))
+            try:
+                oracles.contract_matching_bitwise(g, m)
+            except ArcMissing as e:
+                with pytest.raises(ArcMissing) as got:
+                    contract_matching(g, m)
+                assert got.value.args == e.args
+            else:
+                _same_rows(contract_matching(g, m)[0], oracles.contract_matching_bitwise(g, m)[0])
+
+
+class TestValidate:
+    """``decomp.validate`` on bit rows against the set-based check: the
+    same verdict, witness and reason for valid, truncated and duplicated
+    covers and decompositions, cycles through a non-arc and malformed
+    orders, in both modes."""
+
+    @staticmethod
+    def _hosts():
+        yield complete_digraph(5), decompose_exact(complete_digraph(5)).cycles
+        for n in (5, 7, 9):
+            yield complete_graph(n), walecki(n).cycles
+        for n in (7, 9, 11, 13):
+            g = circulant_tournament(n)
+            yield g, cover_tournament(g).cover.cycles
+            g = random_regular_tournament(n, n)
+            yield g, cover_tournament(g).cover.cycles
+        for n, d in ((10, 4), (12, 5), (12, 6)):
+            g = random_regular_graph(n, d, n)
+            yield g, cover_regular_graph(g).cover.cycles
+
+    @staticmethod
+    def _same(obj, g):
+        for directed in (True, False):
+            want = oracles.validate(obj, g, directed=directed)
+            assert validate(obj, g, directed=directed) == want
+        return want
+
+    def test_mutated_covers(self):
+        rng = random.Random(11)
+        verdicts = set()
+        for g, cycles in self._hosts():
+            for _ in range(40):
+                cs = list(cycles)
+                rng.shuffle(cs)
+                cs = cs[: rng.randint(0, len(cs))]  # truncated
+                for _ in range(rng.choice((0, 0, 1, 2))):  # duplicated
+                    h = rng.choice(cycles)
+                    if rng.random() < 0.5:  # reversed: a tournament has no such cycle
+                        h = HamiltonCycle(h.order[::-1])
+                    cs.insert(rng.randint(0, len(cs)), h)
+                for kind in (Cover, Decomposition):
+                    verdicts.add(self._same(kind(tuple(cs)), g).reason)
+        assert verdicts == {None, "arc used twice", "arc uncovered", "invalid Hamilton cycle"}
+
+    def test_cycle_through_a_non_arc(self):
+        for g, cycles in self._hosts():
+            u, v = cycles[-1].arcs()[-1]
+            host = g.without_arcs([(u, v), (v, u)])
+            first = next(i for i, h in enumerate(cycles) if {(u, v), (v, u)} & set(h.arcs()))
+            for kind in (Cover, Decomposition):
+                got = self._same(kind(cycles), host)
+                assert got.witness == {"cycle_index": first}
+
+    @pytest.mark.parametrize(
+        "order",
+        [
+            (0, 1, 2, 3, 3, 5, 6),  # a repeated vertex
+            (0, 1, 2, 3, 4, 5),  # too short
+            (0, 1, 2, 3, 4, 5, 6, 0),  # too long
+            (0, 1, 2, 3, 4, 5, 7),  # a vertex >= n
+            (0, 1, 2, 3, 4, 5, -1),  # a negative vertex
+            (),
+        ],
+    )
+    def test_malformed_orders(self, order):
+        g = circulant_tournament(7)
+        good = cover_tournament(g).cover.cycles
+        for kind in (Cover, Decomposition):
+            for i in (0, 1, len(good)):
+                cycles = good[:i] + (HamiltonCycle(order),) + good[i:]
+                got = self._same(kind(cycles), g)
+                assert (got.holds, got.reason) == (False, "invalid Hamilton cycle")
+                assert got.witness == {"cycle_index": i}
 
 
 class TestVizingColor:
