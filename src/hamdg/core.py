@@ -56,12 +56,17 @@ def as_budget(budget: int | _Budget) -> _Budget:
     return budget if isinstance(budget, _Budget) else _Budget(budget)
 
 
-def seeded_rng(seed: int) -> np.random.Generator:
-    """The Philox generator that every seeded routine draws from.  Philox
-    takes no negative seed, so one is a bad parameter."""
+def check_seed(seed: int) -> int:
+    """``seed``, refused as a bad parameter if negative: Philox takes no
+    negative seed."""
     if seed < 0:
         raise BadParams(f"need seed >= 0, got seed={seed}")
-    return np.random.Generator(np.random.Philox(seed))
+    return seed
+
+
+def seeded_rng(seed: int) -> np.random.Generator:
+    """The Philox generator that every seeded routine draws from."""
+    return np.random.Generator(np.random.Philox(check_seed(seed)))
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -309,16 +314,15 @@ class CycleFactor:
     cycles: tuple[tuple[int, ...], ...]
 
     def is_valid(self, g: Digraph) -> bool:
-        seen: set[int] = set()
-        for cyc in self.cycles:
-            if len(cyc) < 2:
-                return False
-            for i, u in enumerate(cyc):
-                v = cyc[(i + 1) % len(cyc)]
-                if u in seen or not g.has_arc(u, v):
-                    return False
-                seen.add(u)
-        return seen == set(range(g.n))
+        """Whether the cycles, each of two or more vertices, cover every
+        vertex of ``g`` once and run along its out-rows."""
+        out = g.out
+        if sorted(v for cyc in self.cycles for v in cyc) != list(range(g.n)):
+            return False
+        return all(
+            len(cyc) >= 2 and all(out[u] >> v & 1 for u, v in zip(cyc, cyc[1:] + cyc[:1]))
+            for cyc in self.cycles
+        )
 
     def arcs(self) -> list[tuple[int, int]]:
         return [

@@ -23,6 +23,7 @@ from .core import (
     Digraph,
     HamiltonCycle,
     bits,
+    check_seed,
     int_rows,
     popcount,
     seeded_rng,
@@ -266,11 +267,14 @@ def build_closed_walk(
 
     ``demands[i] = (T_i, U_i)``: the walk moves from exceptional vertex i
     into T_i, and re-enters i from U_i.  ``cap`` bounds the number of times
-    a cluster may serve as an entry or exit (default m // 10).
+    a cluster may serve as an entry or exit (default m // 10); a negative
+    cap is refused with ``BadParams``.
     """
     r = red.r
     if cap is None:
         cap = red.m // 10
+    if cap < 0:
+        raise BadParams(f"need cap >= 0, got cap={cap}")
     for t_c, u_c in demands:
         if not (0 <= t_c < r.n and 0 <= u_c < r.n):
             raise BadParams("demand cluster out of range")
@@ -353,44 +357,61 @@ def make_cluster_blowup(
     bipartite arc set whose rows below ceil(m/2) arcs become complete;
     exceptional vertex i is wired to all of its demand clusters
     (2i mod k, 2i+1 mod k).  Returns the blow-up plus the demand list.
-    Below density 1 each arc's pair draws m^2 doubles from the seeded
-    generator; at density 1 every draw would be kept, so the pairs are
-    complete with no draw and the host does not depend on the seed.
-    The arcs go into one n x n boolean matrix, packed once into out-rows and
-    once, through a transposed copy, into in-rows: a transient 2n^2 bytes,
-    1.2 MB at n = 772 and 19 MB for the triangle at m = 1024.
+
+    At density 1 every pair is complete, so there is no draw and the host
+    does not depend on the seed: all m vertices of a cluster share one
+    out-row, the cluster's m-bit blocks of its reduced out-arcs plus the
+    exceptional vertices it feeds, and one in-row built the same way, each
+    built once; an exceptional vertex's rows are one block each.  Below
+    density 1 each arc's pair draws m^2 doubles from the seeded generator,
+    and the arcs go into one n x n boolean matrix, packed once into
+    out-rows and once, through a transposed copy, into in-rows: a
+    transient 2n^2 bytes, 1.2 MB at n = 772.
     """
     r, m = red.r, red.m
     if exceptional < 0:
         raise BadParams(f"need exceptional >= 0, got {exceptional}")
     if not 0 <= pair_density <= 1:
         raise BadParams(f"need 0 <= pair_density <= 1, got {pair_density}")
+    check_seed(seed)
     k = r.n
-    rng = seeded_rng(seed)
     clusters = tuple(tuple(range(c * m, (c + 1) * m)) for c in range(k))
     n_core = k * m
     exc = tuple(range(n_core, n_core + exceptional))
     demands = [((2 * i) % k, (2 * i + 1) % k) for i in range(exceptional)]
-    min_pair_degree = max(1, (m + 1) // 2)
-    adj = np.zeros((n_core + exceptional,) * 2, dtype=bool)
-    for ci, cj in r.arcs():
-        block = adj[ci * m : (ci + 1) * m, cj * m : (cj + 1) * m]
-        if pair_density == 1:
-            block[:] = True  # every draw would be kept
-            continue
-        # one double per host pair, in the order of drawing them one at a
-        # time (Philox yields the same stream either way); rows below the
-        # degree floor become complete
-        keep = rng.random((m, m)) < pair_density
-        keep[keep.sum(axis=1) < min_pair_degree] = True
-        block[:] = keep
-    for a, (t_c, u_c) in zip(exc, demands):
-        adj[a, t_c * m : (t_c + 1) * m] = True
-        adj[u_c * m : (u_c + 1) * m, a] = True
-    out = int_rows(np.packbits(adj, axis=1, bitorder="little"))
-    # packing a contiguous copy of the transpose is about 3x faster than
-    # packing the strided view
-    inn = int_rows(np.packbits(np.ascontiguousarray(adj.T), axis=1, bitorder="little"))
+    if pair_density == 1:
+        block = (1 << m) - 1
+        c_out, c_in = [0] * k, [0] * k
+        for ci, cj in r.arcs():
+            c_out[ci] |= block << cj * m
+            c_in[cj] |= block << ci * m
+        for a, (t_c, u_c) in zip(exc, demands):
+            c_out[u_c] |= 1 << a
+            c_in[t_c] |= 1 << a
+        out = [row for row in c_out for _ in range(m)]
+        inn = [row for row in c_in for _ in range(m)]
+        out += [block << t_c * m for t_c, _ in demands]
+        inn += [block << u_c * m for _, u_c in demands]
+    else:
+        rng = seeded_rng(seed)
+        min_pair_degree = max(1, (m + 1) // 2)
+        adj = np.zeros((n_core + exceptional,) * 2, dtype=bool)
+        for ci, cj in r.arcs():
+            # one double per host pair, in the order of drawing them one at
+            # a time (Philox yields the same stream either way); rows below
+            # the degree floor become complete
+            keep = rng.random((m, m)) < pair_density
+            keep[keep.sum(axis=1) < min_pair_degree] = True
+            adj[ci * m : (ci + 1) * m, cj * m : (cj + 1) * m] = keep
+        for a, (t_c, u_c) in zip(exc, demands):
+            adj[a, t_c * m : (t_c + 1) * m] = True
+            adj[u_c * m : (u_c + 1) * m, a] = True
+        out = int_rows(np.packbits(adj, axis=1, bitorder="little"))
+        # packing a contiguous copy of the transpose is about 3x faster
+        # than packing the strided view
+        inn = int_rows(
+            np.packbits(np.ascontiguousarray(adj.T), axis=1, bitorder="little")
+        )
     host = Digraph._from_rows(tuple(out), tuple(inn))
     return ClusterBlowup(host, clusters, exc), demands
 
@@ -456,14 +477,19 @@ def assemble_hamilton(
     free entry, then the lowest such entry.  Clusters list their vertices
     in ascending order, as ``make_cluster_blowup`` builds them.
 
-    Each cluster's host rows are restricted to its matching's rights once;
-    the merge builds the auxiliary digraph from those same rows, since a
-    cluster's rights and matching stay as they were until it is merged."""
+    Step 2 takes each cluster's lefts and its successor's rights from
+    ``blowup.clusters``, dropping the exits and the entries, and restricts
+    the lefts' host rows to the rights once per distinct row (at density 1
+    a cluster's vertices share one row, so once per cluster).  The merge
+    builds the auxiliary digraph from those same rows, since a cluster's
+    rights and matching stay as they were until it is merged.  Successors
+    are kept in a list indexed by vertex, -1 while unset."""
     host = blowup.host
+    out = host.out
     cmask = [sum(1 << v for v in cl) for cl in blowup.clusters]
     k = len(cmask)
     entered = exited = 0
-    fixed_succ: dict[int, int] = {}
+    succ = [-1] * host.n
 
     # 1. fix host arcs for the walk links
     for link in walk.links:
@@ -471,55 +497,58 @@ def assemble_hamilton(
         if kind == "jump":
             _, ca, cb = link
             into = cmask[cb] & free
-            x = next((x for x in bits(cmask[ca] & free) if host.out[x] & into), None)
+            x = next((x for x in bits(cmask[ca] & free) if out[x] & into), None)
             if x is None:
                 raise MatchingFailure(f"no free arc from cluster {ca} to {cb}")
-            y = _lowest(host.out[x] & into, cb)
+            y = _lowest(out[x] & into, cb)
             exited |= 1 << x
             entered |= 1 << y
-            fixed_succ[x] = y
+            succ[x] = y
         elif kind == "exc_out":
             _, i, t_c = link
             a = blowup.exceptional[i]
-            x = _lowest(host.out[a] & cmask[t_c] & free, t_c)
+            x = _lowest(out[a] & cmask[t_c] & free, t_c)
             entered |= 1 << x
-            fixed_succ[a] = x
+            succ[a] = x
         elif kind == "exc_in":
             _, u_c, i = link
             a = blowup.exceptional[i]
             y = _lowest(host.inn[a] & cmask[u_c] & free, u_c)
             exited |= 1 << y
-            fixed_succ[y] = a
+            succ[y] = a
         else:
             raise BadParams(f"unknown link kind {kind!r}")
 
     # 2. per-cluster perfect matchings A \ A_exit -> A+ \ A+_entry; each
     # cluster keeps its rights, its rows restricted to them and each left
     # vertex's row index for the merge
-    matchings: dict[int, dict[int, int]] = {}
     restricted: list[tuple[list[int], list[int], dict[int, int]]] = []
     for ca in range(k):
         cb = f.succ[ca]
-        left = list(bits(cmask[ca] & ~exited))
-        right = list(bits(cmask[cb] & ~entered))
+        left = [a for a in blowup.clusters[ca] if not exited >> a & 1]
+        right = [b for b in blowup.clusters[cb] if not entered >> b & 1]
         if len(left) != len(right):
             raise MatchingFailure(
                 f"cluster {ca}: unbalanced matching classes "
                 f"({len(left)} vs {len(right)})"
             )
-        runs = _runs(right)
-        rows = [_restrict(host.out[a], runs) for a in left]
+        runs, right_mask = _runs(right), cmask[cb] & ~entered
+        memo: dict[int, int] = {}
+        rows = []
+        for a in left:
+            row = out[a] & right_mask
+            if row not in memo:
+                memo[row] = _restrict(row, runs)
+            rows.append(memo[row])
         match = _bipartite_matching(len(left), rows)
         if match is None:
             raise MatchingFailure(f"cluster {ca}: no perfect matching to {cb}")
-        matchings[ca] = {left[i]: right[match[i]] for i in range(len(left))}
+        for a, j in zip(left, match):
+            succ[a] = right[j]
         restricted.append((right, rows, {a: i for i, a in enumerate(left)}))
 
     # 3. the 1-factor
-    succ: dict[int, int] = dict(fixed_succ)
-    for ca, mp in matchings.items():
-        succ.update(mp)
-    if len(succ) != host.n:
+    if -1 in succ:
         raise MatchingFailure("1-factor construction left vertices unmatched")
     initial = CycleFactor.from_succ(succ)
 
@@ -531,14 +560,13 @@ def assemble_hamilton(
         right, rows, pos = restricted[ca]
         if len(right) <= 1:
             continue
-        fmap: dict[int, int] = {}
-        for a in right:
-            x = a
+        fmap = []  # fmap[i]: the left of ca whose path reaches right[i]
+        for x in right:
             while x not in pos:
                 x = succ[x]
-            fmap[a] = x
-        j_digraph = Digraph.from_out_masks(
-            [rows[pos[fmap[a]]] & ~(1 << i) for i, a in enumerate(right)]
+            fmap.append(x)
+        j_digraph = Digraph._from_rows(
+            tuple([rows[pos[x]] & ~(1 << i) for i, x in enumerate(fmap)])
         )
         h = rotation_extension(j_digraph)
         method = "rotation"
@@ -547,11 +575,10 @@ def assemble_hamilton(
             method = "exact"
         if h is None:
             raise MergeFailure(f"auxiliary digraph of cluster {ca} not Hamiltonian")
-        new_matching = []
         order = h.order
-        for i, ja in enumerate(order):
-            a, b = right[ja], right[order[(i + 1) % len(order)]]
-            new_matching.append((fmap[a], b))
+        new_matching = [
+            (fmap[ja], right[order[(i + 1) % len(order)]]) for i, ja in enumerate(order)
+        ]
         for x, b in new_matching:
             succ[x] = b
         merges.append((ca, tuple(sorted(new_matching))))

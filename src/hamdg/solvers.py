@@ -989,16 +989,21 @@ def rotation_extension(
     power-of-two step (Brent's cycle detection) and the search gives up,
     returning ``None``, as soon as the recorded state comes round again:
     the same answer as running to the limit, with one stored state.
+
+    A given ``start`` must be a 1-factor of ``g`` (its arcs read from the
+    out-rows), since the search takes its cycles' arcs as given; any other
+    is refused with ``BadParams``.
     """
     n = g.n
+    if start is not None and not start.is_valid(g):
+        raise BadParams("start is not a 1-factor of the digraph")
     if n < 2:
         return None
     factor = start if start is not None else one_factor(g)
     if factor is None:
         return None
     if len(factor.cycles) == 1:
-        h = HamiltonCycle(factor.cycles[0])
-        return h if h.is_valid(g) else None
+        return HamiltonCycle(factor.cycles[0])
     cycles = [list(c) for c in factor.cycles]
     # open the first cycle into a path
     path = cycles.pop(0)

@@ -766,8 +766,7 @@ class TestUsage:
         assert code == 0 and err == "" and hio.load(path).n == 8192
 
     def test_pipeline_refuses_a_host_order_parse_refuses(self, capsys, monkeypatch):
-        # 3 clusters of 2730 and 3 exceptional vertices: an 8193-vertex host,
-        # whose blow-up is an 8193 x 8193 boolean matrix
+        # 3 clusters of 2730 and 3 exceptional vertices: an 8193-vertex host
         def blowup(*args, **kwargs):
             raise AssertionError("the host was built")
 
@@ -781,6 +780,12 @@ class TestUsage:
         code, out, err = run(capsys, "expander", "--pipeline", "--exceptional=-1")
         assert code == 2 and out == "" and "exceptional >= 0" in err
         assert "Traceback" not in err
+
+    def test_negative_cap_is_usage_error(self, capsys):
+        # reported as an overload: "0 entries + 0 exits > cap -1"
+        code, out, err = run(capsys, "expander", "--pipeline", "--m", "8", "--cap", "-1")
+        assert code == 2 and out == "" and "need cap >= 0, got cap=-1" in err
+        assert "Traceback" not in err and "entries" not in err
 
     def test_expander_without_input_or_pipeline_is_usage_error(self, capsys):
         # an AttributeError on the missing path: exit 4 with a traceback

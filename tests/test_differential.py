@@ -171,14 +171,17 @@ class TestBlowup:
     }
 
     # m = 33 ends the rows mid-byte; m = 64 and 128 fill whole bytes; at
-    # density 0.3 most rows are raised to the degree floor
+    # density 0.3 most rows are raised to the degree floor.  At density 1 a
+    # cluster's vertices share one row and an exceptional vertex's rows are
+    # one block each: m = 1 and 2 make blocks of one and two bits, and up to
+    # six exceptional vertices revisit the demand clusters
     @pytest.mark.parametrize("density", [1.0, 0.8, 0.5, 0.3])
     @pytest.mark.parametrize("base", ["triangle", "pentagon"])
     def test_equal_hosts(self, base, density):
-        for m, exceptional, seed in (
+        for m, exceptional, seed in [
             (5, 0, 0), (8, 2, 1), (13, 3, 2), (20, 4, 3),
             (33, 5, 4), (64, 1, 5), (128, 5, 6),
-        ):
+        ] + [(m, e, e) for m in (1, 2, 7, 64) for e in range(7)]:
             red = ReducedDigraph(self.BASES[base], m)
             got, got_demands = make_cluster_blowup(
                 red, exceptional=exceptional, pair_density=density, seed=seed
@@ -308,6 +311,42 @@ class TestAssembly:
         assert kinds == {"jump", "exc_out", "exc_in"}
         assert outcomes == {"cycle", *self.FAILURES}
 
+    # the expander deck's dense shapes: triangle and pentagon with four
+    # exceptional vertices, the walk capped at m
+    @pytest.mark.parametrize("m", [32, 48, 64, 128])
+    @pytest.mark.parametrize("base", [0, 1], ids=["triangle", "pentagon"])
+    def test_equal_traces_on_dense_deck_shapes(self, base, m):
+        r, cycles = self.BASES[base]
+        red = ReducedDigraph(r, m)
+        f = OneFactorF(CycleFactor(cycles), r)
+        blowup, demands = make_cluster_blowup(red, exceptional=4, seed=m)
+        walk = build_closed_walk(red, f, demands, cap=m)
+        want = _assembly_outcome(oracles.assemble_hamilton, blowup, red, f, walk)
+        assert isinstance(want[1], CycleFactor)
+        assert _assembly_outcome(assemble_hamilton, blowup, red, f, walk) == want
+
+    def test_one_restriction_per_distinct_row(self, monkeypatch):
+        # cluster 0's lefts differ only in their arcs to cluster 2, outside
+        # the rights of cluster 1, so each cluster restricts one row
+        import hamdg.expander as ex
+
+        calls = []
+        monkeypatch.setattr(
+            ex, "_restrict", lambda row, runs: calls.append(row) or _restrict(row, runs)
+        )
+        r, cycles = self.BASES[0]
+        red = ReducedDigraph(r, 16)
+        f = OneFactorF(CycleFactor(cycles), r)
+        blowup, demands = make_cluster_blowup(red)
+        cut = [(a, b) for a in blowup.clusters[0][:8] for b in blowup.clusters[2]]
+        blowup = type(blowup)(
+            blowup.host.without_arcs(cut), blowup.clusters, blowup.exceptional
+        )
+        walk = build_closed_walk(red, f, demands)
+        want = _assembly_outcome(oracles.assemble_hamilton, blowup, red, f, walk)
+        assert _assembly_outcome(assemble_hamilton, blowup, red, f, walk) == want
+        assert len(calls) == 3
+
 
 class TestRotationExtension:
     def test_equal_cycle_orders(self):
@@ -432,7 +471,9 @@ class TestRotationExtension:
         results = []
         for search in (rotation_extension, lambda g, s: oracles.rotation_extension(
                 g, s, max_restarts=n * n)):
-            g = Scripted(n)
+            # the start's arcs are rows of g, so it passes as a 1-factor;
+            # the search itself asks only has_arc
+            g = Scripted(n, start.arcs())
             g.script, g.made = script, 0
             results.append(search(g, start))
             assert g.made == min(closes_at, n**3)

@@ -1,6 +1,7 @@
 """Robust outexpansion, shifted walks, assembly."""
 
 import hashlib
+import tracemalloc
 
 import pytest
 from fractions import Fraction
@@ -242,6 +243,13 @@ class TestClosedWalk:
         with pytest.raises(DemandOverload):
             build_closed_walk(red, f, [(0, 1)], cap=0)
 
+    @pytest.mark.parametrize("cap", [-1, -5])
+    def test_negative_cap_refused(self, cap):
+        # reported as an overload of cluster 0 before the check
+        red, f = _pentagon()
+        with pytest.raises(BadParams, match=f"need cap >= 0, got cap={cap}"):
+            build_closed_walk(red, f, [], cap=cap)
+
     def test_disconnected(self):
         r = Digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
         red = ReducedDigraph(r, 10)
@@ -332,6 +340,21 @@ class TestBlowupPins:
         hosts = list(self.hosts(base, 40, 1.0))
         assert hosts[0].out == hosts[1].out and hosts[2].out == hosts[3].out
         assert hosts[0].inn == hosts[1].inn and hosts[2].inn == hosts[3].inn
+
+
+def test_dense_blowup_builds_no_matrix():
+    # at density 1 the rows are built per cluster, with no n x n matrix:
+    # a 3,076-vertex host peaked at 20.6 MB when it packed one
+    red = ReducedDigraph(complete_digraph(3), 1024)
+    make_cluster_blowup(red, exceptional=4)  # any first-call allocations
+    tracemalloc.start()
+    try:
+        blowup, _ = make_cluster_blowup(red, exceptional=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blowup.host.n == 3076 and blowup.host.m == 6 * 1024**2 + 8 * 1024
+    assert peak < 6 * 10**6
 
 
 def _bogus_link():

@@ -26,7 +26,7 @@ from hamdg.constructions import (
     random_tournament,
     transitive_tournament,
 )
-from hamdg.core import Digraph, Matching
+from hamdg.core import CycleFactor, Digraph, Matching
 from hamdg.errors import BadParams, BudgetExceeded
 from hamdg.solvers import (
     OrientationPattern,
@@ -398,3 +398,18 @@ class TestRotationExtension:
     @pytest.mark.parametrize("n", [0, 1])
     def test_no_cycle_below_two_vertices(self, n):
         assert rotation_extension(Digraph(n)) is None
+
+    @pytest.mark.parametrize(
+        "n, arcs, cycles",
+        [
+            # 0 -> 1 is not an arc: HamiltonCycle((0, 1, 2, 3)) came back
+            (4, [(1, 0), (1, 2), (2, 3), (3, 2), (3, 0)], ((0, 1), (2, 3))),
+            # vertex 4 is on no cycle: a cycle of the other four came back
+            (5, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (3, 0), (3, 4), (4, 0)],
+             ((0, 1), (2, 3))),
+        ],
+        ids=["missing-arc", "missing-vertex"],
+    )
+    def test_start_that_is_no_one_factor_refused(self, n, arcs, cycles):
+        with pytest.raises(BadParams, match="not a 1-factor"):
+            rotation_extension(Digraph(n, arcs), CycleFactor(cycles))
