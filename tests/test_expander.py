@@ -344,7 +344,7 @@ class TestBlowupPins:
 
 def test_dense_blowup_builds_no_matrix():
     # at density 1 the rows are built per cluster, with no n x n matrix:
-    # a 3,076-vertex host peaked at 20.6 MB when it packed one
+    # a 3,076-vertex host peaked at about 21 MB when it packed one
     red = ReducedDigraph(complete_digraph(3), 1024)
     make_cluster_blowup(red, exceptional=4)  # any first-call allocations
     tracemalloc.start()
